@@ -2,21 +2,17 @@
 
 from .braids import (
     BraidWord,
-    PureBraidGen,
     artin_action,
     braids_equal,
     full_twist,
     is_pure,
-    last_strand_linking,
     parse_braid,
     permutation,
     pure_gen_braid,
-    pure_gen_word,
 )
 from .certify import (
     Certificate,
     certificate,
-    dual_partition,
     exact_rank,
     multiplicity_factor,
     partition_cycles,
@@ -36,9 +32,7 @@ from .cochains import (
     BlockEmbedding,
     Cochain,
     GroupElement,
-    ProductElement,
     block_layout,
-    block_restrict,
     coboundary,
     coeff_action,
     composite_cochain,

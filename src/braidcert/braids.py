@@ -31,9 +31,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
 
-from .words import AutPair, EndoMap, FreeWord, GrammarError, HVector
+from .words import AutPair, EndoMap, FreeWord, GrammarError
 
 
 @dataclass(frozen=True)
@@ -151,44 +150,6 @@ def full_twist(n: int, k: int) -> BraidWord:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     block = tuple(range(1, k))
     return BraidWord(n, block * k)
-
-
-@dataclass(frozen=True)
-class PureBraidGen:
-    """The symbol A_{i,j}, 1 <= i < j."""
-
-    i: int
-    j: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.i < self.j:
-            raise ValueError(f"need 1 <= i < j, got i={self.i}, j={self.j}")
-
-
-def pure_gen_word(
-    word: Iterable[tuple[PureBraidGen, int]], strands: int
-) -> BraidWord:
-    """Multiply out a word in the band generators inside B_strands."""
-    result = BraidWord.identity(strands)
-    for gen, exp in word:
-        result = result * pure_gen_braid(strands, gen.i, gen.j) ** exp
-    return result
-
-
-def last_strand_linking(n: int, word: Iterable[tuple[PureBraidGen, int]]) -> HVector:
-    """Total winding of each of the first n strands around strand n+1.
-
-    The input is a word in the band generators of the pure braid group on
-    n+1 strands; A_{i,n+1} contributes its exponent to coordinate i and every
-    generator not involving the last strand contributes nothing.
-    """
-    coords = [0] * n
-    for gen, exp in word:
-        if gen.j > n + 1:
-            raise ValueError(f"generator A_{{{gen.i},{gen.j}}} exceeds {n + 1} strands")
-        if gen.j == n + 1:
-            coords[gen.i - 1] += exp
-    return HVector(n, tuple(coords))
 
 
 _BRAID_TOKEN = re.compile(

@@ -44,9 +44,7 @@ from .cochains import (
     BlockEmbedding,
     Cochain,
     GroupElement,
-    ProductElement,
     block_layout,
-    block_restrict,
     cup,
     hbar_cochain,
     hbar_partition_cochain,
@@ -80,12 +78,6 @@ def partitions(total: int, slots: int) -> list[tuple[int, ...]]:
 
     go(total, total, ())
     return out
-
-
-def dual_partition(parts: Sequence[int]) -> tuple[int, ...]:
-    """Entry p counts the parts that are at least p."""
-    top = max(parts, default=0)
-    return tuple(sum(1 for a in parts if a >= p) for p in range(1, top + 1))
 
 
 def multiplicity_factor(parts: Sequence[int]) -> int:
@@ -269,7 +261,12 @@ def certificate(
     catalog_depth: int = 3,
     seed: int = 0,
 ) -> Certificate:
-    """Build the independence certificate for rank n and exterior degree q."""
+    """Build the independence certificate for rank n and exterior degree q.
+
+    The construction makes no random choice: seed is recorded in the
+    certificate for uniformity with the other CLI reports and does not
+    affect it.
+    """
     if not 0 <= q <= n:
         raise ValueError(f"need 0 <= q <= n, got q={q}, n={n}")
     if theta is None:
@@ -371,7 +368,7 @@ def scalar_factor_check(
     """
     parts = tuple(parts)
     layout = partition_layout(parts, n)
-    lhs = block_restrict(hbar_partition_cochain(theta, parts), layout)
+    lhs = hbar_partition_cochain(theta, parts)
     rhs: Cochain = unit_cochain(n)
     for k, p in enumerate(parts):
         if p:
@@ -383,14 +380,12 @@ def scalar_factor_check(
     witnesses: list[tuple[Any, Any]] = []
     ok = True
     for _ in range(trials):
-        elements: list[ProductElement] = []
-        for k, p in enumerate(parts):
+        elements: list[GroupElement] = []
+        for p, e in zip(parts, layout):
             if not p:
                 continue
             for beta in _random_block_tuple(rng, p):
-                blocks = [GroupElement.identity(e.size) for e in layout]
-                blocks[k] = GroupElement.from_braid(beta)
-                elements.append(ProductElement(blocks, layout))
+                elements.append(GroupElement.from_braid(beta.embed(e.offset, n)))
         z = torus_cycle(elements)
         left = pair(lhs, z)
         right = factor * pair(rhs, z)

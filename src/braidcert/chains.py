@@ -1,12 +1,14 @@
 """Bar-complex chains of automorphism groups, and the cochain pairing.
 
 A BarChain of degree p is a finite rational combination of p-tuples of
-group elements; tuples containing the identity are degenerate and are
-dropped on construction.  The boundary is the usual inhomogeneous one
-(drop first, merge neighbours with alternating signs, drop last), matching
-the coboundary in cochains when every element in sight acts trivially on
-the coefficients; the pairing therefore refuses elements that act
-nontrivially on H.
+GroupElements; tuples containing the identity are degenerate and are
+dropped on construction.  Chains over a block product of braid groups need
+no other element type: their elements are the ambient GroupElements of
+braid words whose letters each stay inside one block.  The boundary is the
+usual inhomogeneous one (drop first, merge neighbours with alternating
+signs, drop last), matching the coboundary in cochains when every element
+in sight acts trivially on the coefficients; the pairing therefore refuses
+elements that act nontrivially on H.
 
 Cycles come from two constructors, both of which check commutativity of
 the ingredients and verify that the boundary vanishes before returning:
@@ -36,9 +38,6 @@ from typing import Any, Iterable, Mapping, Sequence
 from .braids import parse_braid
 from .cochains import BlockEmbedding, Cochain, GroupElement
 from .words import GrammarError
-
-Element = Any  # GroupElement | ProductElement
-Tuple_ = tuple
 
 _ZERO = Fraction(0)
 
@@ -127,7 +126,7 @@ class BarChain:
         return self.boundary().is_zero()
 
 
-def _check_commuting(elems: Sequence[Element]) -> None:
+def _check_commuting(elems: Sequence[GroupElement]) -> None:
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
             if elems[i] * elems[j] != elems[j] * elems[i]:
@@ -136,7 +135,7 @@ def _check_commuting(elems: Sequence[Element]) -> None:
                 )
 
 
-def torus_cycle(elems: Sequence[Element]) -> BarChain:
+def torus_cycle(elems: Sequence[GroupElement]) -> BarChain:
     """The signed sum over all orderings of pairwise commuting elements."""
     elems = tuple(elems)
     _check_commuting(elems)

@@ -1,8 +1,8 @@
 """Group cochains on automorphism groups of free groups, exactly.
 
-Elements and actions.  A GroupElement wraps a certified automorphism of F_n
-(usually the action of a braid word, which it remembers for printing).  The
-group acts on coefficient values through the induced matrix M on H = Z^n:
+Elements and actions.  A GroupElement is a braid word together with the
+certified automorphism of F_n it acts by.  The group acts on coefficient
+values through the induced matrix M on H = Z^n:
 
 * on tensors and exterior elements, diagonally in every slot;
 * on linear maps H -> H^(x)m, by  M^(x)m o u o M^-1,  where M^-1 is the
@@ -27,13 +27,12 @@ materialised.  The basic constructions:
 * hbar_partition_cochain, the cup of exterior hbar factors along the parts
   of a partition, largest part first.
 
-Products of groups.  A ProductElement is a tuple of block elements together
-with a layout of disjoint consecutive blocks inside a common ambient rank.
-It behaves like a GroupElement (its action is the action of the product of
-the embedded blocks), so every cochain construction applies verbatim over
-product groups.  block_restrict pulls an ambient cochain back along the
-block inclusion; projection_pullback pulls back along a single projection,
-re-embedding the chosen block.
+Products of groups.  An element of a block product B_{n1} x ... x B_{nk}
+inside B_n is the ambient GroupElement of a braid word whose letters each
+stay inside one block of a layout of disjoint consecutive blocks, so every
+cochain construction applies verbatim over product groups.
+projection_pullback pulls an ambient cochain back along the projection to a
+single block, re-embedded: it evaluates on the letters of that block alone.
 """
 
 from __future__ import annotations
@@ -53,18 +52,18 @@ from .tensors import (
     alt_project,
     compose_maps,
 )
-from .words import AutPair, FreeWord, IntMatrix, embed_endo, identity_matrix
+from .words import AutPair, FreeWord, IntMatrix, identity_matrix
 
 Value = Any  # TruncatedTensor | HomTensor | ExteriorElement | Fraction
 
 
 class GroupElement:
-    """A certified automorphism of F_n with cached abelianised data."""
+    """A braid word with the certified automorphism of F_n it acts by."""
 
     __slots__ = ("aut", "braid", "_matrix", "_matrix_inv", "_key", "_hash")
 
-    def __init__(self, aut: AutPair, braid: BraidWord | None = None):
-        if braid is not None and braid.n != aut.n:
+    def __init__(self, aut: AutPair, braid: BraidWord):
+        if braid.n != aut.n:
             raise ValueError("braid strand count does not match rank")
         self.aut = aut
         self.braid = braid
@@ -76,10 +75,6 @@ class GroupElement:
     @classmethod
     def from_braid(cls, beta: BraidWord) -> GroupElement:
         return cls(artin_action(beta), beta)
-
-    @classmethod
-    def from_aut(cls, pair: AutPair) -> GroupElement:
-        return cls(pair)
 
     @classmethod
     def identity(cls, n: int) -> GroupElement:
@@ -111,24 +106,13 @@ class GroupElement:
     def __mul__(self, other: GroupElement) -> GroupElement:
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        braid = None
-        if self.braid is not None and other.braid is not None:
-            braid = self.braid * other.braid
-        return GroupElement(self.aut.compose(other.aut), braid)
+        return GroupElement(self.aut.compose(other.aut), self.braid * other.braid)
 
     def inverse(self) -> GroupElement:
-        braid = self.braid.inverse() if self.braid is not None else None
-        return GroupElement(self.aut.inverse(), braid)
+        return GroupElement(self.aut.inverse(), self.braid.inverse())
 
     def embed(self, offset: int, ambient: int) -> GroupElement:
-        if self.braid is not None:
-            return GroupElement.from_braid(self.braid.embed(offset, ambient))
-        return GroupElement(
-            AutPair(
-                embed_endo(self.aut.fwd, offset, ambient),
-                embed_endo(self.aut.inv, offset, ambient),
-            )
-        )
+        return GroupElement.from_braid(self.braid.embed(offset, ambient))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GroupElement) and self._key == other._key
@@ -137,9 +121,7 @@ class GroupElement:
         return self._hash
 
     def __repr__(self) -> str:
-        if self.braid is not None:
-            return f"<braid {self.braid.letters} on {self.n} strands>"
-        return f"<aut of F_{self.n}>"
+        return f"<braid {self.braid.letters} on {self.n} strands>"
 
 
 @dataclass(frozen=True)
@@ -175,82 +157,7 @@ def block_layout(sizes: Sequence[int], ambient: int) -> tuple[BlockEmbedding, ..
     return tuple(out)
 
 
-class ProductElement:
-    """A tuple of block elements, acting through the product of its embeddings."""
-
-    __slots__ = ("blocks", "layout", "_ambient", "_hash")
-
-    def __init__(self, blocks: Sequence[GroupElement], layout: Sequence[BlockEmbedding]):
-        blocks = tuple(blocks)
-        layout = tuple(layout)
-        if len(blocks) != len(layout):
-            raise ValueError("one element per block required")
-        for g, e in zip(blocks, layout):
-            if g.n != e.size:
-                raise ValueError(f"element of rank {g.n} in block of size {e.size}")
-        self.blocks = blocks
-        self.layout = layout
-        self._ambient: GroupElement | None = None
-        self._hash = hash((layout, blocks))
-
-    @classmethod
-    def identity(cls, layout: Sequence[BlockEmbedding]) -> ProductElement:
-        return cls([GroupElement.identity(e.size) for e in layout], layout)
-
-    @property
-    def n(self) -> int:
-        return self.layout[0].ambient
-
-    @property
-    def ambient(self) -> GroupElement:
-        """The product of the embedded blocks; blocks commute, order immaterial."""
-        if self._ambient is None:
-            result = GroupElement.identity(self.n)
-            for g, e in zip(self.blocks, self.layout):
-                result = result * e.apply(g)
-            self._ambient = result
-        return self._ambient
-
-    def embedded(self, k: int) -> GroupElement:
-        return self.layout[k].apply(self.blocks[k])
-
-    @property
-    def matrix(self) -> IntMatrix:
-        return self.ambient.matrix
-
-    @property
-    def matrix_inv(self) -> IntMatrix:
-        return self.ambient.matrix_inv
-
-    @property
-    def is_identity(self) -> bool:
-        return all(g.is_identity for g in self.blocks)
-
-    def acts_trivially(self) -> bool:
-        return self.ambient.acts_trivially()
-
-    def __mul__(self, other: ProductElement) -> ProductElement:
-        if self.layout != other.layout:
-            raise ValueError("layout mismatch")
-        return ProductElement(
-            tuple(a * b for a, b in zip(self.blocks, other.blocks)), self.layout
-        )
-
-    def inverse(self) -> ProductElement:
-        return ProductElement(tuple(g.inverse() for g in self.blocks), self.layout)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ProductElement)
-            and self.layout == other.layout
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-
-def coeff_action(g: GroupElement | ProductElement, value: Value) -> Value:
+def coeff_action(g: GroupElement, value: Value) -> Value:
     """The coefficient action of g, dispatched on the shape of the value."""
     if isinstance(value, TruncatedTensor):
         return value.act(g.matrix)
@@ -454,26 +361,28 @@ def hbar_partition_cochain(theta: MagnusExpansion, parts: Sequence[int]) -> Coch
     return result
 
 
-def block_restrict(u: Cochain, layout: Sequence[BlockEmbedding]) -> Cochain:
-    """Pull an ambient cochain back to the product of the blocks."""
-    layout = tuple(layout)
-    if layout[0].ambient != u.n:
-        raise ValueError("layout ambient rank does not match cochain rank")
-
-    def evaluate(*es: ProductElement):
-        for e in es:
-            if e.layout != layout:
-                raise ValueError("element layout does not match restriction layout")
-        return u.evaluate(*(e.ambient for e in es))
-
-    return Cochain(u.degree, u.n, u.zero_value, evaluate)
+def _block_index(letter: int, layout: Sequence[BlockEmbedding]) -> int:
+    """The block whose strands s_|letter| braids; ValueError if it crosses a boundary."""
+    i = abs(letter)
+    for k, e in enumerate(layout):
+        if e.offset < i < e.offset + e.size:
+            return k
+    raise ValueError(f"letter s{i} crosses a block boundary")
 
 
 def projection_pullback(u: Cochain, k: int, layout: Sequence[BlockEmbedding]) -> Cochain:
-    """Pull an ambient cochain back along projection to the k-th block, re-embedded."""
+    """Pull an ambient cochain back along projection to the k-th block, re-embedded.
+
+    Arguments are ambient elements whose braid letters each stay inside one
+    block; their projection keeps the letters of block k.
+    """
     layout = tuple(layout)
 
-    def evaluate(*es: ProductElement):
-        return u.evaluate(*(e.embedded(k) for e in es))
+    def project(g: GroupElement) -> GroupElement:
+        kept = tuple(l for l in g.braid.letters if _block_index(l, layout) == k)
+        return GroupElement.from_braid(BraidWord(g.n, kept))
+
+    def evaluate(*gs: GroupElement):
+        return u.evaluate(*(project(g) for g in gs))
 
     return Cochain(u.degree, u.n, u.zero_value, evaluate)

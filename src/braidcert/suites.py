@@ -27,11 +27,8 @@ from .braids import BraidWord, pure_gen_braid
 from .certify import certificate
 from .cochains import (
     GroupElement,
-    ProductElement,
     block_layout,
-    block_restrict,
     coboundary,
-    coeff_action,
     composite_cochain,
     hp_cochain,
     projection_pullback,
@@ -205,13 +202,12 @@ def run_primitivity(seed: int) -> SuiteReport:
         theta = MagnusExpansion.standard(n, 2)
         layout = block_layout((n1, n2), n)
 
-        def sample() -> ProductElement:
-            return ProductElement(
-                [_random_braid(rng, n1, 5), _random_braid(rng, n2, 5)], layout
-            )
+        def sample() -> GroupElement:
+            b1, b2 = _random_braid(rng, n1, 5), _random_braid(rng, n2, 5)
+            return layout[0].apply(b1) * layout[1].apply(b2)
 
         for p in (1, 2, 3):
-            total = block_restrict(hp_cochain(theta, p), layout)
+            total = hp_cochain(theta, p)
             pulled = [
                 projection_pullback(hp_cochain(theta, p), k, layout) for k in (0, 1)
             ]

@@ -175,13 +175,6 @@ class TruncatedTensor:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any], cap: int) -> TruncatedTensor:
-        terms = {
-            tuple(item["idx"]): Fraction(item["c"]) for item in data.get("terms", [])
-        }
-        return cls(int(data["n"]), cap, terms)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

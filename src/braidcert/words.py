@@ -229,24 +229,6 @@ class AutPair:
         return AutPair(self.inv, self.fwd)
 
 
-def shift_word(w: FreeWord, offset: int, ambient: int) -> FreeWord:
-    """Reinterpret w on generators x_{offset+1}, ..., x_{offset+w.n} inside F_ambient."""
-    if offset < 0 or offset + w.n > ambient:
-        raise ValueError(f"block [{offset + 1}, {offset + w.n}] does not fit in rank {ambient}")
-    shifted = tuple(l + offset if l > 0 else l - offset for l in w.letters)
-    return FreeWord(ambient, shifted)
-
-
-def embed_endo(phi: EndoMap, offset: int, ambient: int) -> EndoMap:
-    """Extend phi by the identity outside the generator block starting at offset."""
-    if offset < 0 or offset + phi.n > ambient:
-        raise ValueError(f"block [{offset + 1}, {offset + phi.n}] does not fit in rank {ambient}")
-    images = [FreeWord.generator(ambient, i) for i in range(1, ambient + 1)]
-    for i, w in enumerate(phi.images):
-        images[offset + i] = shift_word(w, offset, ambient)
-    return EndoMap(ambient, tuple(images))
-
-
 _WORD_TOKEN = re.compile(r"x([1-9][0-9]*)(\^-1)?\Z")
 
 

@@ -13,19 +13,16 @@ import pytest
 
 from braidcert.braids import (
     BraidWord,
-    PureBraidGen,
     artin_action,
     braids_equal,
     format_braid,
     full_twist,
     is_pure,
-    last_strand_linking,
     parse_braid,
     permutation,
     pure_gen_braid,
-    pure_gen_word,
 )
-from braidcert.words import FreeWord, GrammarError, HVector, embed_endo
+from braidcert.words import EndoMap, FreeWord, GrammarError
 
 
 def random_braid(rng: random.Random, n: int, max_len: int) -> BraidWord:
@@ -178,6 +175,15 @@ def test_linked_band_generators_do_not_commute():
 # embeddings
 
 
+def embed_endo(phi: EndoMap, offset: int, ambient: int) -> EndoMap:
+    """Oracle: extend phi by the identity outside the generator block at offset."""
+    images = [FreeWord.generator(ambient, i) for i in range(1, ambient + 1)]
+    for i, w in enumerate(phi.images):
+        shifted = tuple(l + offset if l > 0 else l - offset for l in w.letters)
+        images[offset + i] = FreeWord(ambient, shifted)
+    return EndoMap(ambient, tuple(images))
+
+
 def test_embed_matches_free_group_embedding():
     rng = random.Random(35)
     for _ in range(30):
@@ -188,35 +194,6 @@ def test_embed_matches_free_group_embedding():
         lhs = artin_action(beta.embed(offset, ambient)).fwd
         rhs = embed_endo(artin_action(beta).fwd, offset, ambient)
         assert lhs == rhs
-
-
-# linking numbers
-
-
-def test_linking_reads_off_last_strand_generators():
-    # at rank 3 the generators A_{i,4} map to the basis, the rest to zero
-    for i in range(1, 4):
-        got = last_strand_linking(3, [(PureBraidGen(i, 4), 1)])
-        assert got == HVector.basis(3, i)
-    for i, j in [(1, 2), (1, 3), (2, 3)]:
-        assert last_strand_linking(3, [(PureBraidGen(i, j), 1)]).is_zero()
-
-
-def test_linking_is_additive():
-    word = [(PureBraidGen(1, 4), 2), (PureBraidGen(2, 3), 5), (PureBraidGen(2, 4), -1)]
-    assert last_strand_linking(3, word) == HVector(3, (2, -1, 0))
-
-
-def test_linking_rejects_overflow_generator():
-    with pytest.raises(ValueError):
-        last_strand_linking(2, [(PureBraidGen(1, 4), 1)])
-
-
-def test_pure_gen_word_multiplies_out():
-    word = [(PureBraidGen(1, 2), 1), (PureBraidGen(1, 3), -1)]
-    got = pure_gen_word(word, 3)
-    want = pure_gen_braid(3, 1, 2) * pure_gen_braid(3, 1, 3).inverse()
-    assert got == want and is_pure(got)
 
 
 # grammar

@@ -16,7 +16,6 @@ import pytest
 from braidcert.certify import (
     Certificate,
     certificate,
-    dual_partition,
     exact_rank,
     multiplicity_factor,
     partition_cycles,
@@ -53,16 +52,6 @@ def test_partitions_are_ordered_largest_first():
     assert partitions(2, 2) == [(2, 0), (1, 1)]
     assert partitions(3, 3) == [(3, 0, 0), (2, 1, 0), (1, 1, 1)]
     assert partitions(4, 2) == [(4, 0), (3, 1), (2, 2)]
-
-
-def test_dual_partition_counts_tall_parts():
-    assert dual_partition((2, 1, 0)) == (2, 1)
-    assert dual_partition((3, 3, 1)) == (3, 2, 2)
-    assert dual_partition((0, 0)) == ()
-    # duality is an involution once zeros are stripped
-    for parts in partitions(5, 4):
-        stripped = tuple(p for p in parts if p)
-        assert tuple(p for p in dual_partition(dual_partition(parts)) if p) == stripped
 
 
 def test_multiplicity_factor_frozen_values():
@@ -207,34 +196,25 @@ def test_scalar_factor_sees_the_repeat_factor_two():
     assert ok
     assert any(not left.is_zero() for left, _ in witnesses)
     # dropping the factor must break the identity on some witness
+    from braidcert.braids import pure_gen_braid
     from braidcert.cochains import (
-        block_restrict,
+        GroupElement,
         cup,
         hbar_cochain,
         hbar_partition_cochain,
         projection_pullback,
-        unit_cochain,
     )
     from braidcert.certify import partition_layout as layout_of
     from braidcert.chains import pair, torus_cycle
 
     layout = layout_of((1, 1), 4)
-    lhs = block_restrict(hbar_partition_cochain(theta, (1, 1)), layout)
+    lhs = hbar_partition_cochain(theta, (1, 1))
     rhs = cup(
         projection_pullback(hbar_cochain(theta, 1, exterior=True), 0, layout),
         projection_pullback(hbar_cochain(theta, 1, exterior=True), 1, layout),
     )
-    from braidcert.braids import pure_gen_braid
-    from braidcert.cochains import GroupElement, ProductElement
-
-    a = ProductElement(
-        [GroupElement.from_braid(pure_gen_braid(2, 1, 2)), GroupElement.identity(2)],
-        layout,
-    )
-    b = ProductElement(
-        [GroupElement.identity(2), GroupElement.from_braid(pure_gen_braid(2, 1, 2))],
-        layout,
-    )
+    a = GroupElement.from_braid(pure_gen_braid(4, 1, 2))  # A(1,2) in the first block
+    b = GroupElement.from_braid(pure_gen_braid(4, 3, 4))  # A(3,4) in the second block
     z = torus_cycle([a, b])
     assert pair(lhs, z) == 2 * pair(rhs, z)
     assert pair(lhs, z) != pair(rhs, z)

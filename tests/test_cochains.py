@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iter_product
 
 import pytest
@@ -20,9 +21,7 @@ from braidcert.cochains import (
     BlockEmbedding,
     Cochain,
     GroupElement,
-    ProductElement,
     block_layout,
-    block_restrict,
     coboundary,
     coeff_action,
     composite_cochain,
@@ -282,20 +281,56 @@ def layout_2_2():
     return block_layout((2, 2), 4)
 
 
-def random_product_element(rng: random.Random, layout) -> ProductElement:
-    return ProductElement(
-        [random_pure_element(rng, e.size) for e in layout], layout
-    )
+def random_product_element(rng: random.Random, layout) -> GroupElement:
+    """A random pure braid per block, their letters shuffled into one ambient word."""
+    words = [
+        list(e.apply(random_pure_element(rng, e.size)).braid.letters)
+        for e in layout
+        if e.size > 1
+    ]
+    letters = []
+    while any(words):
+        letters.append(rng.choice([w for w in words if w]).pop(0))
+    return GroupElement.from_braid(BraidWord(layout[0].ambient, tuple(letters)))
+
+
+def projection(k: int, layout):
+    """The projection to block k, read off the pullback of the tautological 1-cochain."""
+    n = layout[0].ambient
+    return projection_pullback(Cochain(1, n, lambda: None, lambda g: g), k, layout)
 
 
 def test_product_element_acts_through_embedded_product():
+    # the projections of a block-product element multiply back to it
     rng = random.Random(52)
+    for layout in (layout_2_2(), block_layout((1, 3, 2), 6)):
+        projs = [projection(k, layout) for k in range(len(layout))]
+        for _ in range(10):
+            g = random_product_element(rng, layout)
+            pieces = [proj(g) for proj in projs]
+            assert reduce(lambda a, b: a * b, pieces) == g
+            assert reduce(lambda a, b: a * b, reversed(pieces)) == g  # blocks commute
+
+
+def test_projection_is_a_homomorphism():
+    rng = random.Random(55)
+    for layout in (layout_2_2(), block_layout((1, 3, 2), 6)):
+        for k in range(len(layout)):
+            proj = projection(k, layout)
+            for _ in range(6):
+                g = random_product_element(rng, layout)
+                h = random_product_element(rng, layout)
+                assert proj(g * h) == proj(g) * proj(h)
+
+
+def test_projection_rejects_a_letter_crossing_blocks():
     layout = layout_2_2()
-    for _ in range(10):
-        e = random_product_element(rng, layout)
-        assert e.ambient.n == 4
-        ambient_alt = e.embedded(1) * e.embedded(0)  # blocks commute
-        assert e.ambient == ambient_alt
+    proj = projection(0, layout)
+    for letters in ((2,), (1, -2), (3, 2)):
+        with pytest.raises(ValueError):
+            proj(GroupElement.from_braid(BraidWord(4, letters)))
+    with pytest.raises(ValueError):
+        projection(1, block_layout((1, 3, 2), 6))(GroupElement.from_braid(BraidWord.gen(6, 1)))
 
 
 def test_block_restrict_is_additive_over_projections():
@@ -304,7 +339,7 @@ def test_block_restrict_is_additive_over_projections():
     theta = MagnusExpansion.standard(4, 2)
     layout = layout_2_2()
     for p in (1, 2):
-        total = block_restrict(hp_cochain(theta, p), layout)
+        total = hp_cochain(theta, p)
         parts = [
             projection_pullback(hp_cochain(theta, p), k, layout) for k in range(2)
         ]

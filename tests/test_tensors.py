@@ -187,12 +187,17 @@ def test_wedge_basics():
 
 
 def test_json_round_trip():
-    rng = random.Random(1)
-    t = random_tensor(rng, 3, 2)
-    data = t.to_json_dict()
-    assert TruncatedTensor.from_json_dict(data, cap=2) == t
-    for item in data["terms"]:
-        assert "/" in item["c"]
+    # terms sorted by degree then index, integers still printed as k/1, zeros dropped
+    t = TruncatedTensor(3, 2, {(1, 3): 3, (2,): F(-1, 2), (): 1, (1,): 2, (3, 1): 0})
+    assert t.to_json_dict() == {
+        "n": 3,
+        "terms": [
+            {"idx": [], "c": "1/1"},
+            {"idx": [1], "c": "2/1"},
+            {"idx": [2], "c": "-1/2"},
+            {"idx": [1, 3], "c": "3/1"},
+        ],
+    }
 
 
 # randomised laws against the oracles

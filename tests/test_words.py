@@ -18,12 +18,10 @@ from braidcert.words import (
     FreeWord,
     GrammarError,
     HVector,
-    embed_endo,
     format_word,
     identity_matrix,
     mat_mul,
     parse_word,
-    shift_word,
 )
 
 
@@ -187,18 +185,3 @@ def test_abelianize_is_additive_on_products():
         assert (a * b).abelianize() == a.abelianize() + b.abelianize()
         assert a.inverse().abelianize() == -a.abelianize()
 
-
-def test_shift_and_embed_commute_with_apply():
-    rng = random.Random(16)
-    for _ in range(100):
-        m = rng.randint(1, 3)
-        ambient = m + rng.randint(0, 3)
-        offset = rng.randint(0, ambient - m)
-        phi = random_endo(rng, m)
-        w = random_word(rng, m, 6)
-        big = embed_endo(phi, offset, ambient)
-        assert big(shift_word(w, offset, ambient)) == shift_word(phi(w), offset, ambient)
-        # the embedded map fixes generators outside the block
-        for i in range(1, ambient + 1):
-            if not offset < i <= offset + m:
-                assert big(FreeWord.generator(ambient, i)) == FreeWord.generator(ambient, i)
