@@ -269,6 +269,8 @@ def certificate(
     """
     if not 0 <= q <= n:
         raise ValueError(f"need 0 <= q <= n, got q={q}, n={n}")
+    if catalog_depth < 1:
+        raise ValueError(f"catalog depth must be at least 1, got {catalog_depth}")
     if theta is None:
         theta = MagnusExpansion.standard(n, 2)
     if theta.n != n:

@@ -40,9 +40,9 @@ def _default_degree() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise SystemExit(f"{DEGREE_ENV} must be an integer, got {raw!r}")
+        raise ValueError(f"{DEGREE_ENV} must be an integer, got {raw!r}") from None
     if value < 2:
-        raise SystemExit(f"{DEGREE_ENV} must be at least 2, got {value}")
+        raise ValueError(f"{DEGREE_ENV} must be at least 2, got {value}")
     return value
 
 

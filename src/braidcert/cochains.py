@@ -8,6 +8,11 @@ values through the induced matrix M on H = Z^n:
 * on linear maps H -> H^(x)m, by  M^(x)m o u o M^-1,  where M^-1 is the
   induced matrix of the stored inverse automorphism, never a matrix inverse.
 
+A product g_1...g_k acts through the product M_1...M_k of the induced
+matrices, with inverse M_k^-1...M_1^-1; the automorphisms themselves are
+never composed for this.  When the product is the identity matrix, as it
+always is for pure braids, the action is skipped.
+
 Cochains.  A Cochain of degree p is an evaluator on p-tuples of elements.
 Values are computed lazily; nothing resembling the full cochain group is ever
 materialised.  The basic constructions:
@@ -39,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Any, Callable, Sequence
 from weakref import WeakKeyDictionary
 
@@ -52,7 +56,7 @@ from .tensors import (
     alt_project,
     compose_maps,
 )
-from .words import AutPair, FreeWord, IntMatrix, identity_matrix
+from .words import AutPair, FreeWord, IntMatrix, identity_matrix, mat_mul
 
 Value = Any  # TruncatedTensor | HomTensor | ExteriorElement | Fraction
 
@@ -60,7 +64,7 @@ Value = Any  # TruncatedTensor | HomTensor | ExteriorElement | Fraction
 class GroupElement:
     """A braid word with the certified automorphism of F_n it acts by."""
 
-    __slots__ = ("aut", "braid", "_matrix", "_matrix_inv", "_key", "_hash")
+    __slots__ = ("aut", "braid", "_matrix", "_matrix_inv", "_trivial", "_key", "_hash")
 
     def __init__(self, aut: AutPair, braid: BraidWord):
         if braid.n != aut.n:
@@ -69,6 +73,7 @@ class GroupElement:
         self.braid = braid
         self._matrix: IntMatrix | None = None
         self._matrix_inv: IntMatrix | None = None
+        self._trivial: bool | None = None
         self._key = (aut.n, tuple(w.letters for w in aut.fwd.images))
         self._hash = hash(self._key)
 
@@ -101,7 +106,9 @@ class GroupElement:
         return self.aut.fwd.is_identity()
 
     def acts_trivially(self) -> bool:
-        return self.matrix == identity_matrix(self.n)
+        if self._trivial is None:
+            self._trivial = self.matrix == identity_matrix(self.n)
+        return self._trivial
 
     def __mul__(self, other: GroupElement) -> GroupElement:
         if self.n != other.n:
@@ -159,15 +166,36 @@ def block_layout(sizes: Sequence[int], ambient: int) -> tuple[BlockEmbedding, ..
 
 def coeff_action(g: GroupElement, value: Value) -> Value:
     """The coefficient action of g, dispatched on the shape of the value."""
+    return _matrix_action(g.matrix, g.matrix_inv, value)
+
+
+def _matrix_action(matrix: IntMatrix, matrix_inv: IntMatrix, value: Value) -> Value:
     if isinstance(value, TruncatedTensor):
-        return value.act(g.matrix)
+        return value.act(matrix)
     if isinstance(value, HomTensor):
-        return value.conjugate(g.matrix, g.matrix_inv)
+        return value.conjugate(matrix, matrix_inv)
     if isinstance(value, ExteriorElement):
-        return value.act(g.matrix)
+        return value.act(matrix)
     if isinstance(value, (Fraction, int)):
         return value
     raise TypeError(f"no action defined on {type(value).__name__}")
+
+
+# The induced matrices of a product g_1...g_k and of its inverse, or None
+# when the product acts trivially on H.
+_Action = tuple[IntMatrix, IntMatrix] | None
+
+
+def _times(action: _Action, g: GroupElement) -> _Action:
+    """The action of (g_1...g_k) g from the action of g_1...g_k."""
+    if g.acts_trivially():
+        return action
+    if action is None:
+        return g.matrix, g.matrix_inv
+    matrix = mat_mul(action[0], g.matrix)
+    if matrix == identity_matrix(g.n):
+        return None
+    return matrix, mat_mul(g.matrix_inv, action[1])
 
 
 @dataclass(frozen=True)
@@ -278,8 +306,11 @@ def cup(u: Cochain, v: Cochain, combine: Callable[[Value, Value], Value] | None 
     def evaluate(*gs):
         left = u(*gs[:p])
         right = v(*gs[p:])
-        if p:
-            right = coeff_action(reduce(lambda a, b: a * b, gs[:p]), right)
+        action = None
+        for g in gs[:p]:
+            action = _times(action, g)
+        if action is not None:
+            right = _matrix_action(*action, right)
         return combine(left, right)
 
     return Cochain(
@@ -311,9 +342,9 @@ def composite_cochain(factors: Sequence[Cochain]) -> Cochain:
         for factor, g in zip(factors, gs):
             value = factor(g)
             if prefix is not None:
-                value = value.conjugate(prefix.matrix, prefix.matrix_inv)
+                value = value.conjugate(*prefix)
             values.append(value)
-            prefix = g if prefix is None else prefix * g
+            prefix = _times(prefix, g)
         return compose_maps(values)
 
     return Cochain(p, n, lambda: HomTensor.zero(n, p + 1), evaluate)

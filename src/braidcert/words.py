@@ -198,8 +198,10 @@ class EndoMap:
 class AutPair:
     """An automorphism of F_n stored together with its inverse.
 
-    Both compositions are checked at construction, so an AutPair is a
-    certified automorphism; no inversion algorithm is ever run later.
+    The public constructor checks both compositions, so a pair built from
+    outside is a certified automorphism.  identity, compose and inverse
+    build their results unchecked: the composite or inverse of certified
+    pairs is certified by the algebra.  No inversion algorithm is ever run.
     """
 
     fwd: EndoMap
@@ -213,6 +215,14 @@ class AutPair:
         if not self.inv.compose(self.fwd).is_identity():
             raise ValueError("inv o fwd is not the identity")
 
+    @classmethod
+    def _certified(cls, fwd: EndoMap, inv: EndoMap) -> AutPair:
+        """A pair already known to be mutually inverse, built without the check."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "fwd", fwd)
+        object.__setattr__(pair, "inv", inv)
+        return pair
+
     @property
     def n(self) -> int:
         return self.fwd.n
@@ -220,13 +230,15 @@ class AutPair:
     @classmethod
     def identity(cls, n: int) -> AutPair:
         e = EndoMap.identity(n)
-        return cls(e, e)
+        return cls._certified(e, e)
 
     def compose(self, other: AutPair) -> AutPair:
-        return AutPair(self.fwd.compose(other.fwd), other.inv.compose(self.inv))
+        return AutPair._certified(
+            self.fwd.compose(other.fwd), other.inv.compose(self.inv)
+        )
 
     def inverse(self) -> AutPair:
-        return AutPair(self.inv, self.fwd)
+        return AutPair._certified(self.inv, self.fwd)
 
 
 _WORD_TOKEN = re.compile(r"x([1-9][0-9]*)(\^-1)?\Z")

@@ -22,7 +22,8 @@ from braidcert.braids import (
     permutation,
     pure_gen_braid,
 )
-from braidcert.words import EndoMap, FreeWord, GrammarError
+from braidcert.cochains import GroupElement
+from braidcert.words import AutPair, EndoMap, FreeWord, GrammarError
 
 
 def random_braid(rng: random.Random, n: int, max_len: int) -> BraidWord:
@@ -232,3 +233,22 @@ def test_format_round_trips():
     for _ in range(20):
         beta = random_braid(rng, 4, 8)
         assert parse_braid(format_braid(beta), 4) == beta
+
+
+# pairs built by compose and inverse are not re-checked; they stay inverse
+
+
+def assert_mutually_inverse(aut: AutPair) -> None:
+    assert aut.fwd.compose(aut.inv).is_identity()
+    assert aut.inv.compose(aut.fwd).is_identity()
+
+
+def test_composed_pairs_stay_mutually_inverse():
+    rng = random.Random(29)
+    for _ in range(30):
+        n = rng.randint(3, 5)
+        assert_mutually_inverse(artin_action(random_braid(rng, n, 12)))
+        g = GroupElement.from_braid(random_braid(rng, n, 6))
+        h = GroupElement.from_braid(random_braid(rng, n, 6))
+        for elem in (g * h, h.inverse() * g, (g * h).inverse()):
+            assert_mutually_inverse(elem.aut)

@@ -160,6 +160,12 @@ def test_certificate_rejects_bad_degrees():
         certificate(3, -1)
 
 
+def test_certificate_rejects_catalog_depth_below_one():
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match="catalog depth"):
+            certificate(5, 2, catalog_depth=depth)
+
+
 def test_certificate_json_is_deterministic():
     a = certificate(4, 2).to_json_dict()
     b = certificate(4, 2).to_json_dict()

@@ -42,6 +42,15 @@ def test_expand_flag_overrides_env(capsys, monkeypatch):
     assert max(idx_lengths) == 2
 
 
+@pytest.mark.parametrize("raw", ["abc", "1"])
+def test_bad_degree_env_is_usage_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("BRAIDCERT_DEGREE", raw)
+    code, out, err = run_cli(capsys, "expand", "--n", "2", "x1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: BRAIDCERT_DEGREE must be")
+
+
 def test_tau1_payload(capsys):
     code, out, _ = run_cli(capsys, "tau1", "--n", "2", "s1")
     assert code == 0
@@ -118,6 +127,16 @@ def test_independence_writes_out_file(capsys, tmp_path):
     on_disk = json.loads(out_path.read_text())
     assert on_disk == json.loads(out)
     assert on_disk["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_independence_rejects_catalog_depth_below_one(capsys, depth):
+    code, out, err = run_cli(
+        capsys, "independence", "--n", "5", "--q", "2", "--catalog-depth", depth
+    )
+    assert code == 2
+    assert out == ""
+    assert "catalog depth must be at least 1" in err
 
 
 def test_check_suite_passes(capsys):

@@ -16,7 +16,7 @@ from itertools import product as iter_product
 
 import pytest
 
-from braidcert.braids import BraidWord, full_twist, pure_gen_braid
+from braidcert.braids import BraidWord, full_twist, is_pure, pure_gen_braid
 from braidcert.cochains import (
     BlockEmbedding,
     Cochain,
@@ -35,7 +35,13 @@ from braidcert.cochains import (
     unit_cochain,
 )
 from braidcert.magnus import MagnusExpansion
-from braidcert.tensors import ExteriorElement, HomTensor, TruncatedTensor
+from braidcert.tensors import (
+    ExteriorElement,
+    HomTensor,
+    TruncatedTensor,
+    alt_project,
+    compose_maps,
+)
 
 F = Fraction
 
@@ -248,6 +254,73 @@ def test_hbar_partition_ignores_zero_parts():
     for _ in range(6):
         gs = tuple(random_braid_element(rng, 3, 4) for _ in range(2))
         assert a(*gs) == b(*gs)
+
+
+# matrix actions against the composed-element oracle
+
+
+def random_non_pure_element(rng: random.Random, n: int, max_len: int) -> GroupElement:
+    while True:
+        g = random_braid_element(rng, n, max_len)
+        if not is_pure(g.braid):
+            return g
+
+
+def product_of(gs) -> GroupElement:
+    return reduce(lambda a, b: a * b, gs)
+
+
+def oracle_hp(theta: MagnusExpansion, gs) -> HomTensor:
+    """h_p by acting with the composed prefix elements themselves."""
+    values = [tau1(theta, gs[0])]
+    for k in range(1, len(gs)):
+        values.append(coeff_action(product_of(gs[:k]), tau1(theta, gs[k])))
+    return compose_maps(values)
+
+
+def oracle_hbar(theta: MagnusExpansion, gs, exterior: bool = False):
+    value = oracle_hp(theta, gs).contract()
+    return alt_project(value, len(gs)) if exterior else value
+
+
+def oracle_exterior_cup(theta: MagnusExpansion, a: int, gs) -> ExteriorElement:
+    right = coeff_action(product_of(gs[:a]), oracle_hbar(theta, gs[a:], exterior=True))
+    return oracle_hbar(theta, gs[:a], exterior=True).wedge(right)
+
+
+def assert_matches_oracle(theta: MagnusExpansion, gs) -> None:
+    for p in (2, 3):
+        assert hp_cochain(theta, p)(*gs[:p]) == oracle_hp(theta, gs[:p])
+        assert hbar_cochain(theta, p)(*gs[:p]) == oracle_hbar(theta, gs[:p])
+        assert hbar_cochain(theta, p, exterior=True)(*gs[:p]) == oracle_hbar(
+            theta, gs[:p], exterior=True
+        )
+    for a, b in ((1, 2), (2, 1), (3, 1)):
+        u = hbar_cochain(theta, a, exterior=True)
+        v = hbar_cochain(theta, b, exterior=True)
+        assert cup(u, v)(*gs[:a + b]) == oracle_exterior_cup(theta, a, gs[:a + b])
+
+
+def test_matrix_actions_match_composed_elements():
+    rng = random.Random(53)
+    for _ in range(20):
+        n = rng.randint(3, 5)
+        theta = random_custom(rng, n) if rng.random() < 0.3 else MagnusExpansion.standard(n, 2)
+        gs = tuple(random_non_pure_element(rng, n, 4) for _ in range(4))
+        assert_matches_oracle(theta, gs)
+
+
+def test_identity_prefix_of_non_pure_elements_matches_oracle():
+    # g g^-1 h acts trivially although g does not: the action is skipped
+    rng = random.Random(54)
+    for n in (3, 4, 5):
+        theta = MagnusExpansion.standard(n, 2)
+        g = random_non_pure_element(rng, n, 4)
+        h = random_pure_element(rng, n, 2)
+        k = random_non_pure_element(rng, n, 4)
+        assert not g.acts_trivially()
+        assert product_of((g, g.inverse(), h)).acts_trivially()
+        assert_matches_oracle(theta, (g, g.inverse(), h, k))
 
 
 # expansions may differ, the cocycle may not (on pure braids)
