@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Sequence
 
 from .braids import BraidWord, braids_equal, full_twist, pure_gen_braid
@@ -52,7 +51,7 @@ from .cochains import (
     unit_cochain,
 )
 from .magnus import MagnusExpansion
-from .tensors import exterior_basis
+from .tensors import Scalar, exterior_basis
 
 EXTERIOR_CONVENTION = "exterior projection is the signed coefficient sum, no 1/q! factor"
 
@@ -173,7 +172,7 @@ def partition_cycles(
 # exact rank
 
 
-def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+def exact_rank(rows: Sequence[Sequence[Scalar]]) -> int:
     """Row rank over Q by fraction-free (Bareiss) elimination on cleared rows."""
     matrix: list[list[int]] = []
     for row in rows:
@@ -217,7 +216,7 @@ class Certificate:
     seed: int
     partitions: list[tuple[int, ...]]
     cycles: dict[tuple[int, ...], list[CandidateCycle]]
-    matrix: list[list[Fraction]]
+    matrix: list[list[Scalar]]
     rank: int
     expected_rank: int
     verdict: str
@@ -289,9 +288,9 @@ def certificate(
                 pair(cochains[mu], c.chain) for c in cycles[lam]
             ]
 
-    matrix: list[list[Fraction]] = []
+    matrix: list[list[Scalar]] = []
     for mu in parts_list:
-        row: list[Fraction] = []
+        row: list[Scalar] = []
         for lam in parts_list:
             for value in pairings[(mu, lam)]:
                 row.extend(value.coefficient(idx) for idx in basis)

@@ -2,13 +2,16 @@
 
 A BarChain of degree p is a finite rational combination of p-tuples of
 GroupElements; tuples containing the identity are degenerate and are
-dropped on construction.  Chains over a block product of braid groups need
-no other element type: their elements are the ambient GroupElements of
-braid words whose letters each stay inside one block.  The boundary is the
-usual inhomogeneous one (drop first, merge neighbours with alternating
-signs, drop last), matching the coboundary in cochains when every element
-in sight acts trivially on the coefficients; the pairing therefore refuses
-elements that act nontrivially on H.
+dropped on construction.  Coefficients follow the rule of the tensor layer:
+the constructor accepts only exact rationals (TypeError otherwise) and
+stores an integral one as an int, so chains built from signs stay integral.
+Chains over a block product of braid groups need no other element type:
+their elements are the ambient GroupElements of braid words whose letters
+each stay inside one block.  The boundary is the usual inhomogeneous one
+(drop first, merge neighbours with alternating signs, drop last), matching
+the coboundary in cochains when every element in sight acts trivially on
+the coefficients; the pairing therefore refuses elements that act
+nontrivially on H.
 
 Cycles come from two constructors, both of which check commutativity of
 the ingredients and verify that the boundary vanishes before returning:
@@ -31,15 +34,13 @@ blocks are placed on consecutive strands starting at strand 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import permutations
 from typing import Any, Iterable, Mapping, Sequence
 
 from .braids import parse_braid
 from .cochains import BlockEmbedding, Cochain, GroupElement
+from .tensors import Scalar, rational
 from .words import GrammarError
-
-_ZERO = Fraction(0)
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
@@ -56,17 +57,17 @@ class BarChain:
     """A formal combination of p-tuples, degenerate tuples already dropped."""
 
     degree: int
-    terms: Mapping[tuple, Fraction] = field(default_factory=dict)
+    terms: Mapping[tuple, Scalar] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        clean: dict[tuple, Fraction] = {}
+        clean: dict[tuple, Scalar] = {}
         for tup, c in self.terms.items():
             tup = tuple(tup)
             if len(tup) != self.degree:
                 raise ValueError(f"tuple {tup} has wrong length for degree {self.degree}")
-            c = Fraction(c)
+            c = rational(c)
             if not c or any(g.is_identity for g in tup):
                 continue
             clean[tup] = c
@@ -78,7 +79,7 @@ class BarChain:
 
     @classmethod
     def unit(cls) -> BarChain:
-        return cls(0, {(): Fraction(1)})
+        return cls(0, {(): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -91,7 +92,7 @@ class BarChain:
             raise ValueError("degree mismatch")
         out = dict(self.terms)
         for tup, c in other.terms.items():
-            out[tup] = out.get(tup, _ZERO) + c
+            out[tup] = out.get(tup, 0) + c
         return BarChain(self.degree, out)
 
     def __sub__(self, other: BarChain) -> BarChain:
@@ -100,17 +101,17 @@ class BarChain:
     def __neg__(self) -> BarChain:
         return BarChain(self.degree, {t: -c for t, c in self.terms.items()})
 
-    def __rmul__(self, scalar) -> BarChain:
-        c = Fraction(scalar)
+    def __rmul__(self, scalar: Scalar) -> BarChain:
+        c = rational(scalar)
         return BarChain(self.degree, {t: c * v for t, v in self.terms.items()})
 
     def boundary(self) -> BarChain:
         if self.degree == 0:
             return BarChain.zero(0)
-        out: dict[tuple, Fraction] = {}
+        out: dict[tuple, Scalar] = {}
 
-        def put(tup: tuple, c: Fraction) -> None:
-            out[tup] = out.get(tup, _ZERO) + c
+        def put(tup: tuple, c: Scalar) -> None:
+            out[tup] = out.get(tup, 0) + c
 
         for tup, c in self.terms.items():
             put(tup[1:], c)
@@ -140,11 +141,11 @@ def torus_cycle(elems: Sequence[GroupElement]) -> BarChain:
     elems = tuple(elems)
     _check_commuting(elems)
     p = len(elems)
-    terms: dict[tuple, Fraction] = {}
+    terms: dict[tuple, int] = {}
     for perm in permutations(range(p)):
         tup = tuple(elems[k] for k in perm)
         sign = _perm_sign(perm)
-        terms[tup] = terms.get(tup, _ZERO) + sign
+        terms[tup] = terms.get(tup, 0) + sign
     cycle = BarChain(p, terms)
     if not cycle.is_cycle():
         raise ValueError("torus construction failed to produce a cycle")
@@ -175,14 +176,14 @@ def shuffle(z1: BarChain, z2: BarChain) -> BarChain:
             if a * b != b * a:
                 raise ValueError("supports do not commute; shuffle is not a cycle")
     p, q = z1.degree, z2.degree
-    out: dict[tuple, Fraction] = {}
+    out: dict[tuple, Scalar] = {}
     for t1, c1 in z1.terms.items():
         for t2, c2 in z2.terms.items():
             pool = t1 + t2
             for order, inversions in _shuffles(p, q):
                 tup = tuple(pool[k] for k in order)
                 sign = -1 if inversions % 2 else 1
-                out[tup] = out.get(tup, _ZERO) + sign * c1 * c2
+                out[tup] = out.get(tup, 0) + sign * c1 * c2
     result = BarChain(p + q, out)
     if z1.is_cycle() and z2.is_cycle() and not result.is_cycle():
         raise ValueError("shuffle of cycles failed to produce a cycle")
@@ -190,10 +191,10 @@ def shuffle(z1: BarChain, z2: BarChain) -> BarChain:
 
 
 def embed_chain(z: BarChain, e: BlockEmbedding) -> BarChain:
-    mapped: dict[tuple, Fraction] = {}
+    mapped: dict[tuple, Scalar] = {}
     for tup, c in z.terms.items():
         key = tuple(e.apply(g) for g in tup)
-        mapped[key] = mapped.get(key, _ZERO) + c
+        mapped[key] = mapped.get(key, 0) + c
     return BarChain(z.degree, mapped)
 
 

@@ -58,7 +58,7 @@ from .tensors import (
 )
 from .words import AutPair, FreeWord, IntMatrix, identity_matrix, mat_mul
 
-Value = Any  # TruncatedTensor | HomTensor | ExteriorElement | Fraction
+Value = Any  # TruncatedTensor | HomTensor | ExteriorElement | int | Fraction
 
 
 class GroupElement:
@@ -107,7 +107,10 @@ class GroupElement:
 
     def acts_trivially(self) -> bool:
         if self._trivial is None:
-            self._trivial = self.matrix == identity_matrix(self.n)
+            # not cached in _matrix: a pure braid never needs its matrix again,
+            # and the elements of a certificate's cycles would each keep one
+            matrix = self._matrix or self.aut.fwd.induced_matrix()
+            self._trivial = matrix == identity_matrix(self.n)
         return self._trivial
 
     def __mul__(self, other: GroupElement) -> GroupElement:
@@ -248,7 +251,8 @@ def tau1(theta: MagnusExpansion, g: GroupElement) -> HomTensor:
         base = theta.value(FreeWord.generator(n, j)).component(2)
         pulled = theta.value(g.aut.inv.images[j - 1]).component(2)
         cols.append((base - pulled.act(matrix)).recap(2))
-    result = HomTensor(n, 2, tuple(cols))
+    # columns are homogeneous of degree 2 and at cap 2 already
+    result = HomTensor._trusted(n, 2, tuple(cols))
     cache[g] = result
     return result
 

@@ -13,7 +13,12 @@ and the abelianisation) are forced and validated.
 
 Word values are memoised per expansion instance: letters multiply on the
 right, so the running state never grows beyond the dimension of the truncated
-algebra regardless of word length.
+algebra regardless of word length.  Each step multiplies by a letter value,
+and the product visits only the pairs of terms that fit under the cap.
+
+Coefficients follow the tensor layer: the standard expansion has integer
+values, so every word value (and everything derived from it downstream) has
+int coefficients; a custom tail with denominators brings in Fractions.
 """
 
 from __future__ import annotations

@@ -2,15 +2,29 @@
 
 Elements of the truncated algebra T(H)/T_{>cap} are finite Q-linear
 combinations of basis monomials X_{i_1} (x) ... (x) X_{i_m} with m <= cap,
-stored sparsely as a map from index tuples to Fraction coefficients.  The
-empty tuple is the unit 1.  Multiplication concatenates indices and silently
-drops any term whose degree would exceed the cap.
+stored sparsely as a map from index tuples to exact rational coefficients.
+The empty tuple is the unit 1.  Multiplication concatenates indices and
+never forms a term whose degree would exceed the cap.
+
+Coefficients are exact rationals: an int when integral and a Fraction
+otherwise.  The public constructors accept any numbers.Rational, store an
+integral value as an int, and raise TypeError on anything else, floats and
+strings included.  Arithmetic on int coefficients stays int, so every
+quantity derived from the standard expansion is an int; a Fraction that
+becomes integral in arithmetic stays a Fraction, which changes no value and
+no printed output.
 
 Three coefficient shapes appear downstream and all live here:
 
 * TruncatedTensor  -- an element of the truncated algebra;
 * HomTensor        -- a linear map H -> H^(x)m, stored column by column;
 * ExteriorElement  -- an element of the exterior power Lambda^q H.
+
+The public constructors check every index, the cap and the homogeneity of
+Hom columns; the classmethod factories go through them.  Results of
+arithmetic are built by the private _trusted constructors, which only drop
+zero coefficients: the operations keep indices in range and under the cap
+by construction.
 
 The projection from tensors to exterior elements used throughout is the
 signed sum over each increasing index tuple with NO division by q!; the
@@ -28,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 from typing import Any, Mapping, Sequence
 
 from .words import IntMatrix
@@ -35,7 +50,20 @@ from .words import IntMatrix
 Index = tuple[int, ...]
 Scalar = Fraction | int
 
-_ZERO = Fraction(0)
+
+def rational(c: object) -> Scalar:
+    """A coefficient checked to be exact: an int when integral, else a Fraction.
+
+    Raises TypeError for anything that is not a numbers.Rational, such as a
+    float or a string.
+    """
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Rational):
+        if c.denominator == 1:
+            return int(c.numerator)
+        return c if isinstance(c, Fraction) else Fraction(c.numerator, c.denominator)
+    raise TypeError(f"coefficient must be an exact rational, got {type(c).__name__} {c!r}")
 
 
 def _sort_with_sign(idx: Index) -> tuple[Index, int] | None:
@@ -60,24 +88,34 @@ class TruncatedTensor:
 
     n: int
     cap: int
-    terms: Mapping[Index, Fraction] = field(default_factory=dict)
+    terms: Mapping[Index, Scalar] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"rank must be positive, got {self.n}")
         if self.cap < 0:
             raise ValueError(f"cap must be nonnegative, got {self.cap}")
-        clean: dict[Index, Fraction] = {}
+        clean: dict[Index, Scalar] = {}
         for idx, c in self.terms.items():
             idx = tuple(idx)
             if len(idx) > self.cap:
                 raise ValueError(f"index {idx} exceeds cap {self.cap}")
             if any(not 1 <= i <= self.n for i in idx):
                 raise ValueError(f"index {idx} out of range for rank {self.n}")
-            c = Fraction(c)
+            c = rational(c)
             if c:
                 clean[idx] = c
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, n: int, cap: int, terms: Mapping[Index, Scalar]) -> TruncatedTensor:
+        """A result of arithmetic, whose indices are in range and under the cap
+        by construction; only zero coefficients are dropped."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "n", n)
+        object.__setattr__(t, "cap", cap)
+        object.__setattr__(t, "terms", {i: c for i, c in terms.items() if c})
+        return t
 
     @classmethod
     def zero(cls, n: int, cap: int) -> TruncatedTensor:
@@ -85,21 +123,21 @@ class TruncatedTensor:
 
     @classmethod
     def one(cls, n: int, cap: int) -> TruncatedTensor:
-        return cls(n, cap, {(): Fraction(1)})
+        return cls(n, cap, {(): 1})
 
     @classmethod
     def basis(cls, n: int, cap: int, i: int) -> TruncatedTensor:
-        return cls(n, cap, {(i,): Fraction(1)})
+        return cls(n, cap, {(i,): 1})
 
-    def coefficient(self, idx: Index) -> Fraction:
-        return self.terms.get(tuple(idx), _ZERO)
+    def coefficient(self, idx: Index) -> Scalar:
+        return self.terms.get(tuple(idx), 0)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def component(self, m: int) -> TruncatedTensor:
         """The degree-m homogeneous part, kept at the same cap."""
-        return TruncatedTensor(
+        return TruncatedTensor._trusted(
             self.n, self.cap, {i: c for i, c in self.terms.items() if len(i) == m}
         )
 
@@ -109,7 +147,11 @@ class TruncatedTensor:
 
     def recap(self, cap: int) -> TruncatedTensor:
         """Same element viewed at a different cap; degrees above it are dropped."""
-        return TruncatedTensor(
+        if cap == self.cap:
+            return self
+        if cap < 0:
+            raise ValueError(f"cap must be nonnegative, got {cap}")
+        return TruncatedTensor._trusted(
             self.n, cap, {i: c for i, c in self.terms.items() if len(i) <= cap}
         )
 
@@ -121,49 +163,64 @@ class TruncatedTensor:
         self._require_like(other)
         out = dict(self.terms)
         for idx, c in other.terms.items():
-            out[idx] = out.get(idx, _ZERO) + c
-        return TruncatedTensor(self.n, self.cap, out)
+            out[idx] = out.get(idx, 0) + c
+        return TruncatedTensor._trusted(self.n, self.cap, out)
 
     def __sub__(self, other: TruncatedTensor) -> TruncatedTensor:
         return self + (-other)
 
     def __neg__(self) -> TruncatedTensor:
-        return TruncatedTensor(self.n, self.cap, {i: -c for i, c in self.terms.items()})
+        return TruncatedTensor._trusted(self.n, self.cap, {i: -c for i, c in self.terms.items()})
 
     def __rmul__(self, scalar: Scalar) -> TruncatedTensor:
-        c = Fraction(scalar)
-        return TruncatedTensor(self.n, self.cap, {i: c * v for i, v in self.terms.items()})
+        c = rational(scalar)
+        return TruncatedTensor._trusted(
+            self.n, self.cap, {i: c * v for i, v in self.terms.items()}
+        )
 
     def __mul__(self, other: TruncatedTensor) -> TruncatedTensor:
         self._require_like(other)
-        out: dict[Index, Fraction] = {}
+        cap = self.cap
+        # fits[k]: the terms of other of degree <= k, so pairs above the cap are never visited
+        by_degree: list[list[tuple[Index, Scalar]]] = [[] for _ in range(cap + 1)]
+        for item in other.terms.items():
+            by_degree[len(item[0])].append(item)
+        fits = []
+        running: list[tuple[Index, Scalar]] = []
+        for terms in by_degree:
+            running = running + terms
+            fits.append(running)
+        out: dict[Index, Scalar] = {}
+        get = out.get
         for i1, c1 in self.terms.items():
-            for i2, c2 in other.terms.items():
-                if len(i1) + len(i2) > self.cap:
-                    continue
+            for i2, c2 in fits[cap - len(i1)]:
                 idx = i1 + i2
-                out[idx] = out.get(idx, _ZERO) + c1 * c2
-        return TruncatedTensor(self.n, self.cap, out)
+                out[idx] = get(idx, 0) + c1 * c2
+        return TruncatedTensor._trusted(self.n, cap, out)
 
     def act(self, matrix: Sequence[Sequence[Scalar]]) -> TruncatedTensor:
         """Apply a matrix on H diagonally in every tensor slot."""
-        out: dict[Index, Fraction] = {}
+        n = self.n
+        # columns[j]: the nonzero entries (target index, entry) of column j + 1
+        columns = [
+            [(row + 1, rational(matrix[row][j])) for row in range(n) if matrix[row][j]]
+            for j in range(n)
+        ]
+        out: dict[Index, Scalar] = {}
+        get = out.get
         for idx, c in self.terms.items():
-            partial: dict[Index, Fraction] = {(): c}
+            partial = [((), c)]
             for slot in idx:
-                grown: dict[Index, Fraction] = {}
-                for prefix, v in partial.items():
-                    for row in range(self.n):
-                        entry = matrix[row][slot - 1]
-                        if entry:
-                            key = prefix + (row + 1,)
-                            grown[key] = grown.get(key, _ZERO) + v * Fraction(entry)
-                partial = grown
-            for key, v in partial.items():
-                out[key] = out.get(key, _ZERO) + v
-        return TruncatedTensor(self.n, self.cap, out)
+                partial = [
+                    (prefix + (row,), v * entry)
+                    for prefix, v in partial
+                    for row, entry in columns[slot - 1]
+                ]
+            for key, v in partial:
+                out[key] = get(key, 0) + v
+        return TruncatedTensor._trusted(n, self.cap, out)
 
-    def sorted_terms(self) -> list[tuple[Index, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Index, Scalar]]:
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -206,6 +263,15 @@ class HomTensor:
         object.__setattr__(self, "columns", tuple(fixed))
 
     @classmethod
+    def _trusted(cls, n: int, out_degree: int, columns: tuple[TruncatedTensor, ...]) -> HomTensor:
+        """A result of arithmetic: n columns, homogeneous of out_degree and at that cap."""
+        u = object.__new__(cls)
+        object.__setattr__(u, "n", n)
+        object.__setattr__(u, "out_degree", out_degree)
+        object.__setattr__(u, "columns", columns)
+        return u
+
+    @classmethod
     def zero(cls, n: int, out_degree: int) -> HomTensor:
         z = TruncatedTensor.zero(n, out_degree)
         return cls(n, out_degree, (z,) * n)
@@ -219,7 +285,7 @@ class HomTensor:
 
     def __add__(self, other: HomTensor) -> HomTensor:
         self._require_like(other)
-        return HomTensor(
+        return HomTensor._trusted(
             self.n, self.out_degree,
             tuple(a + b for a, b in zip(self.columns, other.columns)),
         )
@@ -228,32 +294,41 @@ class HomTensor:
         return self + (-other)
 
     def __neg__(self) -> HomTensor:
-        return HomTensor(self.n, self.out_degree, tuple(-c for c in self.columns))
+        return HomTensor._trusted(self.n, self.out_degree, tuple(-c for c in self.columns))
 
     def __rmul__(self, scalar: Scalar) -> HomTensor:
-        return HomTensor(self.n, self.out_degree, tuple(scalar * c for c in self.columns))
+        return HomTensor._trusted(
+            self.n, self.out_degree, tuple(scalar * c for c in self.columns)
+        )
 
     def conjugate(self, matrix: IntMatrix, matrix_inv: IntMatrix) -> HomTensor:
         """The map  M^(x)m o self o M^-1,  with M^-1 supplied, never computed."""
+        n = self.n
+        acted = [col.act(matrix).terms for col in self.columns]
         cols = []
-        for j in range(self.n):
-            acc = TruncatedTensor.zero(self.n, self.out_degree)
-            for i in range(self.n):
+        for j in range(n):
+            acc: dict[Index, Scalar] = {}
+            get = acc.get
+            for i in range(n):
                 entry = matrix_inv[i][j]
                 if entry:
-                    acc = acc + entry * self.columns[i].act(matrix)
-            cols.append(acc)
-        return HomTensor(self.n, self.out_degree, tuple(cols))
+                    entry = rational(entry)
+                    for idx, c in acted[i].items():
+                        acc[idx] = get(idx, 0) + entry * c
+            cols.append(TruncatedTensor._trusted(n, self.out_degree, acc))
+        return HomTensor._trusted(n, self.out_degree, tuple(cols))
 
     def contract(self) -> TruncatedTensor:
         """Sum over i of the terms of column i led by index i, with that index dropped."""
-        out: dict[Index, Fraction] = {}
+        if self.out_degree < 1:
+            raise ValueError("a map of degree 0 has no slot to contract")
+        out: dict[Index, Scalar] = {}
         for i, col in enumerate(self.columns, start=1):
             for idx, c in col.terms.items():
-                if idx and idx[0] == i:
+                if idx[0] == i:
                     key = idx[1:]
-                    out[key] = out.get(key, _ZERO) + c
-        return TruncatedTensor(self.n, self.out_degree - 1, out)
+                    out[key] = out.get(key, 0) + c
+        return TruncatedTensor._trusted(self.n, self.out_degree - 1, out)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -268,15 +343,18 @@ def compose_first_slot(outer: HomTensor, inner: HomTensor) -> HomTensor:
     if outer.n != inner.n:
         raise ValueError("rank mismatch")
     degree = inner.out_degree + outer.out_degree - 1
+    heads = [col.terms.items() for col in outer.columns]
     cols = []
     for col in inner.columns:
-        acc: dict[Index, Fraction] = {}
+        acc: dict[Index, Scalar] = {}
+        get = acc.get
         for idx, c in col.terms.items():
-            for oidx, oc in outer.columns[idx[0] - 1].terms.items():
-                key = oidx + idx[1:]
-                acc[key] = acc.get(key, _ZERO) + c * oc
-        cols.append(TruncatedTensor(inner.n, degree, acc))
-    return HomTensor(inner.n, degree, tuple(cols))
+            tail = idx[1:]
+            for oidx, oc in heads[idx[0] - 1]:
+                key = oidx + tail
+                acc[key] = get(key, 0) + c * oc
+        cols.append(TruncatedTensor._trusted(inner.n, degree, acc))
+    return HomTensor._trusted(inner.n, degree, tuple(cols))
 
 
 def compose_maps(factors: Sequence[HomTensor]) -> HomTensor:
@@ -299,12 +377,12 @@ class ExteriorElement:
 
     n: int
     q: int
-    coords: Mapping[Index, Fraction] = field(default_factory=dict)
+    coords: Mapping[Index, Scalar] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.q < 0:
             raise ValueError("bad rank or degree")
-        clean: dict[Index, Fraction] = {}
+        clean: dict[Index, Scalar] = {}
         for idx, c in self.coords.items():
             idx = tuple(idx)
             if len(idx) != self.q:
@@ -313,10 +391,20 @@ class ExteriorElement:
                 raise ValueError(f"index {idx} out of range for rank {self.n}")
             if any(a >= b for a, b in zip(idx, idx[1:])):
                 raise ValueError(f"index {idx} is not strictly increasing")
-            c = Fraction(c)
+            c = rational(c)
             if c:
                 clean[idx] = c
         object.__setattr__(self, "coords", clean)
+
+    @classmethod
+    def _trusted(cls, n: int, q: int, coords: Mapping[Index, Scalar]) -> ExteriorElement:
+        """A result of arithmetic, on increasing in-range q-tuples by construction;
+        only zero coefficients are dropped."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "n", n)
+        object.__setattr__(e, "q", q)
+        object.__setattr__(e, "coords", {i: c for i, c in coords.items() if c})
+        return e
 
     @classmethod
     def zero(cls, n: int, q: int) -> ExteriorElement:
@@ -324,17 +412,17 @@ class ExteriorElement:
 
     @classmethod
     def unit(cls, n: int) -> ExteriorElement:
-        return cls(n, 0, {(): Fraction(1)})
+        return cls(n, 0, {(): 1})
 
     @classmethod
     def basis(cls, n: int, idx: Index) -> ExteriorElement:
-        return cls(n, len(idx), {tuple(idx): Fraction(1)})
+        return cls(n, len(idx), {tuple(idx): 1})
 
     def is_zero(self) -> bool:
         return not self.coords
 
-    def coefficient(self, idx: Index) -> Fraction:
-        return self.coords.get(tuple(idx), _ZERO)
+    def coefficient(self, idx: Index) -> Scalar:
+        return self.coords.get(tuple(idx), 0)
 
     def _require_like(self, other: ExteriorElement) -> None:
         if self.n != other.n or self.q != other.q:
@@ -344,41 +432,43 @@ class ExteriorElement:
         self._require_like(other)
         out = dict(self.coords)
         for idx, c in other.coords.items():
-            out[idx] = out.get(idx, _ZERO) + c
-        return ExteriorElement(self.n, self.q, out)
+            out[idx] = out.get(idx, 0) + c
+        return ExteriorElement._trusted(self.n, self.q, out)
 
     def __sub__(self, other: ExteriorElement) -> ExteriorElement:
         return self + (-other)
 
     def __neg__(self) -> ExteriorElement:
-        return ExteriorElement(self.n, self.q, {i: -c for i, c in self.coords.items()})
+        return ExteriorElement._trusted(self.n, self.q, {i: -c for i, c in self.coords.items()})
 
     def __rmul__(self, scalar: Scalar) -> ExteriorElement:
-        c = Fraction(scalar)
-        return ExteriorElement(self.n, self.q, {i: c * v for i, v in self.coords.items()})
+        c = rational(scalar)
+        return ExteriorElement._trusted(
+            self.n, self.q, {i: c * v for i, v in self.coords.items()}
+        )
 
     def wedge(self, other: ExteriorElement) -> ExteriorElement:
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        out: dict[Index, Fraction] = {}
+        out: dict[Index, Scalar] = {}
         for i1, c1 in self.coords.items():
             for i2, c2 in other.coords.items():
                 sorted_sign = _sort_with_sign(i1 + i2)
                 if sorted_sign is None:
                     continue
                 idx, sign = sorted_sign
-                out[idx] = out.get(idx, _ZERO) + sign * c1 * c2
-        return ExteriorElement(self.n, self.q + other.q, out)
+                out[idx] = out.get(idx, 0) + sign * c1 * c2
+        return ExteriorElement._trusted(self.n, self.q + other.q, out)
 
     def act(self, matrix: Sequence[Sequence[Scalar]]) -> ExteriorElement:
         """Diagonal matrix action; computed on one tensor representative per term."""
         acc = ExteriorElement.zero(self.n, self.q)
         for idx, c in self.coords.items():
-            rep = TruncatedTensor(self.n, self.q, {idx: Fraction(1)})
+            rep = TruncatedTensor._trusted(self.n, self.q, {idx: 1})
             acc = acc + c * alt_project(rep.act(matrix), self.q)
         return acc
 
-    def sorted_coords(self) -> list[tuple[Index, Fraction]]:
+    def sorted_coords(self) -> list[tuple[Index, Scalar]]:
         return sorted(self.coords.items())
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -401,14 +491,14 @@ def alt_project(t: TruncatedTensor, q: int | None = None) -> ExteriorElement:
             raise ValueError("degree cannot be inferred; pass q explicitly")
     elif any(len(i) != q for i in t.terms):
         raise ValueError(f"tensor is not homogeneous of degree {q}")
-    out: dict[Index, Fraction] = {}
+    out: dict[Index, Scalar] = {}
     for idx, c in t.terms.items():
         sorted_sign = _sort_with_sign(idx)
         if sorted_sign is None:
             continue
         key, sign = sorted_sign
-        out[key] = out.get(key, _ZERO) + sign * c
-    return ExteriorElement(t.n, q, out)
+        out[key] = out.get(key, 0) + sign * c
+    return ExteriorElement._trusted(t.n, q, out)
 
 
 def exterior_basis(n: int, q: int) -> list[Index]:

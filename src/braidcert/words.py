@@ -63,6 +63,14 @@ class FreeWord:
                 raise ValueError("word is not freely reduced; use FreeWord.reduce")
 
     @classmethod
+    def _trusted(cls, n: int, letters: tuple[int, ...]) -> FreeWord:
+        """A word whose letters are already in range and freely reduced."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "n", n)
+        object.__setattr__(w, "letters", letters)
+        return w
+
+    @classmethod
     def identity(cls, n: int) -> FreeWord:
         return cls(n, ())
 
@@ -173,7 +181,8 @@ class EndoMap:
                     out.pop()
                 else:
                     out.append(m)
-        return FreeWord(self.n, tuple(out))
+        # letters of the images, reduced on the fly
+        return FreeWord._trusted(self.n, tuple(out))
 
     def compose(self, other: EndoMap) -> EndoMap:
         """Return self after other: (self.compose(other))(w) = self(other(w))."""

@@ -75,6 +75,19 @@ def test_degenerate_tuples_are_dropped():
     )  # the merged middle term g g^-1 = identity drops out
 
 
+def test_chain_coefficients_are_exact_and_int_when_integral():
+    g = band(3, 1, 2)
+    z = BarChain(1, {(g,): F(4, 2)})
+    assert type(z.terms[(g,)]) is int and z.terms[(g,)] == 2
+    assert type(BarChain(1, {(g,): F(1, 2)}).terms[(g,)]) is Fraction
+    assert all(type(c) is int for c in torus_cycle([g, band(3, 1, 2) * g]).terms.values())
+    for bad in (0.5, "1/2"):
+        with pytest.raises(TypeError):
+            BarChain(1, {(g,): bad})
+        with pytest.raises(TypeError):
+            bad * z
+
+
 def test_boundary_squares_to_zero():
     rng = random.Random(61)
     for _ in range(15):

@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 
+import pytest
+
 from braidcert.tensors import (
     ExteriorElement,
     HomTensor,
@@ -198,6 +200,74 @@ def test_json_round_trip():
             {"idx": [1, 3], "c": "3/1"},
         ],
     }
+
+
+# the public boundary: exact coefficients, int when integral, every index checked
+
+
+def test_integral_fractions_are_stored_as_int():
+    t = TruncatedTensor(2, 2, {(1,): F(4, 2), (2,): F(1, 2)})
+    assert type(t.terms[(1,)]) is int and t.terms[(1,)] == 2
+    assert type(t.terms[(2,)]) is Fraction and t.terms[(2,)] == F(1, 2)
+    e = ExteriorElement(2, 1, {(1,): F(6, 3), (2,): F(1, 2)})
+    assert type(e.coords[(1,)]) is int and type(e.coords[(2,)]) is Fraction
+    assert type(TruncatedTensor.one(2, 2).coefficient(())) is int
+    assert type((F(4, 2) * t).terms[(1,)]) is int
+
+
+def test_json_prints_integral_coefficients_as_k_over_1():
+    t = TruncatedTensor(1, 1, {(): F(4, 2), (1,): -3})
+    assert [term["c"] for term in t.to_json_dict()["terms"]] == ["2/1", "-3/1"]
+    e = ExteriorElement(2, 2, {(1, 2): F(-8, 4)})
+    assert e.to_json_dict()["coords"] == [{"idx": [1, 2], "c": "-2/1"}]
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/2", "2", None, 1j])
+def test_non_rational_coefficients_are_rejected(bad):
+    with pytest.raises(TypeError):
+        TruncatedTensor(2, 2, {(1,): bad})
+    with pytest.raises(TypeError):
+        ExteriorElement(2, 1, {(1,): bad})
+    t = TruncatedTensor.basis(2, 2, 1)
+    with pytest.raises(TypeError):
+        bad * t
+    with pytest.raises(TypeError):
+        bad * ExteriorElement.basis(2, (1,))
+    with pytest.raises(TypeError):
+        bad * HomTensor(2, 1, (t.recap(1), TruncatedTensor.zero(2, 1)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TruncatedTensor(2, 2, {(3,): 1}),          # index out of range
+        lambda: TruncatedTensor(2, 2, {(0, 1): 1}),        # index out of range
+        lambda: TruncatedTensor(2, 2, {(1, 2, 1): 1}),     # over the cap
+        lambda: ExteriorElement(3, 2, {(2, 1): 1}),        # not increasing
+        lambda: ExteriorElement(3, 2, {(2, 2): 1}),        # not increasing
+        lambda: ExteriorElement(3, 2, {(1, 4): 1}),        # index out of range
+        lambda: HomTensor(2, 2, (                          # column not homogeneous
+            TruncatedTensor(2, 2, {(1, 2): 1, (1,): 1}),
+            TruncatedTensor.zero(2, 2),
+        )),
+    ],
+)
+def test_public_constructors_check_every_index(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_internal_results_hold_no_zero_coefficient():
+    rng = random.Random(13)
+    t = random_tensor(rng, 3, 2)
+    assert t.terms and (t - t).terms == {}
+    assert (t + (-t)).terms == {} and (0 * t).terms == {}
+    u = random_hom(rng, 3, 2)
+    assert all(col.terms == {} for col in (u - u).columns)
+    e = alt_project(t.component(2), 2)
+    assert (e - e).coords == {}
+    # X1 X2 + X2 X1 is symmetric: its projection cancels to nothing stored
+    assert alt_project(TruncatedTensor(2, 2, {(1, 2): 1, (2, 1): 1})).coords == {}
 
 
 # randomised laws against the oracles
