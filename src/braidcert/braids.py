@@ -20,7 +20,8 @@ Distinguished pure braids:
   strands, central among braids supported on those strands.
 
 The underlying-permutation map sends s_i to the transposition (i, i+1) and is
-computed directly, composing in the same order as the action.
+computed directly, composing in the same order as the action; it is the
+action on H = Z^n, sending the class of x_i to that of x_{perm[i-1]}.
 
 Text grammar: whitespace-separated tokens ``s<k>``, ``s<k>^-1``, ``A(i,j)``,
 ``A(i,j)^-1``, ``twist(k)``, ``twist(k)^-1``.

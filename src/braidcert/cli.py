@@ -3,8 +3,8 @@
 All results go to stdout as JSON; diagnostics go to stderr.  Exit codes:
 0 for success (including a passing check), 1 for a mathematical failure
 (a failed suite row or a rank deficit), 2 for usage errors such as
-malformed grammar.  Identical invocations with identical seeds produce
-byte-identical output.
+malformed grammar or an --out file that cannot be written.  Identical
+invocations with identical seeds produce byte-identical output.
 
 The default truncation degree for `expand` is 2, overridable by the
 BRAIDCERT_DEGREE environment variable or the --degree flag.
@@ -24,7 +24,7 @@ from .chains import pair, parse_cycle
 from .cochains import GroupElement, hbar_cochain, hbar_partition_cochain, tau1
 from .magnus import MagnusExpansion
 from .suites import SUITES, run_suite
-from .words import GrammarError, format_word, parse_word
+from .words import format_word, parse_word
 
 DEGREE_ENV = "BRAIDCERT_DEGREE"
 
@@ -116,10 +116,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except GrammarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # GrammarError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -208,9 +205,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         payload = cert.to_json_dict()
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    json.dump(payload, fh, indent=2)
+                    fh.write("\n")
+            except OSError as exc:
+                raise ValueError(f"cannot write --out file: {exc}") from None
         _emit(payload)
         if not cert.passed:
             print(

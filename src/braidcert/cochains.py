@@ -1,17 +1,18 @@
 """Group cochains on automorphism groups of free groups, exactly.
 
 Elements and actions.  A GroupElement is a braid word together with the
-certified automorphism of F_n it acts by.  The group acts on coefficient
-values through the induced matrix M on H = Z^n:
+certified automorphism of F_n it acts by and the braid's underlying
+permutation, computed once from the word.  A braid acts on H = Z^n through
+that permutation, X_i -> X_{perm[i-1]}, so its action on coefficient values
+is a relabelling of indices:
 
-* on tensors and exterior elements, diagonally in every slot;
-* on linear maps H -> H^(x)m, by  M^(x)m o u o M^-1,  where M^-1 is the
-  induced matrix of the stored inverse automorphism, never a matrix inverse.
+* on tensors and exterior elements, in every slot;
+* on linear maps H -> H^(x)m, by conjugation  P^(x)m o u o P^-1.
 
-A product g_1...g_k acts through the product M_1...M_k of the induced
-matrices, with inverse M_k^-1...M_1^-1; the automorphisms themselves are
-never composed for this.  When the product is the identity matrix, as it
-always is for pure braids, the action is skipped.
+A product g_1...g_k acts through the composite permutation
+perm(g_1) o ... o perm(g_k); the automorphisms themselves are never composed
+for this.  When the composite is the identity, as it always is for pure
+braids, the action is skipped.
 
 Cochains.  A Cochain of degree p is an evaluator on p-tuples of elements.
 Values are computed lazily; nothing resembling the full cochain group is ever
@@ -19,7 +20,7 @@ materialised.  The basic constructions:
 
 * tau1(theta, g), the crossed homomorphism measuring the failure of g to
   respect the degree-2 part of a Magnus expansion theta: its value on the
-  basis vector X_j is  theta_2(x_j) - M.theta_2(g^-1 x_j);
+  basis vector X_j is  theta_2(x_j) - g.theta_2(g^-1 x_j);
 * coboundary, with the usual twisted alternating-sum formula;
 * cup, the Alexander-Whitney product: the first factor eats the leading
   arguments, the second is translated by their product;
@@ -47,7 +48,7 @@ from fractions import Fraction
 from typing import Any, Callable, Sequence
 from weakref import WeakKeyDictionary
 
-from .braids import BraidWord, artin_action
+from .braids import BraidWord, artin_action, permutation
 from .magnus import MagnusExpansion
 from .tensors import (
     ExteriorElement,
@@ -56,24 +57,23 @@ from .tensors import (
     alt_project,
     compose_maps,
 )
-from .words import AutPair, FreeWord, IntMatrix, identity_matrix, mat_mul
+from .words import AutPair, FreeWord
 
 Value = Any  # TruncatedTensor | HomTensor | ExteriorElement | int | Fraction
 
 
 class GroupElement:
-    """A braid word with the certified automorphism of F_n it acts by."""
+    """A braid word, the certified automorphism of F_n it acts by and its
+    underlying permutation, which is its action on H."""
 
-    __slots__ = ("aut", "braid", "_matrix", "_matrix_inv", "_trivial", "_key", "_hash")
+    __slots__ = ("aut", "braid", "perm", "_key", "_hash")
 
     def __init__(self, aut: AutPair, braid: BraidWord):
         if braid.n != aut.n:
             raise ValueError("braid strand count does not match rank")
         self.aut = aut
         self.braid = braid
-        self._matrix: IntMatrix | None = None
-        self._matrix_inv: IntMatrix | None = None
-        self._trivial: bool | None = None
+        self.perm = permutation(braid)
         self._key = (aut.n, tuple(w.letters for w in aut.fwd.images))
         self._hash = hash(self._key)
 
@@ -90,28 +90,11 @@ class GroupElement:
         return self.aut.n
 
     @property
-    def matrix(self) -> IntMatrix:
-        if self._matrix is None:
-            self._matrix = self.aut.fwd.induced_matrix()
-        return self._matrix
-
-    @property
-    def matrix_inv(self) -> IntMatrix:
-        if self._matrix_inv is None:
-            self._matrix_inv = self.aut.inv.induced_matrix()
-        return self._matrix_inv
-
-    @property
     def is_identity(self) -> bool:
         return self.aut.fwd.is_identity()
 
     def acts_trivially(self) -> bool:
-        if self._trivial is None:
-            # not cached in _matrix: a pure braid never needs its matrix again,
-            # and the elements of a certificate's cycles would each keep one
-            matrix = self._matrix or self.aut.fwd.induced_matrix()
-            self._trivial = matrix == identity_matrix(self.n)
-        return self._trivial
+        return self.perm == tuple(range(1, self.n + 1))
 
     def __mul__(self, other: GroupElement) -> GroupElement:
         if self.n != other.n:
@@ -169,36 +152,28 @@ def block_layout(sizes: Sequence[int], ambient: int) -> tuple[BlockEmbedding, ..
 
 def coeff_action(g: GroupElement, value: Value) -> Value:
     """The coefficient action of g, dispatched on the shape of the value."""
-    return _matrix_action(g.matrix, g.matrix_inv, value)
+    return _act(g.perm, value)
 
 
-def _matrix_action(matrix: IntMatrix, matrix_inv: IntMatrix, value: Value) -> Value:
-    if isinstance(value, TruncatedTensor):
-        return value.act(matrix)
+def _act(perm: tuple[int, ...], value: Value) -> Value:
+    """The action of the permutation perm on H, dispatched on the shape of the value."""
+    if isinstance(value, (TruncatedTensor, ExteriorElement)):
+        return value.act(perm)
     if isinstance(value, HomTensor):
-        return value.conjugate(matrix, matrix_inv)
-    if isinstance(value, ExteriorElement):
-        return value.act(matrix)
+        return value.conjugate(perm)
     if isinstance(value, (Fraction, int)):
         return value
     raise TypeError(f"no action defined on {type(value).__name__}")
 
 
-# The induced matrices of a product g_1...g_k and of its inverse, or None
-# when the product acts trivially on H.
-_Action = tuple[IntMatrix, IntMatrix] | None
-
-
-def _times(action: _Action, g: GroupElement) -> _Action:
-    """The action of (g_1...g_k) g from the action of g_1...g_k."""
+def _times(prefix: tuple[int, ...] | None, g: GroupElement) -> tuple[int, ...] | None:
+    """The permutation of (g_1...g_k) g from that of g_1...g_k; None is the identity."""
     if g.acts_trivially():
-        return action
-    if action is None:
-        return g.matrix, g.matrix_inv
-    matrix = mat_mul(action[0], g.matrix)
-    if matrix == identity_matrix(g.n):
-        return None
-    return matrix, mat_mul(g.matrix_inv, action[1])
+        return prefix
+    if prefix is None:
+        return g.perm
+    perm = tuple(prefix[i - 1] for i in g.perm)
+    return None if perm == tuple(range(1, g.n + 1)) else perm
 
 
 @dataclass(frozen=True)
@@ -245,12 +220,11 @@ def tau1(theta: MagnusExpansion, g: GroupElement) -> HomTensor:
     n = theta.n
     if g.n != n:
         raise ValueError("element rank does not match expansion rank")
-    matrix = g.matrix
     cols = []
     for j in range(1, n + 1):
         base = theta.value(FreeWord.generator(n, j)).component(2)
         pulled = theta.value(g.aut.inv.images[j - 1]).component(2)
-        cols.append((base - pulled.act(matrix)).recap(2))
+        cols.append((base - pulled.act(g.perm)).recap(2))
     # columns are homogeneous of degree 2 and at cap 2 already
     result = HomTensor._trusted(n, 2, tuple(cols))
     cache[g] = result
@@ -310,11 +284,11 @@ def cup(u: Cochain, v: Cochain, combine: Callable[[Value, Value], Value] | None 
     def evaluate(*gs):
         left = u(*gs[:p])
         right = v(*gs[p:])
-        action = None
+        prefix = None
         for g in gs[:p]:
-            action = _times(action, g)
-        if action is not None:
-            right = _matrix_action(*action, right)
+            prefix = _times(prefix, g)
+        if prefix is not None:
+            right = _act(prefix, right)
         return combine(left, right)
 
     return Cochain(
@@ -346,7 +320,7 @@ def composite_cochain(factors: Sequence[Cochain]) -> Cochain:
         for factor, g in zip(factors, gs):
             value = factor(g)
             if prefix is not None:
-                value = value.conjugate(*prefix)
+                value = value.conjugate(prefix)
             values.append(value)
             prefix = _times(prefix, g)
         return compose_maps(values)

@@ -32,10 +32,11 @@ wedge of basis vectors X_I then corresponds to the full signed orbit sum of
 X_I.  Under this convention the projection is multiplicative: the projection
 of a concatenation product is the wedge of the projections.
 
-A matrix (integer or rational, rows indexing the target) acts on H columnwise
-and extends diagonally to tensor and exterior powers.  The induced action on
-HomTensor is by conjugation, which takes the matrix of the inverse as an
-argument instead of ever inverting anything.
+Braids act on H by a permutation, given as an image tuple: X_i goes to
+X_{perm[i-1]}.  The action relabels indices (and re-sorts them, with sign,
+on exterior elements), so it does no arithmetic and adds no term; on
+HomTensor it is conjugation.  A perm that is not a permutation of 1..n is
+a ValueError.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from typing import Any, Mapping, Sequence
-
-from .words import IntMatrix
 
 Index = tuple[int, ...]
 Scalar = Fraction | int
@@ -64,6 +63,17 @@ def rational(c: object) -> Scalar:
             return int(c.numerator)
         return c if isinstance(c, Fraction) else Fraction(c.numerator, c.denominator)
     raise TypeError(f"coefficient must be an exact rational, got {type(c).__name__} {c!r}")
+
+
+def _check_permutation(perm: object, n: int) -> None:
+    """Raise ValueError unless perm is a tuple holding each of 1..n once."""
+    if not isinstance(perm, tuple) or len(perm) != n or set(perm) != set(range(1, n + 1)):
+        raise ValueError(f"expected a permutation of 1..{n} as an image tuple, got {perm!r}")
+
+
+def _relabelled(terms: Mapping[Index, Scalar], perm: tuple[int, ...]) -> dict[Index, Scalar]:
+    # a bijection on index tuples, so no two terms meet
+    return {tuple(perm[i - 1] for i in idx): c for idx, c in terms.items()}
 
 
 def _sort_with_sign(idx: Index) -> tuple[Index, int] | None:
@@ -198,27 +208,10 @@ class TruncatedTensor:
                 out[idx] = get(idx, 0) + c1 * c2
         return TruncatedTensor._trusted(self.n, cap, out)
 
-    def act(self, matrix: Sequence[Sequence[Scalar]]) -> TruncatedTensor:
-        """Apply a matrix on H diagonally in every tensor slot."""
-        n = self.n
-        # columns[j]: the nonzero entries (target index, entry) of column j + 1
-        columns = [
-            [(row + 1, rational(matrix[row][j])) for row in range(n) if matrix[row][j]]
-            for j in range(n)
-        ]
-        out: dict[Index, Scalar] = {}
-        get = out.get
-        for idx, c in self.terms.items():
-            partial = [((), c)]
-            for slot in idx:
-                partial = [
-                    (prefix + (row,), v * entry)
-                    for prefix, v in partial
-                    for row, entry in columns[slot - 1]
-                ]
-            for key, v in partial:
-                out[key] = get(key, 0) + v
-        return TruncatedTensor._trusted(n, self.cap, out)
+    def act(self, perm: tuple[int, ...]) -> TruncatedTensor:
+        """Relabel every index i as perm[i-1]."""
+        _check_permutation(perm, self.n)
+        return TruncatedTensor._trusted(self.n, self.cap, _relabelled(self.terms, perm))
 
     def sorted_terms(self) -> list[tuple[Index, Scalar]]:
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
@@ -301,22 +294,17 @@ class HomTensor:
             self.n, self.out_degree, tuple(scalar * c for c in self.columns)
         )
 
-    def conjugate(self, matrix: IntMatrix, matrix_inv: IntMatrix) -> HomTensor:
-        """The map  M^(x)m o self o M^-1,  with M^-1 supplied, never computed."""
-        n = self.n
-        acted = [col.act(matrix).terms for col in self.columns]
-        cols = []
-        for j in range(n):
-            acc: dict[Index, Scalar] = {}
-            get = acc.get
-            for i in range(n):
-                entry = matrix_inv[i][j]
-                if entry:
-                    entry = rational(entry)
-                    for idx, c in acted[i].items():
-                        acc[idx] = get(idx, 0) + entry * c
-            cols.append(TruncatedTensor._trusted(n, self.out_degree, acc))
-        return HomTensor._trusted(n, self.out_degree, tuple(cols))
+    def conjugate(self, perm: tuple[int, ...]) -> HomTensor:
+        """The map  P^(x)m o self o P^-1  for the permutation P: column i,
+        relabelled, moves to position perm[i-1]."""
+        _check_permutation(perm, self.n)
+        placed = {
+            target: TruncatedTensor._trusted(self.n, self.out_degree, _relabelled(col.terms, perm))
+            for col, target in zip(self.columns, perm)
+        }
+        return HomTensor._trusted(
+            self.n, self.out_degree, tuple(placed[j] for j in range(1, self.n + 1))
+        )
 
     def contract(self) -> TruncatedTensor:
         """Sum over i of the terms of column i led by index i, with that index dropped."""
@@ -460,13 +448,15 @@ class ExteriorElement:
                 out[idx] = out.get(idx, 0) + sign * c1 * c2
         return ExteriorElement._trusted(self.n, self.q + other.q, out)
 
-    def act(self, matrix: Sequence[Sequence[Scalar]]) -> ExteriorElement:
-        """Diagonal matrix action; computed on one tensor representative per term."""
-        acc = ExteriorElement.zero(self.n, self.q)
-        for idx, c in self.coords.items():
-            rep = TruncatedTensor._trusted(self.n, self.q, {idx: 1})
-            acc = acc + c * alt_project(rep.act(matrix), self.q)
-        return acc
+    def act(self, perm: tuple[int, ...]) -> ExteriorElement:
+        """Relabel every index i as perm[i-1] and re-sort each tuple, with its sign."""
+        _check_permutation(perm, self.n)
+        out: dict[Index, Scalar] = {}
+        for idx, c in _relabelled(self.coords, perm).items():
+            # relabelled indices stay distinct, so the sort never finds a repeat
+            key, sign = _sort_with_sign(idx)
+            out[key] = sign * c
+        return ExteriorElement._trusted(self.n, self.q, out)
 
     def sorted_coords(self) -> list[tuple[Index, Scalar]]:
         return sorted(self.coords.items())

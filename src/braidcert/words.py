@@ -8,9 +8,8 @@ element.
 
 An endomorphism of F_n is determined by its images of the generators and acts
 by substitution.  Composition is written in function order: compose(f, g)
-sends w to f(g(w)).  The induced matrix on the abelianisation H = Z^n has
-column j equal to the exponent-sum vector of the image of x_j, so induced
-matrices multiply in the same order as the maps.
+sends w to f(g(w)).  A word's image in the abelianisation H = Z^n is its
+exponent-sum vector (FreeWord.abelianize).
 
 The text grammar for words is whitespace-separated tokens ``x<k>`` and
 ``x<k>^-1``, e.g. ``x1 x2^-1 x1``.  The empty string is the identity.
@@ -21,9 +20,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-IntMatrix = tuple[tuple[int, ...], ...]
-
 
 class GrammarError(ValueError):
     """Raised on malformed word or braid input; carries the offending position."""
@@ -195,13 +191,6 @@ class EndoMap:
             w.letters == (i,) for i, w in enumerate(self.images, start=1)
         )
 
-    def induced_matrix(self) -> IntMatrix:
-        """Matrix on Z^n with column j the exponent-sum vector of images[j]."""
-        cols = [w.abelianize().coords for w in self.images]
-        return tuple(
-            tuple(cols[j][r] for j in range(self.n)) for r in range(self.n)
-        )
-
 
 @dataclass(frozen=True)
 class AutPair:
@@ -270,17 +259,3 @@ def parse_word(text: str, n: int) -> FreeWord:
 
 def format_word(w: FreeWord) -> str:
     return " ".join(f"x{l}" if l > 0 else f"x{-l}^-1" for l in w.letters)
-
-
-def identity_matrix(n: int) -> IntMatrix:
-    return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    if a and len(a[0]) != inner:
-        raise ValueError("matrix shape mismatch")
-    return tuple(
-        tuple(sum(a[r][k] * b[k][c] for k in range(inner)) for c in range(cols))
-        for r in range(rows)
-    )

@@ -2,7 +2,8 @@
 
 The action is pinned on generators by frozen substitution values; everything
 else is cross-checked between independent code paths (permutations against
-induced matrices, embeddings against free group embeddings).
+exponent sums of the free group images, embeddings against free group
+embeddings).
 """
 
 from __future__ import annotations
@@ -100,18 +101,36 @@ def test_action_is_a_homomorphism():
 # permutations
 
 
+def exponent_sum_matrix(endo: EndoMap) -> tuple[tuple[int, ...], ...]:
+    """The matrix on H = Z^n with column j the exponent sums of the image of x_j."""
+    n = endo.n
+    cols = []
+    for w in endo.images:
+        col = [0] * n
+        for letter in w.letters:
+            col[abs(letter) - 1] += 1 if letter > 0 else -1
+        cols.append(col)
+    return tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
+
+
+def permutation_matrix(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    n = len(perm)
+    return tuple(tuple(1 if perm[c] == r + 1 else 0 for c in range(n)) for r in range(n))
+
+
 def test_permutation_matches_induced_matrix():
-    # two independent code paths: entry swaps vs abelianised substitution
+    # the relabelling X_i -> X_{perm[i-1]} is the action on homology: entry
+    # swaps against abelianised substitution, for the map and its inverse
     rng = random.Random(33)
-    for _ in range(40):
-        n = rng.randint(2, 5)
+    for _ in range(200):
+        n = rng.randint(2, 6)
         beta = random_braid(rng, n, 8)
         perm = permutation(beta)
-        matrix = artin_action(beta).fwd.induced_matrix()
-        want = tuple(
-            tuple(1 if perm[c] == r + 1 else 0 for c in range(n)) for r in range(n)
-        )
-        assert matrix == want
+        inverse = tuple(sorted(range(1, n + 1), key=lambda i: perm[i - 1]))
+        action = artin_action(beta)
+        assert exponent_sum_matrix(action.fwd) == permutation_matrix(perm)
+        assert exponent_sum_matrix(action.inv) == permutation_matrix(inverse)
+        assert inverse == permutation(beta.inverse())
 
 
 def test_permutation_of_single_generator_is_transposition():

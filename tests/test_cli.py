@@ -129,6 +129,17 @@ def test_independence_writes_out_file(capsys, tmp_path):
     assert on_disk["verdict"] == "pass"
 
 
+def test_independence_unwritable_out_is_usage_error(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "cert.json"
+    code, out, err = run_cli(
+        capsys, "independence", "--n", "3", "--q", "1", "--out", str(out_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("depth", ["0", "-1"])
 def test_independence_rejects_catalog_depth_below_one(capsys, depth):
     code, out, err = run_cli(

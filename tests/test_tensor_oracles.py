@@ -2,11 +2,12 @@
 
 The oracles below are the library's earlier implementations, kept here as
 the reference: every coefficient is a Fraction, every pair of terms is
-visited and tested against the cap, matrix entries are wrapped in Fraction
-and each result is rebuilt through plain dicts.  The fast paths must agree
-with them on seeded random inputs (ranks 1-5, caps 2-4, integer and
-non-integral coefficients, custom tails with denominators), must never hold
-a zero coefficient, and must keep integer inputs in int.
+visited and tested against the cap, a permutation acts through its matrix
+with entries wrapped in Fraction, and each result is rebuilt through plain
+dicts.  The fast paths must agree with them on seeded random inputs (ranks
+1-5, caps 2-4, integer and non-integral coefficients, custom tails with
+denominators), must never hold a zero coefficient, and must keep integer
+inputs in int.
 """
 
 from __future__ import annotations
@@ -164,9 +165,20 @@ def random_hom(rng: random.Random, n: int, m: int, integral: bool) -> HomTensor:
     ))
 
 
-def random_matrix(rng: random.Random, n: int, integral: bool = True):
-    entry = (lambda: rng.randint(-2, 2)) if integral else (lambda: F(rng.randint(-2, 2), rng.randint(1, 3)))
-    return tuple(tuple(entry() for _ in range(n)) for _ in range(n))
+def random_perm(rng: random.Random, n: int) -> tuple[int, ...]:
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return tuple(perm)
+
+
+def permutation_matrix(perm: tuple[int, ...]):
+    """The matrix with column j the basis vector e_{perm[j-1]}."""
+    n = len(perm)
+    return tuple(tuple(1 if perm[c] == r + 1 else 0 for c in range(n)) for r in range(n))
+
+
+def transpose(matrix):
+    return tuple(zip(*matrix))
 
 
 def random_exterior(rng: random.Random, n: int, q: int, integral: bool) -> ExteriorElement:
@@ -202,18 +214,19 @@ def test_mul_matches_all_pairs_oracle():
 def test_act_matches_oracle():
     for rng, n, cap, integral in cases(101, 150):
         t = random_tensor(rng, n, cap, integral)
-        integral_matrix = rng.random() < 0.8
-        matrix = random_matrix(rng, n, integral_matrix)
-        want = oracle_act(t.terms, n, matrix)
-        assert_exact(dict(t.act(matrix).terms), want, integral and integral_matrix)
+        perm = random_perm(rng, n)
+        want = oracle_act(t.terms, n, permutation_matrix(perm))
+        assert_exact(dict(t.act(perm).terms), want, integral)
 
 
 def test_conjugate_matches_oracle():
+    # the inverse of a permutation matrix is its transpose
     for rng, n, cap, integral in cases(102, 100):
         u = random_hom(rng, n, rng.randint(1, cap), integral)
-        matrix, matrix_inv = random_matrix(rng, n), random_matrix(rng, n)
-        got = u.conjugate(matrix, matrix_inv)
-        for col, want in zip(got.columns, oracle_conjugate(u, matrix, matrix_inv)):
+        perm = random_perm(rng, n)
+        matrix = permutation_matrix(perm)
+        got = u.conjugate(perm)
+        for col, want in zip(got.columns, oracle_conjugate(u, matrix, transpose(matrix))):
             assert col.cap == u.out_degree
             assert_exact(dict(col.terms), want, integral)
 

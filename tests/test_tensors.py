@@ -51,8 +51,16 @@ def random_hom(rng: random.Random, n: int, m: int) -> HomTensor:
     return HomTensor(n, m, tuple(cols))
 
 
-def random_matrix(rng: random.Random, n: int):
-    return tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n))
+def random_perm(rng: random.Random, n: int) -> tuple[int, ...]:
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return tuple(perm)
+
+
+def permutation_matrix(perm: tuple[int, ...]):
+    """The matrix with column j the basis vector e_{perm[j-1]}."""
+    n = len(perm)
+    return tuple(tuple(1 if perm[c] == r + 1 else 0 for c in range(n)) for r in range(n))
 
 
 # dense oracles
@@ -278,21 +286,18 @@ def test_act_matches_dense_kronecker_oracle():
     for _ in range(40):
         n = rng.randint(1, 3)
         t = random_tensor(rng, n, rng.randint(0, 3))
-        m = random_matrix(rng, n)
-        assert dict(t.act(m).terms) == oracle_act(t, m)
+        p = random_perm(rng, n)
+        assert dict(t.act(p).terms) == oracle_act(t, permutation_matrix(p))
 
 
 def test_act_is_functorial():
     rng = random.Random(3)
     for _ in range(40):
-        n = rng.randint(1, 3)
+        n = rng.randint(1, 4)
         t = random_tensor(rng, n, 2)
-        a, b = random_matrix(rng, n), random_matrix(rng, n)
-        ab = tuple(
-            tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n))
-            for r in range(n)
-        )
-        assert t.act(b).act(a) == t.act(ab)
+        a, b = random_perm(rng, n), random_perm(rng, n)
+        a_after_b = tuple(a[i - 1] for i in b)
+        assert t.act(b).act(a) == t.act(a_after_b)
 
 
 def test_compose_first_slot_matches_dense_oracle():
@@ -335,12 +340,11 @@ def test_contract_commutes_with_permutation_conjugation():
     rng = random.Random(7)
     for _ in range(40):
         n = rng.randint(2, 4)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        p = tuple(tuple(1 if perm[c] == r else 0 for c in range(n)) for r in range(n))
-        pinv = tuple(tuple(p[c][r] for c in range(n)) for r in range(n))
+        p = random_perm(rng, n)
         u = random_hom(rng, n, rng.randint(1, 3))
-        assert u.conjugate(p, pinv).contract() == u.contract().act(p)
+        acted = u.conjugate(p).contract()
+        assert acted == u.contract().act(p)
+        assert dict(acted.terms) == oracle_act(u.contract(), permutation_matrix(p))
 
 
 def test_alt_project_matches_signed_permutation_oracle():
@@ -379,13 +383,32 @@ def test_exterior_action_is_representative_independent():
     # acting on Lambda^q via any tensor representative agrees with acting first
     rng = random.Random(10)
     for _ in range(30):
-        n = rng.randint(2, 3)
-        q = rng.randint(1, 2)
+        n = rng.randint(2, 4)
+        q = rng.randint(1, 3)
         t = TruncatedTensor(
             n, q, {idx: F(rng.randint(-3, 3)) for idx in all_indices(n, q)}
         )
-        m = random_matrix(rng, n)
-        assert alt_project(t.act(m), q) == alt_project(t, q).act(m)
+        p = random_perm(rng, n)
+        acted = TruncatedTensor(n, q, oracle_act(t, permutation_matrix(p)))
+        assert alt_project(acted, q) == alt_project(t, q).act(p)
+        assert alt_project(t.act(p), q) == alt_project(t, q).act(p)
+
+
+@pytest.mark.parametrize("perm", [
+    ((0, 1, 0), (1, 0, 0), (0, 0, 1)),  # the matrix of (2, 1, 3)
+    (1, 1, 3),
+    (2, 1),
+    (2, 1, 3, 4),
+    (),
+    [2, 1, 3],
+])
+def test_actions_reject_a_non_permutation(perm):
+    t = TruncatedTensor(3, 2, {(1, 2): 1, (3,): 2})
+    u = HomTensor(3, 1, tuple(TruncatedTensor.basis(3, 1, i) for i in (1, 2, 3)))
+    e = ExteriorElement.basis(3, (1, 3))
+    for act in (t.act, u.conjugate, e.act):
+        with pytest.raises(ValueError, match="permutation"):
+            act(perm)
 
 
 def test_wedge_graded_commutative_and_associative():

@@ -1,8 +1,8 @@
 """Free word arithmetic: frozen examples first, then randomised laws.
 
 Derived expectations are checked against independent oracles implemented
-inline (exponent-sum counting, matrix products on coordinate vectors) rather
-than against the library's own code paths.
+inline (exponent-sum counting) rather than against the library's own code
+paths.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from braidcert.words import (
     GrammarError,
     HVector,
     format_word,
-    identity_matrix,
-    mat_mul,
     parse_word,
 )
 
@@ -84,12 +82,6 @@ def test_apply_substitutes_generator_images():
     phi = EndoMap(2, (FreeWord(2, (1, 2)), FreeWord(2, (2,))))
     w = FreeWord(2, (1, -2))
     assert phi(w).letters == (1,)  # x1 x2 x2^-1
-
-
-def test_induced_matrix_columns_are_image_exponent_sums():
-    phi = EndoMap(2, (FreeWord(2, (1, 2)), FreeWord(2, (-1,))))
-    # column 1 = ab(x1 x2) = (1, 1); column 2 = ab(x1^-1) = (-1, 0)
-    assert phi.induced_matrix() == ((1, -1), (1, 0))
 
 
 def test_autpair_rejects_non_inverse():
@@ -164,17 +156,6 @@ def test_apply_respects_composition_and_products():
         w, v = random_word(rng, n, 6), random_word(rng, n, 6)
         assert phi.compose(psi)(w) == phi(psi(w))
         assert phi(w * v) == phi(w) * phi(v)
-
-
-def test_induced_matrix_is_functorial():
-    rng = random.Random(14)
-    for _ in range(100):
-        n = rng.randint(1, 4)
-        phi, psi = random_endo(rng, n), random_endo(rng, n)
-        lhs = phi.compose(psi).induced_matrix()
-        rhs = mat_mul(phi.induced_matrix(), psi.induced_matrix())
-        assert lhs == rhs
-        assert EndoMap.identity(n).induced_matrix() == identity_matrix(n)
 
 
 def test_abelianize_is_additive_on_products():
