@@ -21,7 +21,6 @@ from .certify import (
 )
 from .chains import (
     BarChain,
-    cross,
     embed_chain,
     pair,
     parse_cycle,

@@ -64,10 +64,6 @@ class BraidWord:
         sign = 1 if power >= 0 else -1
         return cls(n, (sign * i,) * abs(power))
 
-    @property
-    def is_trivial_word(self) -> bool:
-        return not self.letters
-
     def __mul__(self, other: BraidWord) -> BraidWord:
         if self.n != other.n:
             raise ValueError("strand count mismatch")

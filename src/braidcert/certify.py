@@ -5,13 +5,16 @@ cochains hbar_lambda indexed by partitions lambda of q with n - q parts
 (zeros allowed, weakly decreasing).  Each partition also determines a
 layout of consecutive strand blocks of sizes lambda_k + 1, and a catalog
 of commuting pure braid tuples inside each block.  Crossing the block tori
-gives candidate q-cycles; pairing every hbar_mu against every candidate
-cycle and coordinate of Lambda^q H yields an exact rational matrix whose
-row rank is computed fraction-free.
+gives candidate q-cycles; the cross is built directly as the torus of the
+union of the embedded block tuples, in block order, since the shuffle of
+tori is the torus of the union.  Pairing every hbar_mu against every
+candidate cycle and coordinate of Lambda^q H yields an exact rational
+matrix whose row rank is computed fraction-free.
 
 The verdict is "pass" exactly when the rank equals the number of
 partitions: the rows are then linearly independent as cochains, hence as
-cohomology classes, since every candidate cycle is verified to be a cycle.
+cohomology classes, since each candidate is the torus of a set whose
+pairwise commutation is verified through the faithful action, hence a cycle.
 A rank deficit only means this catalog of cycles cannot separate the rows,
 so the verdict degrades to "inconclusive-catalog", never to a refutation.
 
@@ -37,8 +40,8 @@ import random
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .braids import BraidWord, braids_equal, full_twist, pure_gen_braid
-from .chains import BarChain, embed_chain, pair, shuffle, torus_cycle
+from .braids import BraidWord, full_twist, pure_gen_braid
+from .chains import BarChain, pair, torus_cycle
 from .cochains import (
     BlockEmbedding,
     Cochain,
@@ -96,7 +99,7 @@ def partition_layout(parts: Sequence[int], n: int) -> tuple[BlockEmbedding, ...]
 # block catalogs
 
 
-def _block_elements(size: int) -> list[tuple[str, BraidWord]]:
+def _block_elements(size: int) -> list[tuple[str, GroupElement]]:
     """Commuting-tuple ingredients for one block, adjacent bands first."""
     out: list[tuple[str, BraidWord]] = []
     for span in range(1, size):
@@ -105,22 +108,17 @@ def _block_elements(size: int) -> list[tuple[str, BraidWord]]:
             out.append((f"A({i},{j})", pure_gen_braid(size, i, j)))
     for k in range(3, size + 1):
         out.append((f"twist({k})", full_twist(size, k)))
-    return out
+    return [(name, GroupElement.from_braid(beta)) for name, beta in out]
 
 
-def _commuting_tuples(size: int, p: int, depth: int) -> list[list[tuple[str, BraidWord]]]:
+def _commuting_tuples(size: int, p: int, depth: int) -> list[list[tuple[str, GroupElement]]]:
     """The first depth p-element pairwise commuting tuples from the block catalog."""
     from itertools import combinations
 
     elements = _block_elements(size)
-    found: list[list[tuple[str, BraidWord]]] = []
+    found: list[list[tuple[str, GroupElement]]] = []
     for combo in combinations(elements, p):
-        ok = True
-        for (_, a), (_, b) in combinations(combo, 2):
-            if not braids_equal(a * b, b * a):
-                ok = False
-                break
-        if ok:
+        if all(a * b == b * a for (_, a), (_, b) in combinations(combo, 2)):
             found.append(list(combo))
             if len(found) == depth:
                 break
@@ -142,7 +140,7 @@ def partition_cycles(
     from itertools import product as iter_product
 
     layout = partition_layout(parts, n)
-    per_block: list[list[tuple[BlockEmbedding, list[tuple[str, BraidWord]]]]] = []
+    per_block: list[list[tuple[BlockEmbedding, list[tuple[str, GroupElement]]]]] = []
     for part, embedding in zip(parts, layout):
         if part == 0:
             continue
@@ -154,18 +152,12 @@ def partition_cycles(
         per_block.append([(embedding, combo) for combo in tuples])
     out: list[CandidateCycle] = []
     for choice in iter_product(*per_block):
-        chain: BarChain | None = None
-        pieces = []
-        for embedding, combo in choice:
-            local = torus_cycle(
-                [GroupElement.from_braid(beta) for _, beta in combo]
-            )
-            embedded = embed_chain(local, embedding)
-            chain = embedded if chain is None else shuffle(chain, embedded)
-            body = "|".join(name for name, _ in combo)
-            pieces.append(f"{{{embedding.size}:torus:{body}}}")
-        assert chain is not None
-        out.append(CandidateCycle("cross:" + "".join(pieces), chain))
+        descriptor = "cross:" + "".join(
+            f"{{{e.size}:torus:{'|'.join(name for name, _ in combo)}}}"
+            for e, combo in choice
+        )
+        chain = torus_cycle([e.apply(g) for e, combo in choice for _, g in combo])
+        out.append(CandidateCycle(descriptor, chain))
     return out
 
 

@@ -13,6 +13,7 @@ BRAIDCERT_DEGREE environment variable or the --degree flag.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -200,17 +201,22 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "independence":
-        cert = certificate(
-            args.n, args.q, catalog_depth=args.catalog_depth, seed=args.seed
-        )
-        payload = cert.to_json_dict()
-        if args.out:
-            try:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh, indent=2)
-                    fh.write("\n")
-            except OSError as exc:
-                raise ValueError(f"cannot write --out file: {exc}") from None
+        # --out is opened before any work is done, so an unwritable path fails
+        # at once; an existing file is emptied only once the certificate exists
+        try:
+            fh = open(args.out, "a", encoding="utf-8") if args.out else None
+        except OSError as exc:
+            raise ValueError(f"cannot write --out file: {exc}") from None
+        with fh or contextlib.nullcontext():
+            cert = certificate(
+                args.n, args.q, catalog_depth=args.catalog_depth, seed=args.seed
+            )
+            payload = cert.to_json_dict()
+            if fh:
+                fh.seek(0)
+                fh.truncate()
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
         _emit(payload)
         if not cert.passed:
             print(

@@ -221,7 +221,7 @@ def test_embed_matches_free_group_embedding():
 
 def test_parse_elementary_tokens():
     assert parse_braid("s1 s2^-1", 3).letters == (1, -2)
-    assert parse_braid("", 3).is_trivial_word
+    assert parse_braid("", 3).letters == ()
 
 
 def test_parse_band_and_twist_tokens():

@@ -117,10 +117,16 @@ def test_exact_rank_detects_dependent_rows():
 
 
 def test_partition_cycles_round_trip_through_grammar():
-    for parts, n in [((2, 0), 4), ((1, 1), 4), ((2, 1, 0), 6)]:
-        for cand in partition_cycles(parts, n, depth=3):
-            assert parse_cycle(cand.descriptor, n) == cand.chain
-            assert cand.chain.is_cycle()
+    # the grammar path embeds each block torus and shuffles the blocks, so this
+    # checks the torus of the union against the shuffle of the block tori
+    checked = 0
+    for n, q in [(4, 2), (5, 2), (6, 3), (7, 3), (8, 3), (8, 4)]:
+        for parts in partitions(q, n - q):
+            for cand in partition_cycles(parts, n, depth=3):
+                assert parse_cycle(cand.descriptor, n) == cand.chain
+                assert cand.chain.is_cycle()
+                checked += 1
+    assert checked == 48
 
 
 def test_partition_cycles_priority_order_for_pairs():

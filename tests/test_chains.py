@@ -15,7 +15,6 @@ import pytest
 from braidcert.braids import BraidWord, full_twist, pure_gen_braid
 from braidcert.chains import (
     BarChain,
-    cross,
     embed_chain,
     pair,
     parse_cycle,
@@ -147,6 +146,46 @@ def test_shuffle_of_tori_is_torus_of_union():
     assert shuffle(torus_cycle([a]), torus_cycle([b, c])) == torus_cycle([a, b, c])
 
 
+def random_commuting_set(rng: random.Random, n: int) -> list[GroupElement]:
+    """Pairwise commuting elements on n >= 2 strands.
+
+    The strands are cut into consecutive blocks; each block of two or more
+    strands offers a band power, the block's full twist (central in the
+    block) and their inverses.  Some draws add a repeat or the identity.
+    """
+    pool = []
+    offset = 0
+    while n - offset >= 2:
+        size = rng.randint(2, n - offset)
+        i = rng.randint(1, size - 1)
+        j = rng.randint(i + 1, size)
+        for beta in (pure_gen_braid(size, i, j) ** rng.choice([1, 2]), full_twist(size, size)):
+            g = GroupElement.from_braid(beta.embed(offset, n))
+            pool += [g, g.inverse()]
+        offset += size
+    pool = list(dict.fromkeys(pool))  # on two strands the band may be the twist
+    elems = rng.sample(pool, min(len(pool), rng.randint(1, 3)))
+    extra = rng.choice(["none", "none", "none", "none", "repeat", "identity"])
+    if extra == "repeat":
+        elems.append(rng.choice(elems))
+    elif extra == "identity":
+        elems.append(GroupElement.identity(n))
+    rng.shuffle(elems)
+    return elems
+
+
+def test_tori_and_their_shuffles_are_cycles_on_random_commuting_sets():
+    rng = random.Random(64)
+    for _ in range(60):
+        elems = random_commuting_set(rng, rng.randint(2, 6))
+        z = torus_cycle(elems)
+        assert z.is_cycle()
+        k = rng.randint(0, len(elems))
+        product = shuffle(torus_cycle(elems[:k]), torus_cycle(elems[k:]))
+        assert product.is_cycle()
+        assert product == z
+
+
 def test_shuffle_is_associative():
     a, b, c = band(4, 1, 2), twist(4, 3), twist(4, 4)
     z1, z2, z3 = (torus_cycle([g]) for g in (a, b, c))
@@ -158,21 +197,7 @@ def test_shuffle_rejects_noncommuting_supports():
         shuffle(torus_cycle([band(3, 1, 2)]), torus_cycle([band(3, 1, 3)]))
 
 
-# embeddings and cross products
-
-
-def test_cross_places_factors_on_disjoint_blocks():
-    local = torus_cycle([band(2, 1, 2)])
-    e1 = BlockEmbedding(0, 2, 4)
-    e2 = BlockEmbedding(2, 2, 4)
-    got = cross(local, local, e1, e2)
-    assert got == torus_cycle([band(4, 1, 2), band(4, 3, 4)])
-
-
-def test_cross_rejects_overlapping_blocks():
-    local = torus_cycle([band(2, 1, 2)])
-    with pytest.raises(ValueError):
-        cross(local, local, BlockEmbedding(0, 2, 3), BlockEmbedding(1, 2, 3))
+# embeddings
 
 
 def test_embed_chain_maps_elements():

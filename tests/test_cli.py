@@ -140,6 +140,42 @@ def test_independence_unwritable_out_is_usage_error(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def test_independence_unwritable_out_fails_before_computing(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("certificate computed before --out was opened")
+
+    monkeypatch.setattr("braidcert.cli.certificate", refuse)
+    code, out, err = run_cli(
+        capsys, "independence", "--n", "8", "--q", "4",
+        "--out", str(tmp_path / "missing" / "cert.json"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --out file")
+
+
+@pytest.mark.parametrize("bad", [("--q", "5"), ("--catalog-depth", "0")])
+def test_independence_argument_error_keeps_existing_out_file(capsys, tmp_path, bad):
+    out_path = tmp_path / "cert.json"
+    out_path.write_text("old certificate\n")
+    code, out, _ = run_cli(
+        capsys, "independence", "--n", "3", "--q", "1", *bad, "--out", str(out_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert out_path.read_text() == "old certificate\n"
+
+
+def test_independence_overwrites_longer_out_file(capsys, tmp_path):
+    out_path = tmp_path / "cert.json"
+    out_path.write_text("x" * 100_000)
+    code, out, _ = run_cli(
+        capsys, "independence", "--n", "3", "--q", "1", "--out", str(out_path)
+    )
+    assert code == 0
+    assert json.loads(out_path.read_text()) == json.loads(out)
+
+
 @pytest.mark.parametrize("depth", ["0", "-1"])
 def test_independence_rejects_catalog_depth_below_one(capsys, depth):
     code, out, err = run_cli(
