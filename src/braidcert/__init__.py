@@ -3,7 +3,6 @@
 from .braids import (
     BraidWord,
     artin_action,
-    braids_equal,
     full_twist,
     is_pure,
     parse_braid,
@@ -59,7 +58,6 @@ from .words import (
     EndoMap,
     FreeWord,
     GrammarError,
-    HVector,
     format_word,
     parse_word,
 )

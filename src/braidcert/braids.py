@@ -2,8 +2,8 @@
 
 A braid on n strands is a word in the elementary generators s_1, ..., s_{n-1},
 stored as signed integers (+i for s_i, -i for its inverse).  No rewriting is
-ever performed on braid words; equality of the group elements they represent
-is decided through the faithful action on F_n.
+ever performed on braid words; cochains.GroupElement decides equality of the
+group elements they represent through the faithful action on F_n.
 
 The action sends s_i to the automorphism
 
@@ -109,13 +109,6 @@ def artin_action(beta: BraidWord) -> AutPair:
     for letter in beta.letters:
         result = result.compose(_letter_action(beta.n, letter))
     return result
-
-
-def braids_equal(a: BraidWord, b: BraidWord) -> bool:
-    """Equality in B_n, decided through the faithful action on F_n."""
-    if a.n != b.n:
-        raise ValueError("strand count mismatch")
-    return artin_action(a).fwd == artin_action(b).fwd
 
 
 def permutation(beta: BraidWord) -> tuple[int, ...]:

@@ -38,6 +38,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations, product
 from typing import Any, Sequence
 
 from .braids import BraidWord, full_twist, pure_gen_braid
@@ -111,18 +113,17 @@ def _block_elements(size: int) -> list[tuple[str, GroupElement]]:
     return [(name, GroupElement.from_braid(beta)) for name, beta in out]
 
 
-def _commuting_tuples(size: int, p: int, depth: int) -> list[list[tuple[str, GroupElement]]]:
-    """The first depth p-element pairwise commuting tuples from the block catalog."""
-    from itertools import combinations
-
-    elements = _block_elements(size)
-    found: list[list[tuple[str, GroupElement]]] = []
-    for combo in combinations(elements, p):
-        if all(a * b == b * a for (_, a), (_, b) in combinations(combo, 2)):
-            found.append(list(combo))
+@cache
+def _commuting_tuples(part: int, depth: int) -> tuple[tuple[tuple[str, GroupElement], ...], ...]:
+    """The first depth part-element pairwise commuting tuples from the catalog
+    of a block of size part + 1, searched once per process."""
+    found: list[tuple[tuple[str, GroupElement], ...]] = []
+    for combo in combinations(_block_elements(part + 1), part):
+        if all(a.commutes_with(b) for (_, a), (_, b) in combinations(combo, 2)):
+            found.append(combo)
             if len(found) == depth:
                 break
-    return found
+    return tuple(found)
 
 
 @dataclass(frozen=True)
@@ -137,21 +138,19 @@ def partition_cycles(
     parts: Sequence[int], n: int, depth: int
 ) -> list[CandidateCycle]:
     """Cross the block torus catalogs along the layout of the partition."""
-    from itertools import product as iter_product
-
     layout = partition_layout(parts, n)
-    per_block: list[list[tuple[BlockEmbedding, list[tuple[str, GroupElement]]]]] = []
+    per_block: list[list[tuple[BlockEmbedding, tuple[tuple[str, GroupElement], ...]]]] = []
     for part, embedding in zip(parts, layout):
         if part == 0:
             continue
-        tuples = _commuting_tuples(part + 1, part, depth)
+        tuples = _commuting_tuples(part, depth)
         if not tuples:
             raise ValueError(
                 f"catalog exhausted: no commuting {part}-tuple in a block of size {part + 1}"
             )
         per_block.append([(embedding, combo) for combo in tuples])
     out: list[CandidateCycle] = []
-    for choice in iter_product(*per_block):
+    for choice in product(*per_block):
         descriptor = "cross:" + "".join(
             f"{{{e.size}:torus:{'|'.join(name for name, _ in combo)}}}"
             for e, combo in choice

@@ -88,20 +88,6 @@ class BarChain:
     def support(self) -> set:
         return {g for tup in self.terms for g in tup}
 
-    def __add__(self, other: BarChain) -> BarChain:
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        out = dict(self.terms)
-        for tup, c in other.terms.items():
-            out[tup] = out.get(tup, 0) + c
-        return BarChain(self.degree, out)
-
-    def __sub__(self, other: BarChain) -> BarChain:
-        return self + (-other)
-
-    def __neg__(self) -> BarChain:
-        return BarChain(self.degree, {t: -c for t, c in self.terms.items()})
-
     def __rmul__(self, scalar: Scalar) -> BarChain:
         c = rational(scalar)
         return BarChain(self.degree, {t: c * v for t, v in self.terms.items()})
@@ -131,7 +117,7 @@ class BarChain:
 def _check_commuting(elems: Sequence[GroupElement]) -> None:
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
-            if elems[i] * elems[j] != elems[j] * elems[i]:
+            if not elems[i].commutes_with(elems[j]):
                 raise ValueError(
                     f"elements at positions {i} and {j} do not commute"
                 )
@@ -171,7 +157,7 @@ def shuffle(z1: BarChain, z2: BarChain) -> BarChain:
     s1, s2 = z1.support(), z2.support()
     for a in s1:
         for b in s2:
-            if a * b != b * a:
+            if not a.commutes_with(b):
                 raise ValueError("supports do not commute; shuffle is not a cycle")
     p, q = z1.degree, z2.degree
     out: dict[tuple, Scalar] = {}

@@ -2,7 +2,11 @@
 
 Elements and actions.  A GroupElement is a braid word together with the
 certified automorphism of F_n it acts by and the braid's underlying
-permutation, computed once from the word.  A braid acts on H = Z^n through
+permutation, computed once from the word.  Equality and commutation both
+compare forward automorphisms, which the faithful action makes decisive:
+two elements are equal when their forward maps are, and commutes_with
+compares f o g with g o f on the generators without building either
+product.  A braid acts on H = Z^n through
 that permutation, X_i -> X_{perm[i-1]}, so its action on coefficient values
 is a relabelling of indices:
 
@@ -104,6 +108,13 @@ class GroupElement:
     def inverse(self) -> GroupElement:
         return GroupElement(self.aut.inverse(), self.braid.inverse())
 
+    def commutes_with(self, other: GroupElement) -> bool:
+        """Whether self * other == other * self, decided on the forward maps."""
+        if self.n != other.n:
+            raise ValueError("rank mismatch")
+        f, g = self.aut.fwd, other.aut.fwd
+        return all(f(gx) == g(fx) for fx, gx in zip(f.images, g.images))
+
     def embed(self, offset: int, ambient: int) -> GroupElement:
         return GroupElement.from_braid(self.braid.embed(offset, ambient))
 
@@ -197,9 +208,6 @@ class Cochain:
             self.degree, self.n, self.zero_value,
             lambda *es: self.evaluate(*es) + other.evaluate(*es),
         )
-
-    def __sub__(self, other: Cochain) -> Cochain:
-        return self + (-1) * other
 
     def __rmul__(self, scalar) -> Cochain:
         return Cochain(

@@ -1,4 +1,4 @@
-"""Free groups of finite rank: reduced words, endomorphisms, abelianisation.
+"""Free groups of finite rank: reduced words and endomorphisms.
 
 A word in the free group F_n on generators x_1, ..., x_n is stored as a flat
 tuple of nonzero signed integers: +i stands for x_i and -i for x_i^-1, with
@@ -8,8 +8,7 @@ element.
 
 An endomorphism of F_n is determined by its images of the generators and acts
 by substitution.  Composition is written in function order: compose(f, g)
-sends w to f(g(w)).  A word's image in the abelianisation H = Z^n is its
-exponent-sum vector (FreeWord.abelianize).
+sends w to f(g(w)).
 
 The text grammar for words is whitespace-separated tokens ``x<k>`` and
 ``x<k>^-1``, e.g. ``x1 x2^-1 x1``.  The empty string is the identity.
@@ -100,51 +99,8 @@ class FreeWord:
             result = result * base
         return result
 
-    def abelianize(self) -> HVector:
-        coords = [0] * self.n
-        for letter in self.letters:
-            coords[abs(letter) - 1] += 1 if letter > 0 else -1
-        return HVector(self.n, tuple(coords))
-
     def __str__(self) -> str:
         return format_word(self)
-
-
-@dataclass(frozen=True)
-class HVector:
-    """An integer vector in the abelianisation H = Z^n."""
-
-    n: int
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(self.coords))
-        if len(self.coords) != self.n:
-            raise ValueError("coordinate count does not match rank")
-
-    @classmethod
-    def zero(cls, n: int) -> HVector:
-        return cls(n, (0,) * n)
-
-    @classmethod
-    def basis(cls, n: int, i: int) -> HVector:
-        if not 1 <= i <= n:
-            raise ValueError(f"basis index {i} out of range for rank {n}")
-        return cls(n, tuple(1 if j == i - 1 else 0 for j in range(n)))
-
-    def __add__(self, other: HVector) -> HVector:
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        return HVector(self.n, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: HVector) -> HVector:
-        return self + (-other)
-
-    def __neg__(self) -> HVector:
-        return HVector(self.n, tuple(-a for a in self.coords))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
 
 
 @dataclass(frozen=True)

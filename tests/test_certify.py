@@ -13,6 +13,7 @@ from itertools import product as iter_product
 
 import pytest
 
+from braidcert import certify as certify_module
 from braidcert.certify import (
     Certificate,
     certificate,
@@ -140,6 +141,22 @@ def test_partition_cycles_priority_order_for_pairs():
 def test_partition_cycles_depth_limits_count():
     assert len(partition_cycles((2, 0), 4, depth=1)) == 1
     assert len(partition_cycles((2, 0), 4, depth=2)) == 2
+
+
+def test_certificate_searches_each_block_catalog_once(monkeypatch):
+    # (8, 4) has twelve nonzero parts across its partitions but only the
+    # distinct parts 1..4, so blocks of sizes 2..5
+    sizes = []
+    original = certify_module._block_elements
+
+    def counting(size):
+        sizes.append(size)
+        return original(size)
+
+    monkeypatch.setattr(certify_module, "_block_elements", counting)
+    certify_module._commuting_tuples.cache_clear()
+    assert certificate(8, 4).passed
+    assert sorted(sizes) == [2, 3, 4, 5]
 
 
 # certificates

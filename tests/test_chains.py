@@ -197,6 +197,31 @@ def test_shuffle_rejects_noncommuting_supports():
         shuffle(torus_cycle([band(3, 1, 2)]), torus_cycle([band(3, 1, 3)]))
 
 
+def test_commutes_with_agrees_with_products_on_random_pairs():
+    rng = random.Random(66)
+    seen = set()
+    for _ in range(30):
+        n = rng.randint(3, 6)
+        elems = random_commuting_set(rng, n)
+        letters = tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(4))
+        pool = elems + [g.inverse() for g in elems] + [
+            GroupElement.identity(n),
+            band(n, 1, 2),
+            band(n, 1, 3),
+            random_pure(rng, n),
+            GroupElement.from_braid(BraidWord(n, letters)),
+        ]
+        for i, a in enumerate(pool):
+            for b in pool[i:]:
+                got = a.commutes_with(b)
+                assert got == (a * b == b * a)
+                assert b.commutes_with(a) == got
+                seen.add(got)
+    assert seen == {True, False}
+    with pytest.raises(ValueError):
+        band(3, 1, 2).commutes_with(band(4, 1, 2))
+
+
 # embeddings
 
 
