@@ -5,9 +5,19 @@ cochains hbar_lambda indexed by partitions lambda of q with n - q parts
 (zeros allowed, weakly decreasing).  Each partition also determines a
 layout of consecutive strand blocks of sizes lambda_k + 1, and a catalog
 of commuting pure braid tuples inside each block.  Crossing the block tori
-gives candidate q-cycles; the cross is built directly as the torus of the
-union of the embedded block tuples, in block order, since the shuffle of
-tori is the torus of the union.  Pairing every hbar_mu against every
+gives candidate q-cycles: the torus T(S) of the union S of the embedded
+block tuples, in block order, since the shuffle of tori is the torus of the
+union.  A candidate keeps S, never the q!-term chain.
+
+Every element of S is pure, so hbar_mu sees no coefficient action and
+<hbar_mu, T(S)> is the sum over ordered set partitions (U_1, ..., U_k) of S
+with |U_j| = mu_j of B(U_1) ^ ... ^ B(U_k), signed by the permutation that
+lists U_1, U_2, ... each in base order.  B(U) projects the contraction of
+D(U), the signed sum over orderings of U of the nested tau1 values:
+D({g}) = tau1(g) and D(U) = sum over g in U of (-1)^pos(g) times tau1(g)
+composed through the first slot of D(U - g), pos(g) counting from 0 in U.
+D and B are computed once per cycle for every row; the outer sum runs over
+the unions of the first j parts.  Pairing every hbar_mu against every
 candidate cycle and coordinate of Lambda^q H yields an exact rational
 matrix whose row rank is computed fraction-free.
 
@@ -43,7 +53,7 @@ from itertools import combinations, product
 from typing import Any, Sequence
 
 from .braids import BraidWord, full_twist, pure_gen_braid
-from .chains import BarChain, pair, torus_cycle
+from .chains import _check_commuting, pair, torus_cycle
 from .cochains import (
     BlockEmbedding,
     Cochain,
@@ -53,10 +63,13 @@ from .cochains import (
     hbar_cochain,
     hbar_partition_cochain,
     projection_pullback,
+    tau1,
     unit_cochain,
 )
 from .magnus import MagnusExpansion
-from .tensors import Scalar, exterior_basis
+from .tensors import (
+    ExteriorElement, HomTensor, Scalar, alt_project, compose_first_slot, exterior_basis
+)
 
 EXTERIOR_CONVENTION = "exterior projection is the signed coefficient sum, no 1/q! factor"
 
@@ -116,11 +129,13 @@ def _block_elements(size: int) -> list[tuple[str, GroupElement]]:
 @cache
 def _commuting_tuples(part: int, depth: int) -> tuple[tuple[tuple[str, GroupElement], ...], ...]:
     """The first depth part-element pairwise commuting tuples from the catalog
-    of a block of size part + 1, searched once per process."""
+    of a block of size part + 1, searched once per process, each pair once."""
+    elements = _block_elements(part + 1)
+    commutes = cache(lambda i, j: elements[i][1].commutes_with(elements[j][1]))
     found: list[tuple[tuple[str, GroupElement], ...]] = []
-    for combo in combinations(_block_elements(part + 1), part):
-        if all(a.commutes_with(b) for (_, a), (_, b) in combinations(combo, 2)):
-            found.append(combo)
+    for combo in combinations(range(len(elements)), part):
+        if all(commutes(i, j) for i, j in combinations(combo, 2)):
+            found.append(tuple(elements[i] for i in combo))
             if len(found) == depth:
                 break
     return tuple(found)
@@ -128,10 +143,10 @@ def _commuting_tuples(part: int, depth: int) -> tuple[tuple[tuple[str, GroupElem
 
 @dataclass(frozen=True)
 class CandidateCycle:
-    """A catalogued cycle together with its grammar descriptor."""
+    """A catalogued cycle, the torus of its elements, with its grammar descriptor."""
 
     descriptor: str
-    chain: BarChain
+    elements: tuple[GroupElement, ...]
 
 
 def partition_cycles(
@@ -155,8 +170,48 @@ def partition_cycles(
             f"{{{e.size}:torus:{'|'.join(name for name, _ in combo)}}}"
             for e, combo in choice
         )
-        chain = torus_cycle([e.apply(g) for e, combo in choice for _, g in combo])
-        out.append(CandidateCycle(descriptor, chain))
+        elements = tuple(e.apply(g) for e, combo in choice for _, g in combo)
+        _check_commuting(elements)
+        out.append(CandidateCycle(descriptor, elements))
+    return out
+
+
+def torus_pairings(
+    theta: MagnusExpansion, elements: Sequence[GroupElement], rows: Sequence[Sequence[int]]
+) -> list[ExteriorElement]:
+    """<hbar_mu, T(elements)> for each row mu, a partition of len(elements), by
+    the set-partition sum of the module docstring over bitmasks of elements."""
+    for g in elements:
+        if not g.acts_trivially():
+            raise ValueError("chain support acts nontrivially on homology")
+    n, q, full = theta.n, len(elements), (1 << len(elements)) - 1
+    taus = [tau1(theta, g) for g in elements]
+    bits = [[i for i in range(q) if mask >> i & 1] for mask in range(full + 1)]
+    nested = {1 << i: tau for i, tau in enumerate(taus)}
+    for mask in range(1, full + 1):
+        if mask not in nested:
+            value = HomTensor.zero(n, len(bits[mask]) + 1)
+            for pos, i in enumerate(bits[mask]):
+                term = compose_first_slot(taus[i], nested[mask ^ 1 << i])
+                value = value - term if pos % 2 else value + term
+            nested[mask] = value
+    blocks = {mask: alt_project(d.contract(), len(bits[mask])) for mask, d in nested.items()}
+    out = []
+    for mu in rows:
+        layer = {0: ExteriorElement.unit(n)}
+        for m in filter(None, mu):
+            grown: dict[int, ExteriorElement] = {}
+            for used, value in layer.items():
+                for part in combinations(bits[full ^ used], m):
+                    mask = sum(1 << i for i in part)
+                    term = value.wedge(blocks[mask])
+                    # one inversion per used element listed before a smaller one
+                    if sum((used >> i + 1).bit_count() for i in part) % 2:
+                        term = -term
+                    key = used | mask
+                    grown[key] = grown[key] + term if key in grown else term
+            layer = grown
+        out.append(layer[full])
     return out
 
 
@@ -164,9 +219,9 @@ def partition_cycles(
 
 
 def exact_rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Row rank over Q by fraction-free (Bareiss) elimination on cleared rows."""
+    """Row rank over Q by fraction-free (Bareiss) elimination on the nonzero columns."""
     matrix: list[list[int]] = []
-    for row in rows:
+    for row in zip(*(col for col in zip(*rows) if any(col))):
         lcm = 1
         for x in row:
             lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
@@ -267,45 +322,29 @@ def certificate(
         raise ValueError("expansion rank does not match n")
     parts_list = partitions(q, n - q) if q else []
     basis = exterior_basis(n, q)
-    cycles: dict[tuple[int, ...], list[CandidateCycle]] = {}
-    for parts in parts_list:
-        cycles[parts] = partition_cycles(parts, n, catalog_depth)
-    cochains = {parts: hbar_partition_cochain(theta, parts) for parts in parts_list}
-
-    pairings: dict[tuple[tuple[int, ...], tuple[int, ...]], list] = {}
-    for mu in parts_list:
-        for lam in parts_list:
-            pairings[(mu, lam)] = [
-                pair(cochains[mu], c.chain) for c in cycles[lam]
-            ]
-
-    matrix: list[list[Scalar]] = []
-    for mu in parts_list:
-        row: list[Scalar] = []
-        for lam in parts_list:
-            for value in pairings[(mu, lam)]:
-                row.extend(value.coefficient(idx) for idx in basis)
-        matrix.append(row)
+    cycles = {parts: partition_cycles(parts, n, catalog_depth) for parts in parts_list}
+    # values[lam][c][i]: the pairing of row parts_list[i] with cycle c of lam
+    values = {
+        lam: [torus_pairings(theta, c.elements, parts_list) for c in cycles[lam]]
+        for lam in parts_list
+    }
+    matrix: list[list[Scalar]] = [
+        [v[i].coefficient(idx) for lam in parts_list for v in values[lam] for idx in basis]
+        for i in range(len(parts_list))
+    ]
 
     rank = exact_rank(matrix)
     expected = len(parts_list)
     verdict = "pass" if rank == expected else "inconclusive-catalog"
 
-    violations: list[dict[str, Any]] = []
-    for i, mu in enumerate(parts_list):
-        for j, lam in enumerate(parts_list):
-            if i >= j:
-                continue
-            # strictly earlier partitions must pair to zero with later cycles
-            for c, value in zip(cycles[lam], pairings[(mu, lam)]):
-                if not value.is_zero():
-                    violations.append(
-                        {
-                            "row": list(mu),
-                            "cycle_partition": list(lam),
-                            "cycle": c.descriptor,
-                        }
-                    )
+    # strictly earlier partitions must pair to zero with later cycles
+    violations: list[dict[str, Any]] = [
+        {"row": list(mu), "cycle_partition": list(lam), "cycle": c.descriptor}
+        for i, mu in enumerate(parts_list)
+        for lam in parts_list[i + 1:]
+        for c, v in zip(cycles[lam], values[lam])
+        if not v[i].is_zero()
+    ]
 
     return Certificate(
         n=n,

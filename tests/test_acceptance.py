@@ -188,7 +188,10 @@ def test_criterion_07_nonvanishing_pairings():
 
     theta3 = MagnusExpansion.standard(3, 2)
     candidates = partition_cycles((2,), 3, depth=2)
-    values = [pair(hbar_cochain(theta3, 2, exterior=True), c.chain) for c in candidates]
+    values = [
+        pair(hbar_cochain(theta3, 2, exterior=True), torus_cycle(c.elements))
+        for c in candidates
+    ]
     second = len(candidates) == 2 and any(not v.is_zero() for v in values)
     elapsed = time.monotonic() - start
     report(

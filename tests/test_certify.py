@@ -1,7 +1,9 @@
 """Partitions, catalogs, ranks, certificates.
 
 Rank computations are cross-checked against a plain rational Gaussian
-elimination oracle; partition enumeration against brute force over tuples.
+elimination oracle; partition enumeration against brute force over tuples;
+the set-partition pairing against the literal bar-complex pair on the
+torus cycle.
 """
 
 from __future__ import annotations
@@ -10,10 +12,14 @@ import json
 import random
 from fractions import Fraction
 from itertools import product as iter_product
+from pathlib import Path
 
 import pytest
 
 from braidcert import certify as certify_module
+from braidcert import chains as chains_module
+from braidcert import cli
+from braidcert.braids import BraidWord, pure_gen_braid
 from braidcert.certify import (
     Certificate,
     certificate,
@@ -23,11 +29,18 @@ from braidcert.certify import (
     partition_layout,
     partitions,
     scalar_factor_check,
+    torus_pairings,
 )
-from braidcert.chains import parse_cycle
+from braidcert.chains import pair, parse_cycle, torus_cycle
+from braidcert.cochains import GroupElement, hbar_partition_cochain
 from braidcert.magnus import MagnusExpansion
+from test_chains import random_commuting_set
+from test_cochains import random_custom
 
 F = Fraction
+
+CERT_GRID = [(5, 2), (6, 3), (7, 3), (8, 3), (8, 4)]
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "cert-grid"
 
 
 # partitions
@@ -114,6 +127,25 @@ def test_exact_rank_detects_dependent_rows():
     assert exact_rank([]) == 0
 
 
+def test_exact_rank_ignores_interleaved_zero_columns():
+    rng = random.Random(74)
+    for _ in range(60):
+        n_rows = rng.randint(1, 5)
+        n_cols = rng.randint(1, 6)
+        dense = [
+            [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n_cols)]
+            for _ in range(n_rows)
+        ]
+        is_zero = [True] * rng.randint(1, 6) + [False] * n_cols
+        rng.shuffle(is_zero)
+        padded = []
+        for row in dense:
+            values = iter(row)
+            padded.append([F(0) if z else next(values) for z in is_zero])
+        assert exact_rank(padded) == exact_rank(dense) == rank_oracle(dense)
+    assert exact_rank([[F(0)] * 4, [F(0)] * 4]) == 0
+
+
 # catalogs
 
 
@@ -124,8 +156,9 @@ def test_partition_cycles_round_trip_through_grammar():
     for n, q in [(4, 2), (5, 2), (6, 3), (7, 3), (8, 3), (8, 4)]:
         for parts in partitions(q, n - q):
             for cand in partition_cycles(parts, n, depth=3):
-                assert parse_cycle(cand.descriptor, n) == cand.chain
-                assert cand.chain.is_cycle()
+                chain = torus_cycle(cand.elements)
+                assert parse_cycle(cand.descriptor, n) == chain
+                assert chain.is_cycle()
                 checked += 1
     assert checked == 48
 
@@ -159,6 +192,106 @@ def test_certificate_searches_each_block_catalog_once(monkeypatch):
     assert sorted(sizes) == [2, 3, 4, 5]
 
 
+def test_block_catalog_search_decides_each_pair_once(monkeypatch):
+    # only the block elements count: the embedded cycle elements are plain
+    # GroupElements built afresh by BlockEmbedding.apply
+    calls = []
+
+    class Counting(GroupElement):
+        __slots__ = ()
+
+        def commutes_with(self, other):
+            calls.append(frozenset((self, other)))
+            return super().commutes_with(other)
+
+    original = certify_module._block_elements
+    monkeypatch.setattr(
+        certify_module,
+        "_block_elements",
+        lambda size: [(name, Counting(g.aut, g.braid)) for name, g in original(size)],
+    )
+    certify_module._commuting_tuples.cache_clear()
+    try:
+        for n, q in CERT_GRID:
+            for parts in partitions(q, n - q):
+                partition_cycles(parts, n, depth=3)
+    finally:
+        certify_module._commuting_tuples.cache_clear()
+    assert len(calls) == len(set(calls)) == 50
+
+
+def test_partition_cycles_checks_commutation(monkeypatch):
+    def band(i, j):
+        return f"A({i},{j})", GroupElement.from_braid(pure_gen_braid(3, i, j))
+
+    monkeypatch.setattr(
+        certify_module, "_commuting_tuples", lambda part, depth: ((band(1, 2), band(2, 3)),)
+    )
+    with pytest.raises(ValueError, match="do not commute"):
+        partition_cycles((2, 0), 4, depth=1)
+
+
+# the set-partition pairing against the literal bar-complex pairing
+
+
+def literal_pairings(theta, elements, rows):
+    z = torus_cycle(elements)
+    return [pair(hbar_partition_cochain(theta, mu), z) for mu in rows]
+
+
+def test_torus_pairings_match_pair_on_every_cert_grid_cycle():
+    checked = 0
+    for n, q in CERT_GRID:
+        theta = MagnusExpansion.standard(n, 2)
+        rows = partitions(q, n - q)
+        for lam in rows:
+            for cand in partition_cycles(lam, n, depth=3):
+                assert torus_pairings(theta, cand.elements, rows) == literal_pairings(
+                    theta, cand.elements, rows
+                )
+                checked += len(rows)
+    # rows times cycles per size
+    assert checked == 2 * 4 + 3 * 7 + 3 * 7 + 3 * 7 + 5 * 19
+
+
+def test_torus_pairings_match_pair_on_random_commuting_sets():
+    rng = random.Random(75)
+    rows_checked = repeats = identities = nonzero = 0
+    for trial in range(40):
+        n = rng.randint(3, 7)
+        elems = random_commuting_set(rng, n)
+        q = len(elems)
+        theta = random_custom(rng, n) if trial % 2 else MagnusExpansion.standard(n, 2)
+        rows = partitions(q, n - q) if q <= n else []
+        got = torus_pairings(theta, elems, rows)
+        expected = literal_pairings(theta, elems, rows)
+        assert got == expected
+        rows_checked += len(rows)
+        repeats += len(set(elems)) < q
+        identities += any(g.is_identity for g in elems)
+        nonzero += sum(not v.is_zero() for v in got)
+    assert rows_checked >= 60 and repeats and identities and nonzero >= 10
+
+
+def test_torus_pairings_reject_elements_acting_on_homology():
+    theta = MagnusExpansion.standard(3, 2)
+    s1 = GroupElement.from_braid(BraidWord(3, (1,)))
+    with pytest.raises(ValueError, match="acts nontrivially on homology"):
+        torus_pairings(theta, [s1], [(1, 0)])
+
+
+def test_certificate_builds_no_bar_chain(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate path builds no bar chain")
+
+    monkeypatch.setattr(certify_module, "pair", refuse)
+    monkeypatch.setattr(chains_module.BarChain, "__init__", refuse)
+    capsys.readouterr()
+    assert cli.main(["independence", "--n", "8", "--q", "4"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert out == (GOLDEN / "independence-n8-q4.out").read_bytes()
+
+
 # certificates
 
 
@@ -168,6 +301,13 @@ def test_certificate_small_cases_pass():
         assert cert.passed
         assert cert.rank == cert.expected_rank == len(cert.partitions)
         assert not cert.triangular_violations
+
+
+def test_certificate_frontier_ten_five_at_depth_six():
+    cert = certificate(10, 5, catalog_depth=6)
+    assert cert.passed
+    assert cert.rank == cert.expected_rank == 7
+    assert not cert.triangular_violations
 
 
 def test_certificate_q_zero_trivially_passes():
