@@ -24,7 +24,9 @@ materialised.  The basic constructions:
 
 * tau1(theta, g), the crossed homomorphism measuring the failure of g to
   respect the degree-2 part of a Magnus expansion theta: its value on the
-  basis vector X_j is  theta_2(x_j) - g.theta_2(g^-1 x_j);
+  basis vector X_j is defined as  theta_2(x_j) - g.theta_2(g^-1 x_j),  but
+  computed letter by letter through tau1(gh) = tau1(g) + g.tau1(h), at a
+  cost linear in the braid's length;
 * coboundary, with the usual twisted alternating-sum formula;
 * cup, the Alexander-Whitney product: the first factor eats the leading
   arguments, the second is translated by their product;
@@ -52,7 +54,7 @@ from fractions import Fraction
 from typing import Any, Callable, Sequence
 from weakref import WeakKeyDictionary
 
-from .braids import BraidWord, artin_action, permutation
+from .braids import BraidWord, _letter_action, artin_action, permutation
 from .magnus import MagnusExpansion
 from .tensors import (
     ExteriorElement,
@@ -217,10 +219,31 @@ class Cochain:
 
 
 _TAU1_CACHES: WeakKeyDictionary = WeakKeyDictionary()
+_LETTER_TAU1: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _letter_tau1(theta: MagnusExpansion, letter: int) -> tuple[tuple[int, tuple], ...]:
+    """tau1(s_letter) as (column, terms) for its nonzero columns, by the defining
+    formula on the letter's inverse images, which have at most 3 letters."""
+    cache = _LETTER_TAU1.setdefault(theta, {})
+    if letter not in cache:
+        n = theta.n
+        inv = _letter_action(n, letter).inv
+        swap = permutation(BraidWord(n, (letter,)))
+        cols = []
+        for j in range(1, n + 1):
+            base = theta.value(FreeWord.generator(n, j)).component(2)
+            pulled = theta.value(inv.images[j - 1]).component(2)
+            col = base - pulled.act(swap)
+            if col.terms:
+                cols.append((j, tuple(col.terms.items())))
+        cache[letter] = tuple(cols)
+    return cache[letter]
 
 
 def tau1(theta: MagnusExpansion, g: GroupElement) -> HomTensor:
-    """The degree-2 failure of g to commute with theta, column j the value on X_j."""
+    """The degree-2 failure of g to commute with theta, column j the value on X_j,
+    summed over the letters of g, each conjugated by the permutation before it."""
     cache = _TAU1_CACHES.setdefault(theta, {})
     cached = cache.get(g)
     if cached is not None:
@@ -228,13 +251,18 @@ def tau1(theta: MagnusExpansion, g: GroupElement) -> HomTensor:
     n = theta.n
     if g.n != n:
         raise ValueError("element rank does not match expansion rank")
-    cols = []
-    for j in range(1, n + 1):
-        base = theta.value(FreeWord.generator(n, j)).component(2)
-        pulled = theta.value(g.aut.inv.images[j - 1]).component(2)
-        cols.append((base - pulled.act(g.perm)).recap(2))
-    # columns are homogeneous of degree 2 and at cap 2 already
-    result = HomTensor._trusted(n, 2, tuple(cols))
+    cols: list[dict] = [{} for _ in range(n)]
+    perm = list(range(1, n + 1))
+    for letter in g.braid.letters:
+        for j, terms in _letter_tau1(theta, letter):
+            # relabel every index and move column j to position perm[j-1]
+            col = cols[perm[j - 1] - 1]
+            for (a, b), c in terms:
+                key = (perm[a - 1], perm[b - 1])
+                col[key] = col.get(key, 0) + c
+        i = abs(letter)
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    result = HomTensor._trusted(n, 2, tuple(TruncatedTensor._trusted(n, 2, c) for c in cols))
     cache[g] = result
     return result
 

@@ -16,6 +16,7 @@ from itertools import product as iter_product
 
 import pytest
 
+from braidcert import cochains
 from braidcert.braids import BraidWord, full_twist, is_pure, pure_gen_braid
 from braidcert.cochains import (
     BlockEmbedding,
@@ -42,6 +43,7 @@ from braidcert.tensors import (
     alt_project,
     compose_maps,
 )
+from braidcert.words import FreeWord
 
 F = Fraction
 
@@ -270,6 +272,18 @@ def product_of(gs) -> GroupElement:
     return reduce(lambda a, b: a * b, gs)
 
 
+def oracle_tau1(theta: MagnusExpansion, g: GroupElement) -> HomTensor:
+    """tau1 by its defining formula  theta_2(x_j) - g.theta_2(g^-1 x_j)  on the
+    inverse images of g, which grow exponentially with the braid's length."""
+    n = theta.n
+    cols = []
+    for j in range(1, n + 1):
+        base = theta.value(FreeWord.generator(n, j)).component(2)
+        pulled = theta.value(g.aut.inv.images[j - 1]).component(2)
+        cols.append((base - pulled.act(g.perm)).recap(2))
+    return HomTensor(n, 2, tuple(cols))
+
+
 def oracle_hp(theta: MagnusExpansion, gs) -> HomTensor:
     """h_p by acting with the composed prefix elements themselves."""
     values = [tau1(theta, gs[0])]
@@ -321,6 +335,83 @@ def test_identity_prefix_of_non_pure_elements_matches_oracle():
         assert not g.acts_trivially()
         assert product_of((g, g.inverse(), h)).acts_trivially()
         assert_matches_oracle(theta, (g, g.inverse(), h, k))
+
+
+# the letter sum against the word-path oracle
+
+
+def test_tau1_matches_word_path_oracle():
+    rng = random.Random(56)
+    for k in range(48):
+        n = rng.randint(2, 6)
+        theta = random_custom(rng, n) if k % 2 else MagnusExpansion.standard(n, 2)
+        g = random_non_pure_element(rng, n, 12)
+        assert tau1(theta, g) == oracle_tau1(theta, g)
+
+
+def test_tau1_on_alternating_powers_matches_word_path_oracle():
+    rng = random.Random(57)
+    for theta in (MagnusExpansion.standard(3, 2), random_custom(rng, 3)):
+        for k in range(7):
+            g = GroupElement.from_braid(BraidWord(3, (1, -2) * k))
+            assert tau1(theta, g) == oracle_tau1(theta, g)
+
+
+def test_tau1_of_identity_matches_word_path_oracle():
+    rng = random.Random(58)
+    for theta in (MagnusExpansion.standard(4, 2), random_custom(rng, 4)):
+        e = GroupElement.identity(4)
+        assert tau1(theta, e) == oracle_tau1(theta, e) == HomTensor.zero(4, 2)
+
+
+def test_tau1_is_a_function_of_the_braid_not_the_word():
+    # fresh expansions each time: the per-element cache keys on group equality
+    rng = random.Random(59)
+    for _ in range(10):
+        n = rng.randint(3, 5)
+        tails = random_custom(rng, n).gen_values
+        beta = random_non_pure_element(rng, n, 8).braid.letters
+        i = rng.randint(1, n - 2)
+        relator = (i, i + 1, i, -(i + 1), -i, -(i + 1))
+        at = rng.randint(0, len(beta))
+        spellings = (beta, beta[:at] + relator + beta[at:])
+        elems = [GroupElement.from_braid(BraidWord(n, w)) for w in spellings]
+        assert elems[0] == elems[1]
+        for make in (
+            lambda: MagnusExpansion.standard(n, 2),
+            lambda: MagnusExpansion(n, 2, tails),
+        ):
+            first, second = (tau1(make(), g) for g in elems)
+            assert first == second
+
+
+def test_tau1_evaluates_theta_on_short_words_once_per_letter(monkeypatch):
+    seen = []
+    value = MagnusExpansion.value
+
+    def recording(self, word):
+        seen.append(word)
+        return value(self, word)
+
+    g = GroupElement.from_braid(BraidWord(3, (1, -2) * 9))
+    expected = oracle_tau1(MagnusExpansion.standard(3, 2), g)
+    monkeypatch.setattr(MagnusExpansion, "value", recording)
+    theta = MagnusExpansion.standard(3, 2)
+    assert tau1(theta, g) == expected
+    assert seen and max(len(w.letters) for w in seen) <= 3
+    seen.clear()
+    tau1(theta, GroupElement.from_braid(BraidWord(3, (-2, 1, 1, -2, -2))))
+    assert seen == []
+
+
+def test_tau1_rank_guard_comes_before_any_letter_value(monkeypatch):
+    def unreachable(theta, letter):
+        raise AssertionError("a letter value was read")
+
+    monkeypatch.setattr(cochains, "_letter_tau1", unreachable)
+    g = GroupElement.from_braid(BraidWord(3, (1, -2)))
+    with pytest.raises(ValueError, match="element rank does not match expansion rank"):
+        tau1(MagnusExpansion.standard(4, 2), g)
 
 
 # expansions may differ, the cocycle may not (on pure braids)
