@@ -205,7 +205,7 @@ def parse_cycle(text: str, n: int, offset: int = 0) -> BarChain:
         elems = []
         for piece in body.split("|"):
             beta = _parse_braid_at(piece, n, cursor)
-            elems.append(GroupElement.from_braid(beta))
+            elems.append(GroupElement(beta))
             cursor += len(piece) + 1
         try:
             return torus_cycle(elems)

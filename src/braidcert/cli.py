@@ -19,7 +19,7 @@ import os
 import sys
 from typing import Any, Sequence
 
-from .braids import parse_braid, permutation
+from .braids import artin_action, parse_braid, permutation
 from .certify import certificate
 from .chains import pair, parse_cycle
 from .cochains import GroupElement, hbar_cochain, hbar_partition_cochain, tau1
@@ -135,12 +135,12 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "tau1":
         theta = MagnusExpansion.standard(args.n, 2)
-        g = GroupElement.from_braid(parse_braid(args.braid, args.n))
+        g = GroupElement(parse_braid(args.braid, args.n))
         _emit(tau1(theta, g).to_json_dict())
         return 0
 
     if args.command == "xi":
-        aut = GroupElement.from_braid(parse_braid(args.braid, args.n)).aut
+        aut = artin_action(parse_braid(args.braid, args.n))
         _emit(
             {
                 "n": args.n,
@@ -163,8 +163,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "braid-eq":
-        left = GroupElement.from_braid(parse_braid(args.left, args.n))
-        right = GroupElement.from_braid(parse_braid(args.right, args.n))
+        left = GroupElement(parse_braid(args.left, args.n))
+        right = GroupElement(parse_braid(args.right, args.n))
         _emit({"n": args.n, "equal": left == right})
         return 0
 
@@ -178,7 +178,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             )
             return 2
         elems = [
-            GroupElement.from_braid(parse_braid(text, args.n)) for text in args.braids
+            GroupElement(parse_braid(text, args.n)) for text in args.braids
         ]
         value = hbar_cochain(theta, args.p, exterior=args.exterior)(*elems)
         _emit(value.to_json_dict())

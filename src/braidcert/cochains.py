@@ -1,14 +1,16 @@
 """Group cochains on automorphism groups of free groups, exactly.
 
-Elements and actions.  A GroupElement is a braid word together with the
-certified automorphism of F_n it acts by and the braid's underlying
-permutation, computed once from the word.  Equality and commutation both
-compare forward automorphisms, which the faithful action makes decisive:
-two elements are equal when their forward maps are, and commutes_with
-compares f o g with g o f on the generators without building either
-product.  A braid acts on H = Z^n through
-that permutation, X_i -> X_{perm[i-1]}, so its action on coefficient values
-is a relabelling of indices:
+Elements and actions.  A GroupElement is a braid word and the braid's
+underlying permutation; products, inverses and embeddings act on the words.
+The automorphism of F_n that the braid acts by is derived from the word only
+where a decision needs it, and the cached artin_action is its memo.  Equality
+and commutation both compare forward automorphisms, which the faithful action
+makes decisive: two elements are equal when their forward maps are, and
+commutes_with compares f o g with g o f on the generators without building
+either product.  tau1, and every class built from it, reads only the letters
+and the permutation.  A braid acts on H = Z^n through that permutation,
+X_i -> X_{perm[i-1]}, so its action on coefficient values is a relabelling
+of indices:
 
 * on tensors and exterior elements, in every slot;
 * on linear maps H -> H^(x)m, by conjugation  P^(x)m o u o P^-1.
@@ -69,31 +71,25 @@ Value = Any  # TruncatedTensor | HomTensor | ExteriorElement | int | Fraction
 
 
 class GroupElement:
-    """A braid word, the certified automorphism of F_n it acts by and its
-    underlying permutation, which is its action on H."""
+    """A braid word and its underlying permutation, which is its action on H.
 
-    __slots__ = ("aut", "braid", "perm", "_key", "_hash")
+    The braid word is the element's only representation: the automorphism of
+    F_n it acts by is derived from the word when equality, hashing or
+    commutation asks for it."""
 
-    def __init__(self, aut: AutPair, braid: BraidWord):
-        if braid.n != aut.n:
-            raise ValueError("braid strand count does not match rank")
-        self.aut = aut
+    __slots__ = ("braid", "perm")
+
+    def __init__(self, braid: BraidWord):
         self.braid = braid
         self.perm = permutation(braid)
-        self._key = (aut.n, tuple(w.letters for w in aut.fwd.images))
-        self._hash = hash(self._key)
 
-    @classmethod
-    def from_braid(cls, beta: BraidWord) -> GroupElement:
-        return cls(artin_action(beta), beta)
-
-    @classmethod
-    def identity(cls, n: int) -> GroupElement:
-        return cls(AutPair.identity(n), BraidWord.identity(n))
+    @property
+    def aut(self) -> AutPair:
+        return artin_action(self.braid)
 
     @property
     def n(self) -> int:
-        return self.aut.n
+        return self.braid.n
 
     @property
     def is_identity(self) -> bool:
@@ -105,10 +101,10 @@ class GroupElement:
     def __mul__(self, other: GroupElement) -> GroupElement:
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        return GroupElement(self.aut.compose(other.aut), self.braid * other.braid)
+        return GroupElement(self.braid * other.braid)
 
     def inverse(self) -> GroupElement:
-        return GroupElement(self.aut.inverse(), self.braid.inverse())
+        return GroupElement(self.braid.inverse())
 
     def commutes_with(self, other: GroupElement) -> bool:
         """Whether self * other == other * self, decided on the forward maps."""
@@ -118,13 +114,13 @@ class GroupElement:
         return all(f(gx) == g(fx) for fx, gx in zip(f.images, g.images))
 
     def embed(self, offset: int, ambient: int) -> GroupElement:
-        return GroupElement.from_braid(self.braid.embed(offset, ambient))
+        return GroupElement(self.braid.embed(offset, ambient))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, GroupElement) and self._key == other._key
+        return isinstance(other, GroupElement) and self.aut.fwd == other.aut.fwd
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.aut.fwd)
 
     def __repr__(self) -> str:
         return f"<braid {self.braid.letters} on {self.n} strands>"
@@ -245,7 +241,7 @@ def tau1(theta: MagnusExpansion, g: GroupElement) -> HomTensor:
     """The degree-2 failure of g to commute with theta, column j the value on X_j,
     summed over the letters of g, each conjugated by the permutation before it."""
     cache = _TAU1_CACHES.setdefault(theta, {})
-    cached = cache.get(g)
+    cached = cache.get(g.braid)
     if cached is not None:
         return cached
     n = theta.n
@@ -263,7 +259,7 @@ def tau1(theta: MagnusExpansion, g: GroupElement) -> HomTensor:
         i = abs(letter)
         perm[i - 1], perm[i] = perm[i], perm[i - 1]
     result = HomTensor._trusted(n, 2, tuple(TruncatedTensor._trusted(n, 2, c) for c in cols))
-    cache[g] = result
+    cache[g.braid] = result
     return result
 
 
@@ -309,12 +305,10 @@ def _combine_values(a: Value, b: Value) -> Value:
     )
 
 
-def cup(u: Cochain, v: Cochain, combine: Callable[[Value, Value], Value] | None = None) -> Cochain:
+def cup(u: Cochain, v: Cochain) -> Cochain:
     """Alexander-Whitney product; the right value is translated by the left arguments."""
     if u.n != v.n:
         raise ValueError("rank mismatch")
-    if combine is None:
-        combine = _combine_values
     p = u.degree
 
     def evaluate(*gs):
@@ -325,11 +319,11 @@ def cup(u: Cochain, v: Cochain, combine: Callable[[Value, Value], Value] | None 
             prefix = _times(prefix, g)
         if prefix is not None:
             right = _act(prefix, right)
-        return combine(left, right)
+        return _combine_values(left, right)
 
     return Cochain(
         p + v.degree, u.n,
-        lambda: combine(u.zero_value(), v.zero_value()),
+        lambda: _combine_values(u.zero_value(), v.zero_value()),
         evaluate,
     )
 
@@ -425,7 +419,7 @@ def projection_pullback(u: Cochain, k: int, layout: Sequence[BlockEmbedding]) ->
 
     def project(g: GroupElement) -> GroupElement:
         kept = tuple(l for l in g.braid.letters if _block_index(l, layout) == k)
-        return GroupElement.from_braid(BraidWord(g.n, kept))
+        return GroupElement(BraidWord(g.n, kept))
 
     def evaluate(*gs: GroupElement):
         return u.evaluate(*(project(g) for g in gs))

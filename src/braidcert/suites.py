@@ -79,7 +79,7 @@ class SuiteReport:
 def _random_braid(rng: random.Random, n: int, max_len: int) -> GroupElement:
     length = rng.randrange(max_len + 1)
     letters = tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(length))
-    return GroupElement.from_braid(BraidWord(n, letters))
+    return GroupElement(BraidWord(n, letters))
 
 
 def _random_pure(rng: random.Random, n: int, max_gens: int = 4) -> GroupElement:
@@ -88,7 +88,7 @@ def _random_pure(rng: random.Random, n: int, max_gens: int = 4) -> GroupElement:
         i = rng.randint(1, n - 1)
         j = rng.randint(i + 1, n)
         beta = beta * pure_gen_braid(n, i, j) ** rng.choice([-1, 1])
-    return GroupElement.from_braid(beta)
+    return GroupElement(beta)
 
 
 def _random_custom(rng: random.Random, n: int) -> MagnusExpansion:
@@ -115,7 +115,7 @@ def run_lemmas(seed: int) -> SuiteReport:
         cases = 0
         for i in range(1, n):
             cases += 1
-            got = tau1(theta, GroupElement.from_braid(BraidWord.gen(n, i)))
+            got = tau1(theta, GroupElement(BraidWord.gen(n, i)))
             cols = [TruncatedTensor.zero(n, 2) for _ in range(n)]
             cols[i - 1] = _bracket_hom(n, i, i + 1)
             if got != HomTensor(n, 2, tuple(cols)):
@@ -135,7 +135,7 @@ def run_lemmas(seed: int) -> SuiteReport:
         for i in range(1, n):
             for j in range(i + 1, n + 1):
                 cases += 1
-                got = tau1(theta, GroupElement.from_braid(pure_gen_braid(n, i, j)))
+                got = tau1(theta, GroupElement(pure_gen_braid(n, i, j)))
                 cols = [TruncatedTensor.zero(n, 2) for _ in range(n)]
                 cols[i - 1] = _bracket_hom(n, i, j)
                 cols[j - 1] = -_bracket_hom(n, i, j)

@@ -67,7 +67,7 @@ def test_criterion_01_elementary_generator_values():
     for n in range(2, 7):
         theta = MagnusExpansion.standard(n, 2)
         for i in range(1, n):
-            got = tau1(theta, GroupElement.from_braid(BraidWord.gen(n, i)))
+            got = tau1(theta, GroupElement(BraidWord.gen(n, i)))
             cols = [TruncatedTensor.zero(n, 2) for _ in range(n)]
             cols[i - 1] = bracket(n, i, i + 1)
             ok = ok and got == HomTensor(n, 2, tuple(cols))
@@ -89,7 +89,7 @@ def test_criterion_02_band_generator_values():
         theta = MagnusExpansion.standard(n, 2)
         for i in range(1, n):
             for j in range(i + 1, n + 1):
-                got = tau1(theta, GroupElement.from_braid(pure_gen_braid(n, i, j)))
+                got = tau1(theta, GroupElement(pure_gen_braid(n, i, j)))
                 cols = [TruncatedTensor.zero(n, 2) for _ in range(n)]
                 cols[i - 1] = bracket(n, i, j)
                 cols[j - 1] = -bracket(n, i, j)
@@ -182,7 +182,7 @@ def test_criterion_06_blockwise_primitivity():
 def test_criterion_07_nonvanishing_pairings():
     start = time.monotonic()
     theta2 = MagnusExpansion.standard(2, 2)
-    z = torus_cycle([GroupElement.from_braid(pure_gen_braid(2, 1, 2))])
+    z = torus_cycle([GroupElement(pure_gen_braid(2, 1, 2))])
     got = pair(hbar_cochain(theta2, 1), z)
     first = got == TruncatedTensor(2, 1, {(1,): 1, (2,): 1})
 

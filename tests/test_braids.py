@@ -28,7 +28,7 @@ from braidcert.words import AutPair, EndoMap, FreeWord, GrammarError
 
 def same(a: BraidWord, b: BraidWord) -> bool:
     """Equality in B_n, decided by GroupElement through the faithful action."""
-    return GroupElement.from_braid(a) == GroupElement.from_braid(b)
+    return GroupElement(a) == GroupElement(b)
 
 
 def random_braid(rng: random.Random, n: int, max_len: int) -> BraidWord:
@@ -271,7 +271,7 @@ def test_composed_pairs_stay_mutually_inverse():
     for _ in range(30):
         n = rng.randint(3, 5)
         assert_mutually_inverse(artin_action(random_braid(rng, n, 12)))
-        g = GroupElement.from_braid(random_braid(rng, n, 6))
-        h = GroupElement.from_braid(random_braid(rng, n, 6))
+        g = GroupElement(random_braid(rng, n, 6))
+        h = GroupElement(random_braid(rng, n, 6))
         for elem in (g * h, h.inverse() * g, (g * h).inverse()):
             assert_mutually_inverse(elem.aut)

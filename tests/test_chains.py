@@ -38,11 +38,11 @@ F = Fraction
 
 
 def band(n: int, i: int, j: int) -> GroupElement:
-    return GroupElement.from_braid(pure_gen_braid(n, i, j))
+    return GroupElement(pure_gen_braid(n, i, j))
 
 
 def twist(n: int, k: int) -> GroupElement:
-    return GroupElement.from_braid(full_twist(n, k))
+    return GroupElement(full_twist(n, k))
 
 
 def random_pure(rng: random.Random, n: int, max_gens: int = 3) -> GroupElement:
@@ -51,7 +51,7 @@ def random_pure(rng: random.Random, n: int, max_gens: int = 3) -> GroupElement:
         i = rng.randint(1, n - 1)
         j = rng.randint(i + 1, n)
         beta = beta * pure_gen_braid(n, i, j) ** rng.choice([-1, 1])
-    return GroupElement.from_braid(beta)
+    return GroupElement(beta)
 
 
 # chain basics
@@ -67,7 +67,7 @@ def test_boundary_of_a_pair():
 
 def test_degenerate_tuples_are_dropped():
     g = band(3, 1, 2)
-    e = GroupElement.identity(3)
+    e = GroupElement(BraidWord.identity(3))
     assert BarChain(2, {(g, e): F(1)}).is_zero()
     assert BarChain(2, {(g, g.inverse()): F(1)}).boundary() == BarChain(
         1, {(g,): F(1), (g.inverse(),): F(1)}
@@ -160,7 +160,7 @@ def random_commuting_set(rng: random.Random, n: int) -> list[GroupElement]:
         i = rng.randint(1, size - 1)
         j = rng.randint(i + 1, size)
         for beta in (pure_gen_braid(size, i, j) ** rng.choice([1, 2]), full_twist(size, size)):
-            g = GroupElement.from_braid(beta.embed(offset, n))
+            g = GroupElement(beta.embed(offset, n))
             pool += [g, g.inverse()]
         offset += size
     pool = list(dict.fromkeys(pool))  # on two strands the band may be the twist
@@ -169,7 +169,7 @@ def random_commuting_set(rng: random.Random, n: int) -> list[GroupElement]:
     if extra == "repeat":
         elems.append(rng.choice(elems))
     elif extra == "identity":
-        elems.append(GroupElement.identity(n))
+        elems.append(GroupElement(BraidWord.identity(n)))
     rng.shuffle(elems)
     return elems
 
@@ -205,11 +205,11 @@ def test_commutes_with_agrees_with_products_on_random_pairs():
         elems = random_commuting_set(rng, n)
         letters = tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(4))
         pool = elems + [g.inverse() for g in elems] + [
-            GroupElement.identity(n),
+            GroupElement(BraidWord.identity(n)),
             band(n, 1, 2),
             band(n, 1, 3),
             random_pure(rng, n),
-            GroupElement.from_braid(BraidWord(n, letters)),
+            GroupElement(BraidWord(n, letters)),
         ]
         for i, a in enumerate(pool):
             for b in pool[i:]:
@@ -270,7 +270,7 @@ def test_pairing_kills_cocycles_on_boundaries():
 
 def test_pairing_refuses_nontrivial_action():
     theta = MagnusExpansion.standard(2, 2)
-    z = BarChain(1, {(GroupElement.from_braid(BraidWord.gen(2, 1)),): F(1)})
+    z = BarChain(1, {(GroupElement(BraidWord.gen(2, 1)),): F(1)})
     with pytest.raises(ValueError):
         pair(hbar_cochain(theta, 1), z)
 

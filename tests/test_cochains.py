@@ -16,8 +16,8 @@ from itertools import product as iter_product
 
 import pytest
 
-from braidcert import cochains
-from braidcert.braids import BraidWord, full_twist, is_pure, pure_gen_braid
+from braidcert import certify, cochains
+from braidcert.braids import BraidWord, artin_action, full_twist, is_pure, pure_gen_braid
 from braidcert.cochains import (
     BlockEmbedding,
     Cochain,
@@ -36,6 +36,7 @@ from braidcert.cochains import (
     unit_cochain,
 )
 from braidcert.magnus import MagnusExpansion
+from braidcert.suites import run_suite
 from braidcert.tensors import (
     ExteriorElement,
     HomTensor,
@@ -51,7 +52,7 @@ F = Fraction
 def random_braid_element(rng: random.Random, n: int, max_len: int) -> GroupElement:
     length = rng.randrange(max_len + 1)
     letters = tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(length))
-    return GroupElement.from_braid(BraidWord(n, letters))
+    return GroupElement(BraidWord(n, letters))
 
 
 def random_pure_element(rng: random.Random, n: int, max_gens: int = 4) -> GroupElement:
@@ -60,7 +61,7 @@ def random_pure_element(rng: random.Random, n: int, max_gens: int = 4) -> GroupE
         i = rng.randint(1, n - 1)
         j = rng.randint(i + 1, n)
         beta = beta * pure_gen_braid(n, i, j) ** rng.choice([-1, 1])
-    return GroupElement.from_braid(beta)
+    return GroupElement(beta)
 
 
 def random_custom(rng: random.Random, n: int, cap: int = 2) -> MagnusExpansion:
@@ -87,7 +88,7 @@ def test_tau1_on_elementary_generators():
     for n in range(2, 7):
         theta = MagnusExpansion.standard(n, 2)
         for i in range(1, n):
-            got = tau1(theta, GroupElement.from_braid(BraidWord.gen(n, i)))
+            got = tau1(theta, GroupElement(BraidWord.gen(n, i)))
             cols = [TruncatedTensor.zero(n, 2) for _ in range(n)]
             cols[i - 1] = bracket_column(n, i, i + 1)
             assert got == HomTensor(n, 2, tuple(cols))
@@ -100,7 +101,7 @@ def test_tau1_on_band_generators():
         theta = MagnusExpansion.standard(n, 2)
         for i in range(1, n):
             for j in range(i + 1, n + 1):
-                got = tau1(theta, GroupElement.from_braid(pure_gen_braid(n, i, j)))
+                got = tau1(theta, GroupElement(pure_gen_braid(n, i, j)))
                 cols = [TruncatedTensor.zero(n, 2) for _ in range(n)]
                 cols[i - 1] = bracket_column(n, i, j)
                 cols[j - 1] = -bracket_column(n, i, j)
@@ -109,12 +110,12 @@ def test_tau1_on_band_generators():
 
 def test_tau1_vanishes_on_identity():
     theta = MagnusExpansion.standard(3, 2)
-    assert tau1(theta, GroupElement.identity(3)).is_zero()
+    assert tau1(theta, GroupElement(BraidWord.identity(3))).is_zero()
 
 
 def test_hbar1_of_first_band_generator_is_full_weight():
     theta = MagnusExpansion.standard(2, 2)
-    g = GroupElement.from_braid(pure_gen_braid(2, 1, 2))
+    g = GroupElement(pure_gen_braid(2, 1, 2))
     got = hbar_cochain(theta, 1)(g)
     assert got == TruncatedTensor(2, 1, {(1,): 1, (2,): 1})
 
@@ -122,7 +123,7 @@ def test_hbar1_of_first_band_generator_is_full_weight():
 def test_hbar1_of_elementary_generator():
     # leading-index contraction leaves only the X_{i+1} term
     theta = MagnusExpansion.standard(3, 2)
-    got = hbar_cochain(theta, 1)(GroupElement.from_braid(BraidWord.gen(3, 1)))
+    got = hbar_cochain(theta, 1)(GroupElement(BraidWord.gen(3, 1)))
     assert got == TruncatedTensor(3, 1, {(2,): 1})
 
 
@@ -130,7 +131,7 @@ def test_cochain_degree_guard():
     theta = MagnusExpansion.standard(2, 2)
     u = hp_cochain(theta, 2)
     with pytest.raises(ValueError):
-        u(GroupElement.identity(2))
+        u(GroupElement(BraidWord.identity(2)))
 
 
 # the crossed homomorphism law and coboundaries
@@ -187,7 +188,7 @@ def test_coboundary_squares_to_zero():
 def test_normalisation_kills_degenerate_tuples():
     rng = random.Random(45)
     theta = MagnusExpansion.standard(3, 2)
-    e = GroupElement.identity(3)
+    e = GroupElement(BraidWord.identity(3))
     for p in (1, 2, 3):
         u = hp_cochain(theta, p)
         for slot in range(p):
@@ -353,19 +354,19 @@ def test_tau1_on_alternating_powers_matches_word_path_oracle():
     rng = random.Random(57)
     for theta in (MagnusExpansion.standard(3, 2), random_custom(rng, 3)):
         for k in range(7):
-            g = GroupElement.from_braid(BraidWord(3, (1, -2) * k))
+            g = GroupElement(BraidWord(3, (1, -2) * k))
             assert tau1(theta, g) == oracle_tau1(theta, g)
 
 
 def test_tau1_of_identity_matches_word_path_oracle():
     rng = random.Random(58)
     for theta in (MagnusExpansion.standard(4, 2), random_custom(rng, 4)):
-        e = GroupElement.identity(4)
+        e = GroupElement(BraidWord.identity(4))
         assert tau1(theta, e) == oracle_tau1(theta, e) == HomTensor.zero(4, 2)
 
 
 def test_tau1_is_a_function_of_the_braid_not_the_word():
-    # fresh expansions each time: the per-element cache keys on group equality
+    # fresh expansions each time, so no cached value is shared between spellings
     rng = random.Random(59)
     for _ in range(10):
         n = rng.randint(3, 5)
@@ -375,7 +376,7 @@ def test_tau1_is_a_function_of_the_braid_not_the_word():
         relator = (i, i + 1, i, -(i + 1), -i, -(i + 1))
         at = rng.randint(0, len(beta))
         spellings = (beta, beta[:at] + relator + beta[at:])
-        elems = [GroupElement.from_braid(BraidWord(n, w)) for w in spellings]
+        elems = [GroupElement(BraidWord(n, w)) for w in spellings]
         assert elems[0] == elems[1]
         for make in (
             lambda: MagnusExpansion.standard(n, 2),
@@ -393,14 +394,14 @@ def test_tau1_evaluates_theta_on_short_words_once_per_letter(monkeypatch):
         seen.append(word)
         return value(self, word)
 
-    g = GroupElement.from_braid(BraidWord(3, (1, -2) * 9))
+    g = GroupElement(BraidWord(3, (1, -2) * 9))
     expected = oracle_tau1(MagnusExpansion.standard(3, 2), g)
     monkeypatch.setattr(MagnusExpansion, "value", recording)
     theta = MagnusExpansion.standard(3, 2)
     assert tau1(theta, g) == expected
     assert seen and max(len(w.letters) for w in seen) <= 3
     seen.clear()
-    tau1(theta, GroupElement.from_braid(BraidWord(3, (-2, 1, 1, -2, -2))))
+    tau1(theta, GroupElement(BraidWord(3, (-2, 1, 1, -2, -2))))
     assert seen == []
 
 
@@ -409,7 +410,7 @@ def test_tau1_rank_guard_comes_before_any_letter_value(monkeypatch):
         raise AssertionError("a letter value was read")
 
     monkeypatch.setattr(cochains, "_letter_tau1", unreachable)
-    g = GroupElement.from_braid(BraidWord(3, (1, -2)))
+    g = GroupElement(BraidWord(3, (1, -2)))
     with pytest.raises(ValueError, match="element rank does not match expansion rank"):
         tau1(MagnusExpansion.standard(4, 2), g)
 
@@ -434,7 +435,7 @@ def test_tau1_does_depend_on_expansion_off_pure_braids():
     custom = MagnusExpansion.custom(
         n, 2, [TruncatedTensor(n, 2, {(1, 1): 1}), TruncatedTensor.zero(n, 2)]
     )
-    g = GroupElement.from_braid(BraidWord.gen(2, 1))
+    g = GroupElement(BraidWord.gen(2, 1))
     assert tau1(custom, g) != tau1(std, g)
 
 
@@ -455,7 +456,7 @@ def random_product_element(rng: random.Random, layout) -> GroupElement:
     letters = []
     while any(words):
         letters.append(rng.choice([w for w in words if w]).pop(0))
-    return GroupElement.from_braid(BraidWord(layout[0].ambient, tuple(letters)))
+    return GroupElement(BraidWord(layout[0].ambient, tuple(letters)))
 
 
 def projection(k: int, layout):
@@ -492,9 +493,9 @@ def test_projection_rejects_a_letter_crossing_blocks():
     proj = projection(0, layout)
     for letters in ((2,), (1, -2), (3, 2)):
         with pytest.raises(ValueError):
-            proj(GroupElement.from_braid(BraidWord(4, letters)))
+            proj(GroupElement(BraidWord(4, letters)))
     with pytest.raises(ValueError):
-        projection(1, block_layout((1, 3, 2), 6))(GroupElement.from_braid(BraidWord.gen(6, 1)))
+        projection(1, block_layout((1, 3, 2), 6))(GroupElement(BraidWord.gen(6, 1)))
 
 
 def test_block_restrict_is_additive_over_projections():
@@ -527,12 +528,78 @@ def test_mixed_block_composites_vanish_identically():
 
 
 def test_group_element_equality_ignores_spelling():
-    a = GroupElement.from_braid(BraidWord(3, (1, 2, 1)))
-    b = GroupElement.from_braid(BraidWord(3, (2, 1, 2)))
+    a = GroupElement(BraidWord(3, (1, 2, 1)))
+    b = GroupElement(BraidWord(3, (2, 1, 2)))
     assert a == b and hash(a) == hash(b)
 
 
 def test_full_twist_acts_trivially_on_homology():
     for n in (2, 3, 4):
-        g = GroupElement.from_braid(full_twist(n, n))
+        g = GroupElement(full_twist(n, n))
         assert g.acts_trivially() and not g.is_identity
+
+
+# the braid word is the element: equality against the eager automorphism path
+
+
+def respelled(rng: random.Random, beta: BraidWord) -> BraidWord:
+    """The same element of B_n, with a relator inserted at a random position."""
+    n, letters = beta.n, beta.letters
+    i = rng.randint(1, n - 1)
+    relators = [(i, -i), (-i, i)]
+    if n >= 3:
+        k = rng.randint(1, n - 2)
+        relators.append((k, k + 1, k, -(k + 1), -k, -(k + 1)))
+    if n >= 4:
+        k = rng.randint(1, n - 3)
+        j = rng.randint(k + 2, n - 1)
+        relators.append((k, j, -k, -j))
+    at = rng.randint(0, len(letters))
+    return BraidWord(n, letters[:at] + rng.choice(relators) + letters[at:])
+
+
+def test_element_equality_matches_the_eager_automorphism_path():
+    rng = random.Random(60)
+    outcomes = set()
+    for _ in range(150):
+        n = rng.randint(2, 6)
+        a = random_braid_element(rng, n, 5).braid
+        b = rng.choice([
+            respelled(rng, a),
+            random_braid_element(rng, n, 5).braid,
+            random_braid_element(rng, rng.randint(2, 6), 5).braid,
+        ])
+        x, y = GroupElement(a), GroupElement(b)
+        equal = artin_action(a).fwd.images == artin_action(b).fwd.images
+        assert (x == y) == equal
+        if equal:
+            assert hash(x) == hash(y)
+        outcomes.add((equal, a.n == b.n))
+        assert x.inverse().aut.fwd == artin_action(a).inverse().fwd
+        if a.n == b.n:
+            assert (x * y).aut.fwd == artin_action(a).compose(artin_action(b)).fwd
+        else:
+            with pytest.raises(ValueError, match="rank mismatch"):
+                x * y
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_only_equality_and_commutation_build_automorphisms(monkeypatch):
+    built: list[BraidWord] = []
+    original = cochains.artin_action
+
+    def recording(beta):
+        built.append(beta)
+        return original(beta)
+
+    monkeypatch.setattr(cochains, "artin_action", recording)
+    rng = random.Random(61)
+    g = GroupElement(BraidWord(4, tuple(rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(30))))
+    tau1(MagnusExpansion.standard(4, 2), g)
+    assert built == []
+    for suite in ("lemmas", "cocycle", "primitivity", "expansion-independence"):
+        assert run_suite(suite).passed
+        assert built == [], suite
+    certify._commuting_tuples.cache_clear()
+    assert certify.certificate(8, 4).passed
+    assert built and all(beta.n < 8 for beta in built)
