@@ -113,9 +113,6 @@ class GroupElement:
         f, g = self.aut.fwd, other.aut.fwd
         return all(f(gx) == g(fx) for fx, gx in zip(f.images, g.images))
 
-    def embed(self, offset: int, ambient: int) -> GroupElement:
-        return GroupElement(self.braid.embed(offset, ambient))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GroupElement) and self.aut.fwd == other.aut.fwd
 
@@ -144,7 +141,7 @@ class BlockEmbedding:
     def apply(self, g: GroupElement) -> GroupElement:
         if g.n != self.size:
             raise ValueError(f"element has rank {g.n}, block has size {self.size}")
-        return g.embed(self.offset, self.ambient)
+        return GroupElement(g.braid.embed(self.offset, self.ambient))
 
 
 def block_layout(sizes: Sequence[int], ambient: int) -> tuple[BlockEmbedding, ...]:

@@ -1,8 +1,10 @@
 """Named self-check suites with machine-readable reports.
 
 Each suite runs a fixed family of identities at fixed sizes, seeded for
-reproducibility, and reports one row per identity and size with a
-counterexample witness on failure.  The suites cover:
+reproducibility, and reports one row per identity and size.  Every row
+checks its cases in order and stops at the first failure: its `cases`
+counts the cases checked, the failing one included, and its witness names
+the failing case (None when the row passes).  The suites cover:
 
 * lemmas                  -- closed-form values of tau1 on the elementary
                              and band generators, ranks 2 to 6;
@@ -21,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import product as iter_product
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .braids import BraidWord, pure_gen_braid
 from .certify import certificate
@@ -107,52 +109,48 @@ def _bracket_hom(n: int, i: int, j: int) -> TruncatedTensor:
     return TruncatedTensor(n, 2, {(i, j): 1, (j, i): -1})
 
 
+def _row(
+    name: str,
+    identity: str,
+    cases: Iterable[tuple],
+    holds: Callable[..., bool],
+    witness: Callable[..., str] = lambda *case: repr(case),
+) -> SuiteRow:
+    """Check holds(*case) for each case in turn; the first failure ends the row."""
+    checked = 0
+    for case in cases:
+        checked += 1
+        if not holds(*case):
+            return SuiteRow(name, identity, checked, False, witness(*case))
+    return SuiteRow(name, identity, checked, True)
+
+
+def _hom(n: int, columns: dict[int, TruncatedTensor]) -> HomTensor:
+    """The degree-2 HomTensor with the given nonzero columns, numbered from 1."""
+    zero = TruncatedTensor.zero(n, 2)
+    return HomTensor(n, 2, tuple(columns.get(j, zero) for j in range(1, n + 1)))
+
+
 def run_lemmas(seed: int) -> SuiteReport:
     report = SuiteReport("lemmas", seed)
     for n in range(2, 7):
         theta = MagnusExpansion.standard(n, 2)
-        bad: str | None = None
-        cases = 0
-        for i in range(1, n):
-            cases += 1
-            got = tau1(theta, GroupElement(BraidWord.gen(n, i)))
-            cols = [TruncatedTensor.zero(n, 2) for _ in range(n)]
-            cols[i - 1] = _bracket_hom(n, i, i + 1)
-            if got != HomTensor(n, 2, tuple(cols)):
-                bad = f"s_{i} at n={n}"
-                break
-        report.rows.append(
-            SuiteRow(
-                f"elementary-generators-n{n}",
-                "tau1(s_i) = l_i (x) (X_i X_{i+1} - X_{i+1} X_i)",
-                cases,
-                bad is None,
-                bad,
-            )
-        )
-        bad = None
-        cases = 0
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                cases += 1
-                got = tau1(theta, GroupElement(pure_gen_braid(n, i, j)))
-                cols = [TruncatedTensor.zero(n, 2) for _ in range(n)]
-                cols[i - 1] = _bracket_hom(n, i, j)
-                cols[j - 1] = -_bracket_hom(n, i, j)
-                if got != HomTensor(n, 2, tuple(cols)):
-                    bad = f"A({i},{j}) at n={n}"
-                    break
-            if bad:
-                break
-        report.rows.append(
-            SuiteRow(
-                f"band-generators-n{n}",
-                "tau1(A_ij) = (l_i - l_j) (x) (X_i X_j - X_j X_i)",
-                cases,
-                bad is None,
-                bad,
-            )
-        )
+        report.rows.append(_row(
+            f"elementary-generators-n{n}",
+            "tau1(s_i) = l_i (x) (X_i X_{i+1} - X_{i+1} X_i)",
+            ((i,) for i in range(1, n)),
+            lambda i: tau1(theta, GroupElement(BraidWord.gen(n, i)))
+            == _hom(n, {i: _bracket_hom(n, i, i + 1)}),
+            lambda i: f"s_{i} at n={n}",
+        ))
+        report.rows.append(_row(
+            f"band-generators-n{n}",
+            "tau1(A_ij) = (l_i - l_j) (x) (X_i X_j - X_j X_i)",
+            ((i, j) for i in range(1, n) for j in range(i + 1, n + 1)),
+            lambda i, j: tau1(theta, GroupElement(pure_gen_braid(n, i, j)))
+            == _hom(n, {i: _bracket_hom(n, i, j), j: -_bracket_hom(n, i, j)}),
+            lambda i, j: f"A({i},{j}) at n={n}",
+        ))
     return report
 
 
@@ -162,35 +160,20 @@ def run_cocycle(seed: int) -> SuiteReport:
     for n in range(2, 6):
         theta = MagnusExpansion.standard(n, 2)
         delta = coboundary(tau1_cochain(theta))
-        bad: str | None = None
-        cases = 16
-        for _ in range(cases):
-            g, h = _random_braid(rng, n, 8), _random_braid(rng, n, 8)
-            if not delta(g, h).is_zero():
-                bad = f"({g!r}, {h!r})"
-                break
-        report.rows.append(
-            SuiteRow(
-                f"tau1-cocycle-n{n}", "delta tau1 = 0", cases, bad is None, bad
-            )
-        )
+        report.rows.append(_row(
+            f"tau1-cocycle-n{n}",
+            "delta tau1 = 0",
+            ((_random_braid(rng, n, 8), _random_braid(rng, n, 8)) for _ in range(16)),
+            lambda g, h: delta(g, h).is_zero(),
+        ))
         for p, cases in ((2, 8), (3, 2)):
             delta_p = coboundary(hp_cochain(theta, p))
-            bad = None
-            for _ in range(cases):
-                gs = tuple(_random_braid(rng, n, 8) for _ in range(p + 1))
-                if not delta_p(*gs).is_zero():
-                    bad = repr(gs)
-                    break
-            report.rows.append(
-                SuiteRow(
-                    f"composite-cocycle-p{p}-n{n}",
-                    "delta h_p = 0",
-                    cases,
-                    bad is None,
-                    bad,
-                )
-            )
+            report.rows.append(_row(
+                f"composite-cocycle-p{p}-n{n}",
+                "delta h_p = 0",
+                (tuple(_random_braid(rng, n, 8) for _ in range(p + 1)) for _ in range(cases)),
+                lambda *gs: delta_p(*gs).is_zero(),
+            ))
     return report
 
 
@@ -208,46 +191,23 @@ def run_primitivity(seed: int) -> SuiteReport:
 
         for p in (1, 2, 3):
             total = hp_cochain(theta, p)
-            pulled = [
-                projection_pullback(hp_cochain(theta, p), k, layout) for k in (0, 1)
-            ]
-            bad: str | None = None
-            cases = 4
-            for _ in range(cases):
-                es = tuple(sample() for _ in range(p))
-                if total(*es) != pulled[0](*es) + pulled[1](*es):
-                    bad = repr(es)
-                    break
-            report.rows.append(
-                SuiteRow(
-                    f"block-additivity-p{p}-blocks{n1}x{n2}",
-                    "h_p restricted to a block product = sum of the block pullbacks",
-                    cases,
-                    bad is None,
-                    bad,
-                )
-            )
+            first, second = (projection_pullback(total, k, layout) for k in (0, 1))
+            report.rows.append(_row(
+                f"block-additivity-p{p}-blocks{n1}x{n2}",
+                "h_p restricted to a block product = sum of the block pullbacks",
+                (tuple(sample() for _ in range(p)) for _ in range(4)),
+                lambda *es: total(*es) == first(*es) + second(*es),
+            ))
         t = tau1_cochain(theta)
         for p in (2, 3):
             # factors alternate between the two blocks, so every composite dies
-            factors = [projection_pullback(t, k % 2, layout) for k in range(p)]
-            mixed = composite_cochain(factors)
-            bad = None
-            cases = 4
-            for _ in range(cases):
-                es = tuple(sample() for _ in range(p))
-                if not mixed(*es).is_zero():
-                    bad = repr(es)
-                    break
-            report.rows.append(
-                SuiteRow(
-                    f"mixed-composite-vanishes-p{p}-blocks{n1}x{n2}",
-                    "composites of factors from different blocks vanish identically",
-                    cases,
-                    bad is None,
-                    bad,
-                )
-            )
+            mixed = composite_cochain([projection_pullback(t, k % 2, layout) for k in range(p)])
+            report.rows.append(_row(
+                f"mixed-composite-vanishes-p{p}-blocks{n1}x{n2}",
+                "composites of factors from different blocks vanish identically",
+                (tuple(sample() for _ in range(p)) for _ in range(4)),
+                lambda *es: mixed(*es).is_zero(),
+            ))
     return report
 
 
@@ -257,44 +217,26 @@ def run_expansion_independence(seed: int) -> SuiteReport:
     for n in range(2, 6):
         std = MagnusExpansion.standard(n, 2)
         expansions = [_random_custom(rng, n) for _ in range(5)]
-        bad: str | None = None
-        cases = 0
-        for _ in range(13):
-            g = _random_pure(rng, n)
-            want = tau1(std, g)
-            for k, theta in enumerate(expansions):
-                cases += 1
-                if tau1(theta, g) != want:
-                    bad = f"expansion {k} on {g!r}"
-                    break
-            if bad:
-                break
-        report.rows.append(
-            SuiteRow(
-                f"pure-braid-independence-n{n}",
-                "tau1 on pure braids does not depend on the expansion",
-                cases,
-                bad is None,
-                bad,
-            )
-        )
+        report.rows.append(_row(
+            f"pure-braid-independence-n{n}",
+            "tau1 on pure braids does not depend on the expansion",
+            ((g, k) for g in (_random_pure(rng, n) for _ in range(13)) for k in range(5)),
+            lambda g, k: tau1(expansions[k], g) == tau1(std, g),
+            lambda g, k: f"expansion {k} on {g!r}",
+        ))
     return report
 
 
 def run_independence_small(seed: int) -> SuiteReport:
     report = SuiteReport("independence-small", seed)
     for n, q in ((2, 1), (3, 1), (4, 2), (5, 2)):
-        cert = certificate(n, q, seed=seed)
-        witness = None if cert.passed else f"rank {cert.rank} of {cert.expected_rank}"
-        report.rows.append(
-            SuiteRow(
-                f"certificate-n{n}-q{q}",
-                "the pairing matrix of the partition cochains has full row rank",
-                1,
-                cert.passed,
-                witness,
-            )
-        )
+        report.rows.append(_row(
+            f"certificate-n{n}-q{q}",
+            "the pairing matrix of the partition cochains has full row rank",
+            [(certificate(n, q, seed=seed),)],
+            lambda cert: cert.passed,
+            lambda cert: f"rank {cert.rank} of {cert.expected_rank}",
+        ))
     return report
 
 

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import braidcert.suites as suites
 from braidcert.cli import main
 
 
@@ -225,3 +226,15 @@ def test_subprocess_output_is_byte_identical():
     ]
     assert runs[0] == runs[1]
     assert json.loads(runs[0])["passed"] is True
+
+
+def test_failing_suite_exits_1_and_names_the_failing_case(capsys, monkeypatch):
+    real = suites.tau1
+    monkeypatch.setattr(suites, "tau1", lambda theta, g: 2 * real(theta, g))
+    code, out, err = run_cli(capsys, "check", "--suite", "lemmas")
+    assert code == 1
+    assert "suite lemmas failed" in err
+    data = json.loads(out)
+    assert data["passed"] is False
+    row = next(r for r in data["rows"] if r["name"] == "elementary-generators-n2")
+    assert (row["cases"], row["passed"], row["witness"]) == (1, False, "s_1 at n=2")
