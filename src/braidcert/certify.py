@@ -35,11 +35,13 @@ against cycles of a strictly later partition in the enumeration order are
 expected to vanish identically, which makes the pass criterion a matter of
 nonzero diagonal blocks.
 
-scalar_factor_check compares, against random torus cycles in an embedded
-block product, the restriction of hbar_lambda with the product of its
-single-block factors scaled by the repetition factor prod_p (count of parts
-equal to p)!.  The comparison is a pairing of cycles because the two sides
-agree only up to a coboundary, not pointwise.
+scalar_factor_check compares the restriction of hbar_lambda to the block
+product with the cup of its single-block factors scaled by the repetition
+factor prod_p (count of parts equal to p)!.  It pairs both sides against
+catalog cycles of lambda whose elements are raised to random powers; powers
+of pairwise commuting elements commute, so these are tori too.  The
+comparison is a pairing of cycles because the two sides agree only up to a
+coboundary, not pointwise.
 
 All exterior coordinates use the projection without 1/q! normalisation;
 certificates say so in their JSON output.
@@ -361,25 +363,6 @@ def certificate(
 # the scalar factor of restricted cup powers
 
 
-def _random_block_tuple(
-    rng: random.Random, p: int
-) -> list[BraidWord]:
-    """A commuting p-tuple of pure braids in a block of size p + 1, random powers."""
-    size = p + 1
-
-    def power() -> int:
-        return rng.choice([-2, -1, 1, 2])
-
-    if p == 1:
-        return [pure_gen_braid(size, 1, 2) ** power()]
-    i = rng.randint(1, size - 1)
-    j = rng.randint(i + 1, size)
-    elems = [pure_gen_braid(size, i, j) ** power()]
-    for k in range(3, size + 1):
-        elems.append(full_twist(size, k) ** power())
-    return elems
-
-
 def scalar_factor_check(
     theta: MagnusExpansion,
     parts: Sequence[int],
@@ -388,10 +371,12 @@ def scalar_factor_check(
 ) -> tuple[bool, list[tuple[Any, Any]]]:
     """Pair both sides of the restriction identity against three random block tori.
 
-    The left side is hbar over the partition, restricted to the block
-    product; the right side is the cup of the blockwise pullbacks scaled by
-    the repetition factor.  Returns overall success and the list of paired
-    (left, right) values.
+    Each torus is a random catalog cycle of the partition, at the
+    certificate's default depth, with each element raised to a random power
+    in {-2, -1, 1, 2}.  The left side is hbar over the partition, restricted
+    to the block product; the right side is the cup of the blockwise
+    pullbacks scaled by the repetition factor.  Returns overall success and
+    the list of paired (left, right) values.
     """
     parts = tuple(parts)
     layout = partition_layout(parts, n)
@@ -404,15 +389,14 @@ def scalar_factor_check(
             )
     factor = multiplicity_factor(parts)
 
+    cycles = partition_cycles(parts, n, 3)
     witnesses: list[tuple[Any, Any]] = []
     ok = True
     for _ in range(3):
-        elements: list[GroupElement] = []
-        for p, e in zip(parts, layout):
-            if not p:
-                continue
-            for beta in _random_block_tuple(rng, p):
-                elements.append(GroupElement(beta.embed(e.offset, n)))
+        elements = [
+            GroupElement(g.braid ** rng.choice([-2, -1, 1, 2]))
+            for g in rng.choice(cycles).elements
+        ]
         z = torus_cycle(elements)
         left = pair(lhs, z)
         right = factor * pair(rhs, z)

@@ -40,17 +40,8 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .braids import parse_braid
 from .cochains import BlockEmbedding, Cochain, GroupElement
-from .tensors import Scalar, rational
+from .tensors import Scalar, _sort_with_sign, rational
 from .words import GrammarError
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 @dataclass(frozen=True)
@@ -131,7 +122,7 @@ def torus_cycle(elems: Sequence[GroupElement]) -> BarChain:
     terms: dict[tuple, int] = {}
     for perm in permutations(range(p)):
         tup = tuple(elems[k] for k in perm)
-        sign = _perm_sign(perm)
+        sign = _sort_with_sign(perm)[1]
         terms[tup] = terms.get(tup, 0) + sign
     return BarChain(p, terms)
 
@@ -249,7 +240,9 @@ def _parse_cross(body: str, n: int, offset: int) -> BarChain:
         try:
             size = int(size_text.strip())
         except ValueError:
-            raise GrammarError(f"bad block size {size_text.strip()!r}", offset + i + 1) from None
+            size = 0
+        if size < 1:
+            raise GrammarError(f"bad block size {size_text.strip()!r}", offset + i + 1)
         blocks.append((size, cycle_text, offset + i + 1 + len(size_text) + 1))
         i = j
     if not blocks:

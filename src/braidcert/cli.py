@@ -126,8 +126,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "expand":
         degree = args.degree if args.degree is not None else _default_degree()
         if degree < 2:
-            print("error: --degree must be at least 2", file=sys.stderr)
-            return 2
+            raise ValueError("--degree must be at least 2")
         theta = MagnusExpansion.standard(args.n, degree)
         word = parse_word(args.word, args.n)
         _emit(theta.value(word).to_json_dict())
@@ -170,17 +169,15 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "hbar":
         theta = MagnusExpansion.standard(args.n, 2)
+        cochain = hbar_cochain(theta, args.p, exterior=args.exterior)
         if len(args.braids) != args.p:
-            print(
-                f"error: degree {args.p} needs {args.p} braid arguments, "
-                f"got {len(args.braids)}",
-                file=sys.stderr,
+            raise ValueError(
+                f"degree {args.p} needs {args.p} braid arguments, got {len(args.braids)}"
             )
-            return 2
         elems = [
             GroupElement(parse_braid(text, args.n)) for text in args.braids
         ]
-        value = hbar_cochain(theta, args.p, exterior=args.exterior)(*elems)
+        value = cochain(*elems)
         _emit(value.to_json_dict())
         return 0
 
@@ -190,8 +187,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             try:
                 parts = tuple(int(x) for x in args.partition.split(","))
             except ValueError:
-                print(f"error: bad partition {args.partition!r}", file=sys.stderr)
-                return 2
+                raise ValueError(f"bad partition {args.partition!r}") from None
             cochain = hbar_partition_cochain(theta, parts)
         else:
             exterior = args.form == "exterior"

@@ -52,7 +52,6 @@ single block, re-embedded: it evaluates on the letters of that block alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Callable, Sequence
 from weakref import WeakKeyDictionary
 
@@ -67,7 +66,7 @@ from .tensors import (
 )
 from .words import AutPair, FreeWord
 
-Value = Any  # TruncatedTensor | HomTensor | ExteriorElement | int | Fraction
+Value = Any  # TruncatedTensor | HomTensor | ExteriorElement
 
 
 class GroupElement:
@@ -167,8 +166,6 @@ def _act(perm: tuple[int, ...], value: Value) -> Value:
         return value.act(perm)
     if isinstance(value, HomTensor):
         return value.conjugate(perm)
-    if isinstance(value, (Fraction, int)):
-        return value
     raise TypeError(f"no action defined on {type(value).__name__}")
 
 
@@ -293,10 +290,6 @@ def _combine_values(a: Value, b: Value) -> Value:
         return _concat_product(a, b)
     if isinstance(a, ExteriorElement) and isinstance(b, ExteriorElement):
         return a.wedge(b)
-    if isinstance(a, (Fraction, int)):
-        return a * b
-    if isinstance(b, (Fraction, int)):
-        return b * a
     raise TypeError(
         f"no cup product of {type(a).__name__} and {type(b).__name__} values"
     )

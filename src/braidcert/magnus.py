@@ -50,6 +50,8 @@ class MagnusExpansion:
     """A group homomorphism F_n -> 1 + T_1, cached on reduced words."""
 
     def __init__(self, n: int, cap: int, gen_values: Sequence[TruncatedTensor]):
+        if n < 1:
+            raise ValueError(f"rank must be positive, got {n}")
         if cap < 2:
             raise ValueError("cap must be at least 2 to carry degree-2 data")
         if len(gen_values) != n:

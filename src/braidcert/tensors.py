@@ -151,10 +151,6 @@ class TruncatedTensor:
             self.n, self.cap, {i: c for i, c in self.terms.items() if len(i) == m}
         )
 
-    def homogeneous_degree(self) -> int | None:
-        degrees = {len(i) for i in self.terms}
-        return degrees.pop() if len(degrees) == 1 else None
-
     def recap(self, cap: int) -> TruncatedTensor:
         """Same element viewed at a different cap; degrees above it are dropped."""
         if cap == self.cap:
@@ -472,14 +468,10 @@ class ExteriorElement:
         }
 
 
-def alt_project(t: TruncatedTensor, q: int | None = None) -> ExteriorElement:
+def alt_project(t: TruncatedTensor, q: int) -> ExteriorElement:
     """Project a homogeneous tensor onto Lambda^q: signed coefficient sum per
     increasing tuple, without dividing by q!."""
-    if q is None:
-        q = t.homogeneous_degree()
-        if q is None:
-            raise ValueError("degree cannot be inferred; pass q explicitly")
-    elif any(len(i) != q for i in t.terms):
+    if any(len(i) != q for i in t.terms):
         raise ValueError(f"tensor is not homogeneous of degree {q}")
     out: dict[Index, Scalar] = {}
     for idx, c in t.terms.items():

@@ -389,3 +389,27 @@ def test_scalar_factor_sees_the_repeat_factor_two():
     z = torus_cycle([a, b])
     assert pair(lhs, z) == 2 * pair(rhs, z)
     assert pair(lhs, z) != pair(rhs, z)
+
+
+def test_scalar_factor_holds_at_every_part_size(monkeypatch):
+    # q = 3 and 4 reach blocks of four and five strands, where a band A(i,j)
+    # with j > 3 does not commute with twist(3), and the factor 3! of (1,1,1)
+    rng = random.Random(113)
+    cases = {}
+    for n in range(4, 8):
+        theta = MagnusExpansion.standard(n, 2)
+        for q in (3, 4):
+            for parts in partitions(q, n - q):
+                cases[n, parts] = scalar_factor_check(theta, parts, n, rng)
+    assert len(cases) == 17
+    assert all(ok for ok, _ in cases.values())
+
+    def seen(n, parts):
+        return any(not left.is_zero() for left, _ in cases[n, parts][1])
+
+    assert seen(6, (1, 1, 1))
+    assert any(seen(n, parts) for n, parts in cases if max(parts) >= 3)
+    monkeypatch.setattr(certify_module, "multiplicity_factor", lambda parts: 1)
+    theta = MagnusExpansion.standard(6, 2)
+    ok, _ = scalar_factor_check(theta, (1, 1, 1), 6, random.Random(113))
+    assert not ok

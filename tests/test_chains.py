@@ -304,6 +304,14 @@ def test_parse_cross_nested_sizes_must_fit():
         parse_cycle("cross:{3:torus:twist(3)}{2:torus:A(1,2)}", 4)
 
 
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_parse_cross_block_size_below_one_is_grammar_error(size):
+    with pytest.raises(GrammarError) as exc:
+        parse_cycle(f"cross:{{{size}:torus:}}", 3)
+    assert exc.value.position == len("cross:{")
+    assert str(exc.value) == f"bad block size '{size}' (at position 7)"
+
+
 def test_parse_cycle_bad_prefix():
     with pytest.raises(GrammarError):
         parse_cycle("loop:A(1,2)", 2)

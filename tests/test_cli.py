@@ -90,6 +90,30 @@ def test_hbar_argument_count_is_checked(capsys):
     assert "braid arguments" in err
 
 
+@pytest.mark.parametrize("p", ["0", "-1"])
+def test_hbar_degree_below_one_is_named(capsys, p):
+    code, out, err = run_cli(capsys, "hbar", "--n", "3", "--p", p, "A(1,2)")
+    assert (code, out, err) == (2, "", "error: degree must be at least 1\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["expand", "--n", "-1", ""],
+    ["tau1", "--n", "-1", ""],
+    ["hbar", "--n", "-1", "--p", "1", ""],
+    ["pair", "--n", "-1", "--p", "1", "torus:"],
+])
+def test_negative_rank_is_named(capsys, command):
+    code, out, err = run_cli(capsys, *command)
+    assert (code, out, err) == (2, "", "error: rank must be positive, got -1\n")
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_cross_block_size_below_one_names_its_position(capsys, size):
+    code, out, err = run_cli(capsys, "pair", "--n", "3", "--p", "1", f"cross:{{{size}:torus:}}")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad block size '{size}' (at position 7)\n"
+
+
 def test_hbar_exterior_value(capsys):
     code, out, _ = run_cli(
         capsys, "hbar", "--n", "3", "--p", "2", "--exterior", "A(1,2)", "twist(3)"

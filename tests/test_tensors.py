@@ -181,10 +181,10 @@ def test_compose_maps_two_factors_frozen_value():
 
 def test_alt_project_no_division_convention():
     t = TruncatedTensor(2, 2, {(1, 2): 1, (2, 1): -1})
-    assert alt_project(t) == ExteriorElement(2, 2, {(1, 2): 2})
+    assert alt_project(t, 2) == ExteriorElement(2, 2, {(1, 2): 2})
     # symmetric tensors die
     s = TruncatedTensor(2, 2, {(1, 2): 1, (2, 1): 1, (1, 1): 5})
-    assert alt_project(s).is_zero()
+    assert alt_project(s, 2).is_zero()
 
 
 def test_wedge_basics():
@@ -275,7 +275,7 @@ def test_internal_results_hold_no_zero_coefficient():
     e = alt_project(t.component(2), 2)
     assert (e - e).coords == {}
     # X1 X2 + X2 X1 is symmetric: its projection cancels to nothing stored
-    assert alt_project(TruncatedTensor(2, 2, {(1, 2): 1, (2, 1): 1})).coords == {}
+    assert alt_project(TruncatedTensor(2, 2, {(1, 2): 1, (2, 1): 1}), 2).coords == {}
 
 
 # randomised laws against the oracles
