@@ -102,7 +102,9 @@ def _letter_action(n: int, letter: int) -> AutPair:
     return pair if letter > 0 else pair.inverse()
 
 
-@lru_cache(maxsize=None)
+# bounded, so a long-lived process does not keep every automorphism it has seen;
+# a certificate re-uses each within a few dozen distinct braids
+@lru_cache(maxsize=128)
 def artin_action(beta: BraidWord) -> AutPair:
     """The automorphism of F_n given by beta, letters composing left to right."""
     result = AutPair.identity(beta.n)

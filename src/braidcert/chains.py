@@ -105,19 +105,20 @@ class BarChain:
         return self.boundary().is_zero()
 
 
-def _check_commuting(elems: Sequence[GroupElement]) -> None:
+def _noncommuting_pair(elems: Sequence[GroupElement]) -> tuple[int, int] | None:
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
             if not elems[i].commutes_with(elems[j]):
-                raise ValueError(
-                    f"elements at positions {i} and {j} do not commute"
-                )
+                return i, j
+    return None
 
 
 def torus_cycle(elems: Sequence[GroupElement]) -> BarChain:
     """The signed sum over all orderings of pairwise commuting elements."""
     elems = tuple(elems)
-    _check_commuting(elems)
+    pair = _noncommuting_pair(elems)
+    if pair is not None:
+        raise ValueError(f"elements at positions {pair[0]} and {pair[1]} do not commute")
     p = len(elems)
     terms: dict[tuple, int] = {}
     for perm in permutations(range(p)):
@@ -193,15 +194,18 @@ def parse_cycle(text: str, n: int, offset: int = 0) -> BarChain:
     if stripped.startswith("torus:"):
         body = stripped[len("torus:"):]
         cursor = base + len("torus:")
-        elems = []
+        elems, starts = [], []
         for piece in body.split("|"):
             beta = _parse_braid_at(piece, n, cursor)
             elems.append(GroupElement(beta))
+            starts.append(cursor + len(piece) - len(piece.lstrip()))
             cursor += len(piece) + 1
         try:
             return torus_cycle(elems)
         except ValueError as exc:
-            raise GrammarError(str(exc), base) from None
+            # point at the later element of the pair that does not commute
+            pair = _noncommuting_pair(elems)
+            raise GrammarError(str(exc), starts[pair[1]] if pair else base) from None
     if stripped.startswith("cross:"):
         return _parse_cross(stripped[len("cross:"):], n, base + len("cross:"))
     raise GrammarError("cycle must start with 'torus:' or 'cross:'", base)

@@ -212,28 +212,27 @@ _TAU1_CACHES: WeakKeyDictionary = WeakKeyDictionary()
 _LETTER_TAU1: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _letter_tau1(theta: MagnusExpansion, letter: int) -> tuple[tuple[int, tuple], ...]:
-    """tau1(s_letter) as (column, terms) for its nonzero columns, by the defining
-    formula on the letter's inverse images, which have at most 3 letters."""
+def _letter_tau1(theta: MagnusExpansion, letter: int) -> HomTensor:
+    """tau1(s_letter) by the defining formula on the letter's inverse images,
+    which have at most 3 letters."""
     cache = _LETTER_TAU1.setdefault(theta, {})
     if letter not in cache:
         n = theta.n
         inv = _letter_action(n, letter).inv
         swap = permutation(BraidWord(n, (letter,)))
-        cols = []
+        terms: dict = {}
         for j in range(1, n + 1):
             base = theta.value(FreeWord.generator(n, j)).component(2)
             pulled = theta.value(inv.images[j - 1]).component(2)
             col = base - pulled.act(swap)
-            if col.terms:
-                cols.append((j, tuple(col.terms.items())))
-        cache[letter] = tuple(cols)
+            terms.update({(j, *idx): c for idx, c in col.terms.items()})
+        cache[letter] = HomTensor._trusted(n, 2, terms)
     return cache[letter]
 
 
 def tau1(theta: MagnusExpansion, g: GroupElement) -> HomTensor:
-    """The degree-2 failure of g to commute with theta, column j the value on X_j,
-    summed over the letters of g, each conjugated by the permutation before it."""
+    """The degree-2 failure of g to commute with theta, summed over the letters
+    of g, each conjugated by the permutation before it."""
     cache = _TAU1_CACHES.setdefault(theta, {})
     cached = cache.get(g.braid)
     if cached is not None:
@@ -241,18 +240,16 @@ def tau1(theta: MagnusExpansion, g: GroupElement) -> HomTensor:
     n = theta.n
     if g.n != n:
         raise ValueError("element rank does not match expansion rank")
-    cols: list[dict] = [{} for _ in range(n)]
+    terms: dict = {}
     perm = list(range(1, n + 1))
     for letter in g.braid.letters:
-        for j, terms in _letter_tau1(theta, letter):
-            # relabel every index and move column j to position perm[j-1]
-            col = cols[perm[j - 1] - 1]
-            for (a, b), c in terms:
-                key = (perm[a - 1], perm[b - 1])
-                col[key] = col.get(key, 0) + c
+        for (j, a, b), c in _letter_tau1(theta, letter).terms.items():
+            # relabel every index, the argument's included
+            key = (perm[j - 1], perm[a - 1], perm[b - 1])
+            terms[key] = terms.get(key, 0) + c
         i = abs(letter)
         perm[i - 1], perm[i] = perm[i], perm[i - 1]
-    result = HomTensor._trusted(n, 2, tuple(TruncatedTensor._trusted(n, 2, c) for c in cols))
+    result = HomTensor._trusted(n, 2, terms)
     cache[g.braid] = result
     return result
 

@@ -128,7 +128,7 @@ def _row(
 def _hom(n: int, columns: dict[int, TruncatedTensor]) -> HomTensor:
     """The degree-2 HomTensor with the given nonzero columns, numbered from 1."""
     zero = TruncatedTensor.zero(n, 2)
-    return HomTensor(n, 2, tuple(columns.get(j, zero) for j in range(1, n + 1)))
+    return HomTensor.from_columns(n, 2, [columns.get(j, zero) for j in range(1, n + 1)])
 
 
 def run_lemmas(seed: int) -> SuiteReport:

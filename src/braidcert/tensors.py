@@ -1,10 +1,21 @@
 """Exact sparse tensor algebra on H = Q^n, truncated in degree.
 
-Elements of the truncated algebra T(H)/T_{>cap} are finite Q-linear
-combinations of basis monomials X_{i_1} (x) ... (x) X_{i_m} with m <= cap,
-stored sparsely as a map from index tuples to exact rational coefficients.
-The empty tuple is the unit 1.  Multiplication concatenates indices and
-never forms a term whose degree would exceed the cap.
+Every value here is stored one way: a rank n, a grade, and a dict `terms`
+from index tuples to nonzero exact rational coefficients.  The three shapes
+differ only in their grade field and in which index tuples they accept:
+
+* TruncatedTensor(n, cap, terms)   -- an element of T(H)/T_{>cap}: a tuple
+  (i_1, ..., i_m) with m <= cap is the monomial X_{i_1} (x) ... (x) X_{i_m},
+  the empty tuple is the unit 1;
+* HomTensor(n, out_degree, terms)  -- a linear map H -> H^(x)m, led by its
+  argument: (j, i_1, ..., i_m) is the coefficient of X_{i_1}...X_{i_m} in the
+  image of X_j;
+* ExteriorElement(n, q, terms)     -- an element of Lambda^q H, on strictly
+  increasing q-tuples.
+
+The checks, the linear arithmetic and the JSON term list live once, in the
+shared core.  Multiplication concatenates indices and never forms a term
+whose degree would exceed the cap.
 
 Coefficients are exact rationals: an int when integral and a Fraction
 otherwise.  The public constructors accept any numbers.Rational, store an
@@ -14,17 +25,11 @@ quantity derived from the standard expansion is an int; a Fraction that
 becomes integral in arithmetic stays a Fraction, which changes no value and
 no printed output.
 
-Three coefficient shapes appear downstream and all live here:
-
-* TruncatedTensor  -- an element of the truncated algebra;
-* HomTensor        -- a linear map H -> H^(x)m, stored column by column;
-* ExteriorElement  -- an element of the exterior power Lambda^q H.
-
-The public constructors check every index, the cap and the homogeneity of
-Hom columns; the classmethod factories go through them.  Results of
-arithmetic are built by the private _trusted constructors, which only drop
-zero coefficients: the operations keep indices in range and under the cap
-by construction.
+The public constructors, and the classmethod factories that go through
+them, check every index against the rank and the shape.  Results of
+arithmetic are built by the private _trusted constructor, which only drops
+zero coefficients: the operations keep indices in range and in shape by
+construction.
 
 The projection from tensors to exterior elements used throughout is the
 signed sum over each increasing index tuple with NO division by q!; the
@@ -33,21 +38,23 @@ X_I.  Under this convention the projection is multiplicative: the projection
 of a concatenation product is the wedge of the projections.
 
 Braids act on H by a permutation, given as an image tuple: X_i goes to
-X_{perm[i-1]}.  The action relabels indices (and re-sorts them, with sign,
-on exterior elements), so it does no arithmetic and adds no term; on
-HomTensor it is conjugation.  A perm that is not a permutation of 1..n is
-a ValueError.
+X_{perm[i-1]}.  The action relabels every index (and re-sorts them, with
+sign, on exterior elements), so it does no arithmetic and adds no term; on a
+HomTensor, relabelling the argument's index too makes it conjugation.  A
+perm that is not a permutation of 1..n is a ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from numbers import Rational
-from typing import Any, Mapping, Sequence
+from typing import Any, ClassVar, Mapping, Sequence, TypeVar
 
 Index = tuple[int, ...]
 Scalar = Fraction | int
+S = TypeVar("S", bound="_Sparse")
 
 
 def rational(c: object) -> Scalar:
@@ -92,44 +99,101 @@ def _sort_with_sign(idx: Index) -> tuple[Index, int] | None:
     return tuple(arr), sign
 
 
-@dataclass(frozen=True)
-class TruncatedTensor:
-    """An element of T(H)/T_{>cap} for H = Q^n."""
+class _Sparse:
+    """The core of the three shapes, each a frozen dataclass with the fields
+    (n, <grade>, terms); _GRADE names the grade field and _check_shape is the
+    shape's rule for one index tuple."""
 
+    _GRADE: ClassVar[str]
     n: int
-    cap: int
-    terms: Mapping[Index, Scalar] = field(default_factory=dict)
+    terms: Mapping[Index, Scalar]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"rank must be positive, got {self.n}")
-        if self.cap < 0:
-            raise ValueError(f"cap must be nonnegative, got {self.cap}")
+        n, grade = self.n, self._grade
+        if n < 1:
+            raise ValueError(f"rank must be positive, got {n}")
+        if grade < 0:
+            raise ValueError(f"{self._GRADE} must be nonnegative, got {grade}")
         clean: dict[Index, Scalar] = {}
         for idx, c in self.terms.items():
             idx = tuple(idx)
-            if len(idx) > self.cap:
-                raise ValueError(f"index {idx} exceeds cap {self.cap}")
-            if any(not 1 <= i <= self.n for i in idx):
-                raise ValueError(f"index {idx} out of range for rank {self.n}")
+            self._check_shape(idx)
+            if any(not 1 <= i <= n for i in idx):
+                raise ValueError(f"index {idx} out of range for rank {n}")
             c = rational(c)
             if c:
                 clean[idx] = c
         object.__setattr__(self, "terms", clean)
 
+    @property
+    def _grade(self) -> int:
+        return getattr(self, self._GRADE)
+
     @classmethod
-    def _trusted(cls, n: int, cap: int, terms: Mapping[Index, Scalar]) -> TruncatedTensor:
-        """A result of arithmetic, whose indices are in range and under the cap
-        by construction; only zero coefficients are dropped."""
+    def _trusted(cls: type[S], n: int, grade: int, terms: Mapping[Index, Scalar]) -> S:
+        """A result of arithmetic, whose indices are in range and in shape by
+        construction; only zero coefficients are dropped."""
         t = object.__new__(cls)
         object.__setattr__(t, "n", n)
-        object.__setattr__(t, "cap", cap)
+        object.__setattr__(t, cls._GRADE, grade)
         object.__setattr__(t, "terms", {i: c for i, c in terms.items() if c})
         return t
 
     @classmethod
-    def zero(cls, n: int, cap: int) -> TruncatedTensor:
-        return cls(n, cap, {})
+    def zero(cls: type[S], n: int, grade: int) -> S:
+        return cls(n, grade, {})
+
+    def coefficient(self, idx: Index) -> Scalar:
+        return self.terms.get(tuple(idx), 0)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _require_like(self, other: _Sparse) -> None:
+        if type(other) is not type(self):
+            raise ValueError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if self.n != other.n or self._grade != other._grade:
+            raise ValueError(f"rank or {self._GRADE} mismatch")
+
+    def __add__(self: S, other: S) -> S:
+        self._require_like(other)
+        out = dict(self.terms)
+        for idx, c in other.terms.items():
+            out[idx] = out.get(idx, 0) + c
+        return self._trusted(self.n, self._grade, out)
+
+    def __sub__(self: S, other: S) -> S:
+        return self + (-other)
+
+    def __neg__(self: S) -> S:
+        return self._trusted(self.n, self._grade, {i: -c for i, c in self.terms.items()})
+
+    def __rmul__(self: S, scalar: Scalar) -> S:
+        c = rational(scalar)
+        return self._trusted(self.n, self._grade, {i: c * v for i, v in self.terms.items()})
+
+    def sorted_terms(self) -> list[tuple[Index, Scalar]]:
+        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
+    def _json_terms(self) -> list[dict[str, Any]]:
+        return [
+            {"idx": list(idx), "c": f"{c.numerator}/{c.denominator}"}
+            for idx, c in self.sorted_terms()
+        ]
+
+
+@dataclass(frozen=True)
+class TruncatedTensor(_Sparse):
+    """An element of T(H)/T_{>cap} for H = Q^n."""
+
+    _GRADE = "cap"
+    n: int
+    cap: int
+    terms: Mapping[Index, Scalar] = field(default_factory=dict)
+
+    def _check_shape(self, idx: Index) -> None:
+        if len(idx) > self.cap:
+            raise ValueError(f"index {idx} exceeds cap {self.cap}")
 
     @classmethod
     def one(cls, n: int, cap: int) -> TruncatedTensor:
@@ -138,12 +202,6 @@ class TruncatedTensor:
     @classmethod
     def basis(cls, n: int, cap: int, i: int) -> TruncatedTensor:
         return cls(n, cap, {(i,): 1})
-
-    def coefficient(self, idx: Index) -> Scalar:
-        return self.terms.get(tuple(idx), 0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def component(self, m: int) -> TruncatedTensor:
         """The degree-m homogeneous part, kept at the same cap."""
@@ -159,29 +217,6 @@ class TruncatedTensor:
             raise ValueError(f"cap must be nonnegative, got {cap}")
         return TruncatedTensor._trusted(
             self.n, cap, {i: c for i, c in self.terms.items() if len(i) <= cap}
-        )
-
-    def _require_like(self, other: TruncatedTensor) -> None:
-        if self.n != other.n or self.cap != other.cap:
-            raise ValueError("rank or cap mismatch")
-
-    def __add__(self, other: TruncatedTensor) -> TruncatedTensor:
-        self._require_like(other)
-        out = dict(self.terms)
-        for idx, c in other.terms.items():
-            out[idx] = out.get(idx, 0) + c
-        return TruncatedTensor._trusted(self.n, self.cap, out)
-
-    def __sub__(self, other: TruncatedTensor) -> TruncatedTensor:
-        return self + (-other)
-
-    def __neg__(self) -> TruncatedTensor:
-        return TruncatedTensor._trusted(self.n, self.cap, {i: -c for i, c in self.terms.items()})
-
-    def __rmul__(self, scalar: Scalar) -> TruncatedTensor:
-        c = rational(scalar)
-        return TruncatedTensor._trusted(
-            self.n, self.cap, {i: c * v for i, v in self.terms.items()}
         )
 
     def __mul__(self, other: TruncatedTensor) -> TruncatedTensor:
@@ -209,17 +244,8 @@ class TruncatedTensor:
         _check_permutation(perm, self.n)
         return TruncatedTensor._trusted(self.n, self.cap, _relabelled(self.terms, perm))
 
-    def sorted_terms(self) -> list[tuple[Index, Scalar]]:
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "terms": [
-                {"idx": list(idx), "c": f"{c.numerator}/{c.denominator}"}
-                for idx, c in self.sorted_terms()
-            ],
-        }
+        return {"n": self.n, "terms": self._json_terms()}
 
     def __str__(self) -> str:
         if not self.terms:
@@ -232,86 +258,52 @@ class TruncatedTensor:
 
 
 @dataclass(frozen=True)
-class HomTensor:
-    """A linear map H -> H^(x)m, column j the image of X_j, all columns homogeneous."""
+class HomTensor(_Sparse):
+    """A linear map H -> H^(x)m: the term (j, i_1, ..., i_m) is the coefficient
+    of X_{i_1}...X_{i_m} in the image of X_j."""
 
+    _GRADE = "out_degree"
     n: int
     out_degree: int
-    columns: tuple[TruncatedTensor, ...]
+    terms: Mapping[Index, Scalar] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if len(self.columns) != self.n:
-            raise ValueError(f"expected {self.n} columns, got {len(self.columns)}")
-        fixed = []
-        for col in self.columns:
-            if col.n != self.n:
-                raise ValueError("column rank mismatch")
-            if any(len(i) != self.out_degree for i in col.terms):
-                raise ValueError(f"column not homogeneous of degree {self.out_degree}")
-            fixed.append(col.recap(self.out_degree))
-        object.__setattr__(self, "columns", tuple(fixed))
+    def _check_shape(self, idx: Index) -> None:
+        if len(idx) != self.out_degree + 1:
+            raise ValueError(f"index {idx} needs an argument and {self.out_degree} image indices")
 
     @classmethod
-    def _trusted(cls, n: int, out_degree: int, columns: tuple[TruncatedTensor, ...]) -> HomTensor:
-        """A result of arithmetic: n columns, homogeneous of out_degree and at that cap."""
-        u = object.__new__(cls)
-        object.__setattr__(u, "n", n)
-        object.__setattr__(u, "out_degree", out_degree)
-        object.__setattr__(u, "columns", columns)
-        return u
+    def from_columns(cls, n: int, m: int, columns: Sequence[TruncatedTensor]) -> HomTensor:
+        """The map whose column j, homogeneous of degree m, is the image of X_j;
+        the constructor rejects a column that is not homogeneous."""
+        if len(columns) != n or any(col.n != n for col in columns):
+            raise ValueError(f"expected {n} columns of rank {n}")
+        return cls(n, m, {
+            (j, *idx): c for j, col in enumerate(columns, start=1) for idx, c in col.terms.items()
+        })
 
-    @classmethod
-    def zero(cls, n: int, out_degree: int) -> HomTensor:
-        z = TruncatedTensor.zero(n, out_degree)
-        return cls(n, out_degree, (z,) * n)
-
-    def is_zero(self) -> bool:
-        return all(col.is_zero() for col in self.columns)
-
-    def _require_like(self, other: HomTensor) -> None:
-        if self.n != other.n or self.out_degree != other.out_degree:
-            raise ValueError("rank or degree mismatch")
-
-    def __add__(self, other: HomTensor) -> HomTensor:
-        self._require_like(other)
-        return HomTensor._trusted(
-            self.n, self.out_degree,
-            tuple(a + b for a, b in zip(self.columns, other.columns)),
-        )
-
-    def __sub__(self, other: HomTensor) -> HomTensor:
-        return self + (-other)
-
-    def __neg__(self) -> HomTensor:
-        return HomTensor._trusted(self.n, self.out_degree, tuple(-c for c in self.columns))
-
-    def __rmul__(self, scalar: Scalar) -> HomTensor:
-        return HomTensor._trusted(
-            self.n, self.out_degree, tuple(scalar * c for c in self.columns)
-        )
+    @property
+    def columns(self) -> tuple[TruncatedTensor, ...]:
+        """Column j is the image of X_j, a tensor at cap out_degree."""
+        cols: list[dict[Index, Scalar]] = [{} for _ in range(self.n)]
+        for idx, c in self.terms.items():
+            cols[idx[0] - 1][idx[1:]] = c
+        return tuple(TruncatedTensor._trusted(self.n, self.out_degree, col) for col in cols)
 
     def conjugate(self, perm: tuple[int, ...]) -> HomTensor:
-        """The map  P^(x)m o self o P^-1  for the permutation P: column i,
-        relabelled, moves to position perm[i-1]."""
+        """The map  P^(x)m o self o P^-1  for the permutation P: every index,
+        the argument's included, relabelled."""
         _check_permutation(perm, self.n)
-        placed = {
-            target: TruncatedTensor._trusted(self.n, self.out_degree, _relabelled(col.terms, perm))
-            for col, target in zip(self.columns, perm)
-        }
-        return HomTensor._trusted(
-            self.n, self.out_degree, tuple(placed[j] for j in range(1, self.n + 1))
-        )
+        return HomTensor._trusted(self.n, self.out_degree, _relabelled(self.terms, perm))
 
     def contract(self) -> TruncatedTensor:
-        """Sum over i of the terms of column i led by index i, with that index dropped."""
+        """Sum of the terms whose argument leads the image, with both indices dropped."""
         if self.out_degree < 1:
             raise ValueError("a map of degree 0 has no slot to contract")
         out: dict[Index, Scalar] = {}
-        for i, col in enumerate(self.columns, start=1):
-            for idx, c in col.terms.items():
-                if idx[0] == i:
-                    key = idx[1:]
-                    out[key] = out.get(key, 0) + c
+        for idx, c in self.terms.items():
+            if idx[0] == idx[1]:
+                key = idx[2:]
+                out[key] = out.get(key, 0) + c
         return TruncatedTensor._trusted(self.n, self.out_degree - 1, out)
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -326,19 +318,17 @@ def compose_first_slot(outer: HomTensor, inner: HomTensor) -> HomTensor:
     """(outer (x) 1^(x)(m-1)) o inner: feed the first slot of inner through outer."""
     if outer.n != inner.n:
         raise ValueError("rank mismatch")
-    degree = inner.out_degree + outer.out_degree - 1
-    heads = [col.terms.items() for col in outer.columns]
-    cols = []
-    for col in inner.columns:
-        acc: dict[Index, Scalar] = {}
-        get = acc.get
-        for idx, c in col.terms.items():
-            tail = idx[1:]
-            for oidx, oc in heads[idx[0] - 1]:
-                key = oidx + tail
-                acc[key] = get(key, 0) + c * oc
-        cols.append(TruncatedTensor._trusted(inner.n, degree, acc))
-    return HomTensor._trusted(inner.n, degree, tuple(cols))
+    heads: dict[int, list[tuple[Index, Scalar]]] = {}
+    for idx, c in outer.terms.items():
+        heads.setdefault(idx[0], []).append((idx[1:], c))
+    acc: dict[Index, Scalar] = {}
+    get = acc.get
+    for idx, c in inner.terms.items():
+        arg, tail = idx[:1], idx[2:]
+        for oidx, oc in heads.get(idx[1], ()):
+            key = arg + oidx + tail
+            acc[key] = get(key, 0) + c * oc
+    return HomTensor._trusted(inner.n, inner.out_degree + outer.out_degree - 1, acc)
 
 
 def compose_maps(factors: Sequence[HomTensor]) -> HomTensor:
@@ -356,43 +346,19 @@ def compose_maps(factors: Sequence[HomTensor]) -> HomTensor:
 
 
 @dataclass(frozen=True)
-class ExteriorElement:
-    """An element of Lambda^q H, coordinates on strictly increasing index tuples."""
+class ExteriorElement(_Sparse):
+    """An element of Lambda^q H, coefficients on strictly increasing index tuples."""
 
+    _GRADE = "q"
     n: int
     q: int
-    coords: Mapping[Index, Scalar] = field(default_factory=dict)
+    terms: Mapping[Index, Scalar] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.q < 0:
-            raise ValueError("bad rank or degree")
-        clean: dict[Index, Scalar] = {}
-        for idx, c in self.coords.items():
-            idx = tuple(idx)
-            if len(idx) != self.q:
-                raise ValueError(f"index {idx} has wrong length for degree {self.q}")
-            if any(not 1 <= i <= self.n for i in idx):
-                raise ValueError(f"index {idx} out of range for rank {self.n}")
-            if any(a >= b for a, b in zip(idx, idx[1:])):
-                raise ValueError(f"index {idx} is not strictly increasing")
-            c = rational(c)
-            if c:
-                clean[idx] = c
-        object.__setattr__(self, "coords", clean)
-
-    @classmethod
-    def _trusted(cls, n: int, q: int, coords: Mapping[Index, Scalar]) -> ExteriorElement:
-        """A result of arithmetic, on increasing in-range q-tuples by construction;
-        only zero coefficients are dropped."""
-        e = object.__new__(cls)
-        object.__setattr__(e, "n", n)
-        object.__setattr__(e, "q", q)
-        object.__setattr__(e, "coords", {i: c for i, c in coords.items() if c})
-        return e
-
-    @classmethod
-    def zero(cls, n: int, q: int) -> ExteriorElement:
-        return cls(n, q, {})
+    def _check_shape(self, idx: Index) -> None:
+        if len(idx) != self.q:
+            raise ValueError(f"index {idx} has wrong length for degree {self.q}")
+        if any(a >= b for a, b in zip(idx, idx[1:])):
+            raise ValueError(f"index {idx} is not strictly increasing")
 
     @classmethod
     def unit(cls, n: int) -> ExteriorElement:
@@ -402,41 +368,12 @@ class ExteriorElement:
     def basis(cls, n: int, idx: Index) -> ExteriorElement:
         return cls(n, len(idx), {tuple(idx): 1})
 
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def coefficient(self, idx: Index) -> Scalar:
-        return self.coords.get(tuple(idx), 0)
-
-    def _require_like(self, other: ExteriorElement) -> None:
-        if self.n != other.n or self.q != other.q:
-            raise ValueError("rank or degree mismatch")
-
-    def __add__(self, other: ExteriorElement) -> ExteriorElement:
-        self._require_like(other)
-        out = dict(self.coords)
-        for idx, c in other.coords.items():
-            out[idx] = out.get(idx, 0) + c
-        return ExteriorElement._trusted(self.n, self.q, out)
-
-    def __sub__(self, other: ExteriorElement) -> ExteriorElement:
-        return self + (-other)
-
-    def __neg__(self) -> ExteriorElement:
-        return ExteriorElement._trusted(self.n, self.q, {i: -c for i, c in self.coords.items()})
-
-    def __rmul__(self, scalar: Scalar) -> ExteriorElement:
-        c = rational(scalar)
-        return ExteriorElement._trusted(
-            self.n, self.q, {i: c * v for i, v in self.coords.items()}
-        )
-
     def wedge(self, other: ExteriorElement) -> ExteriorElement:
         if self.n != other.n:
             raise ValueError("rank mismatch")
         out: dict[Index, Scalar] = {}
-        for i1, c1 in self.coords.items():
-            for i2, c2 in other.coords.items():
+        for i1, c1 in self.terms.items():
+            for i2, c2 in other.terms.items():
                 sorted_sign = _sort_with_sign(i1 + i2)
                 if sorted_sign is None:
                     continue
@@ -448,24 +385,14 @@ class ExteriorElement:
         """Relabel every index i as perm[i-1] and re-sort each tuple, with its sign."""
         _check_permutation(perm, self.n)
         out: dict[Index, Scalar] = {}
-        for idx, c in _relabelled(self.coords, perm).items():
+        for idx, c in _relabelled(self.terms, perm).items():
             # relabelled indices stay distinct, so the sort never finds a repeat
             key, sign = _sort_with_sign(idx)
             out[key] = sign * c
         return ExteriorElement._trusted(self.n, self.q, out)
 
-    def sorted_coords(self) -> list[tuple[Index, Scalar]]:
-        return sorted(self.coords.items())
-
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "coords": [
-                {"idx": list(idx), "c": f"{c.numerator}/{c.denominator}"}
-                for idx, c in self.sorted_coords()
-            ],
-        }
+        return {"n": self.n, "q": self.q, "coords": self._json_terms()}
 
 
 def alt_project(t: TruncatedTensor, q: int) -> ExteriorElement:
@@ -485,6 +412,4 @@ def alt_project(t: TruncatedTensor, q: int) -> ExteriorElement:
 
 def exterior_basis(n: int, q: int) -> list[Index]:
     """All strictly increasing q-tuples in [1, n], lexicographically."""
-    from itertools import combinations
-
     return [tuple(c) for c in combinations(range(1, n + 1), q)]

@@ -70,7 +70,7 @@ def test_criterion_01_elementary_generator_values():
             got = tau1(theta, GroupElement(BraidWord.gen(n, i)))
             cols = [TruncatedTensor.zero(n, 2) for _ in range(n)]
             cols[i - 1] = bracket(n, i, i + 1)
-            ok = ok and got == HomTensor(n, 2, tuple(cols))
+            ok = ok and got == HomTensor.from_columns(n, 2, tuple(cols))
             checked += 1
     elapsed = time.monotonic() - start
     report(
@@ -93,7 +93,7 @@ def test_criterion_02_band_generator_values():
                 cols = [TruncatedTensor.zero(n, 2) for _ in range(n)]
                 cols[i - 1] = bracket(n, i, j)
                 cols[j - 1] = -bracket(n, i, j)
-                ok = ok and got == HomTensor(n, 2, tuple(cols))
+                ok = ok and got == HomTensor.from_columns(n, 2, tuple(cols))
                 checked += 1
     elapsed = time.monotonic() - start
     report(

@@ -9,6 +9,7 @@ embeddings).
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -275,3 +276,17 @@ def test_composed_pairs_stay_mutually_inverse():
         h = GroupElement(random_braid(rng, n, 6))
         for elem in (g * h, h.inverse() * g, (g * h).inverse()):
             assert_mutually_inverse(elem.aut)
+
+
+def test_artin_action_cache_stops_growing_at_its_bound():
+    bound = artin_action.cache_info().maxsize
+    assert bound is not None
+    words = [BraidWord(4, letters) for letters in product((1, -1, 2, -2, 3, -3), repeat=3)]
+    assert len(words) > bound
+    artin_action.cache_clear()
+    for beta in words:
+        artin_action(beta)
+    info = artin_action.cache_info()
+    assert (info.misses, info.currsize) == (len(words), bound)
+    artin_action(words[-1])  # the most recent braid is still cached
+    assert artin_action.cache_info().hits == 1

@@ -123,6 +123,35 @@ def test_hbar_exterior_value(capsys):
     assert data["q"] == 2
 
 
+def _terms(*pairs):
+    return [{"idx": list(idx), "c": c} for idx, c in pairs]
+
+
+# exact outputs, recorded before HomTensor was stored flat
+@pytest.mark.parametrize("argv, payload", [
+    (
+        ["hbar", "--n", "3", "--p", "2", "A(1,2)", "twist(3)"],
+        {"n": 3, "terms": _terms(*(((a, b), "1/1") for a in (1, 2) for b in (1, 2, 3)))},
+    ),
+    (["hbar", "--n", "4", "--p", "3", "s1", "s2^-1", "s3"], {"n": 4, "terms": []}),
+    (
+        ["pair", "--n", "3", "--p", "2", "--form", "tensor", "torus:A(1,2)|twist(3)"],
+        {"n": 3, "terms": _terms(
+            ((1, 3), "1/1"), ((2, 3), "1/1"), ((3, 1), "-1/1"), ((3, 2), "-1/1")
+        )},
+    ),
+    (
+        ["pair", "--n", "5", "--partition", "2,1",
+         "cross:{3:torus:A(1,2)|twist(3)}{2:torus:A(1,2)}"],
+        {"n": 5, "q": 3, "coords": _terms(
+            ((1, 3, 4), "2/1"), ((1, 3, 5), "2/1"), ((2, 3, 4), "2/1"), ((2, 3, 5), "2/1")
+        )},
+    ),
+])
+def test_hbar_and_pair_outputs_are_pinned(capsys, argv, payload):
+    assert run_cli(capsys, *argv) == (0, json.dumps(payload, indent=2) + "\n", "")
+
+
 def test_pair_with_partition(capsys):
     code, out, _ = run_cli(
         capsys, "pair", "--n", "4", "--partition", "1,1",
@@ -229,6 +258,16 @@ def test_cycle_grammar_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "pair", "--n", "3", "--p", "2", "torus:A(1,2)|A(1,3)")
     assert code == 2
     assert "commute" in err
+
+
+@pytest.mark.parametrize("cycle, position", [
+    ("torus:A(1,2)|A(1,3)", 13),
+    ("cross:{2:torus:A(1,2)}{3:torus:A(1,2)|A(1,3)}", 38),
+])
+def test_noncommuting_torus_names_the_later_element(capsys, cycle, position):
+    code, out, err = run_cli(capsys, "pair", "--n", "5", "--p", "2", cycle)
+    assert (code, out) == (2, "")
+    assert err == f"error: elements at positions 0 and 1 do not commute (at position {position})\n"
 
 
 def test_unknown_suite_is_usage_error(capsys):

@@ -91,7 +91,7 @@ def test_tau1_on_elementary_generators():
             got = tau1(theta, GroupElement(BraidWord.gen(n, i)))
             cols = [TruncatedTensor.zero(n, 2) for _ in range(n)]
             cols[i - 1] = bracket_column(n, i, i + 1)
-            assert got == HomTensor(n, 2, tuple(cols))
+            assert got == HomTensor.from_columns(n, 2, tuple(cols))
 
 
 def test_tau1_on_band_generators():
@@ -105,7 +105,7 @@ def test_tau1_on_band_generators():
                 cols = [TruncatedTensor.zero(n, 2) for _ in range(n)]
                 cols[i - 1] = bracket_column(n, i, j)
                 cols[j - 1] = -bracket_column(n, i, j)
-                assert got == HomTensor(n, 2, tuple(cols))
+                assert got == HomTensor.from_columns(n, 2, tuple(cols))
 
 
 def test_tau1_vanishes_on_identity():
@@ -282,7 +282,7 @@ def oracle_tau1(theta: MagnusExpansion, g: GroupElement) -> HomTensor:
         base = theta.value(FreeWord.generator(n, j)).component(2)
         pulled = theta.value(g.aut.inv.images[j - 1]).component(2)
         cols.append((base - pulled.act(g.perm)).recap(2))
-    return HomTensor(n, 2, tuple(cols))
+    return HomTensor.from_columns(n, 2, tuple(cols))
 
 
 def oracle_hp(theta: MagnusExpansion, gs) -> HomTensor:

@@ -48,7 +48,7 @@ def random_hom(rng: random.Random, n: int, m: int) -> HomTensor:
             if rng.random() < 0.5
         }
         cols.append(TruncatedTensor(n, m, terms))
-    return HomTensor(n, m, tuple(cols))
+    return HomTensor.from_columns(n, m, tuple(cols))
 
 
 def random_perm(rng: random.Random, n: int) -> tuple[int, ...]:
@@ -148,13 +148,13 @@ def test_product_concatenates_and_truncates():
 
 def test_contract_keeps_terms_led_by_column_index():
     # column 1 = X1 (x) X2, column 2 = 0: only the leading index 1 survives
-    u = HomTensor(2, 2, (
+    u = HomTensor.from_columns(2, 2, (
         TruncatedTensor(2, 2, {(1, 2): 1}),
         TruncatedTensor.zero(2, 2),
     ))
     assert u.contract() == TruncatedTensor(2, 1, {(2,): 1})
     # column 2 = X1 (x) X2 contributes nothing: leading index is not 2
-    v = HomTensor(2, 2, (
+    v = HomTensor.from_columns(2, 2, (
         TruncatedTensor.zero(2, 2),
         TruncatedTensor(2, 2, {(1, 2): 1}),
     ))
@@ -169,7 +169,7 @@ def test_compose_maps_single_factor_is_identity_operation():
 
 def test_compose_maps_two_factors_frozen_value():
     # u: X1 -> X1 (x) X2, X2 -> 0; then (u (x) 1) o u sends X1 to X1 (x) X2 (x) X2
-    u = HomTensor(2, 2, (
+    u = HomTensor.from_columns(2, 2, (
         TruncatedTensor(2, 2, {(1, 2): 1}),
         TruncatedTensor.zero(2, 2),
     ))
@@ -218,7 +218,7 @@ def test_integral_fractions_are_stored_as_int():
     assert type(t.terms[(1,)]) is int and t.terms[(1,)] == 2
     assert type(t.terms[(2,)]) is Fraction and t.terms[(2,)] == F(1, 2)
     e = ExteriorElement(2, 1, {(1,): F(6, 3), (2,): F(1, 2)})
-    assert type(e.coords[(1,)]) is int and type(e.coords[(2,)]) is Fraction
+    assert type(e.terms[(1,)]) is int and type(e.terms[(2,)]) is Fraction
     assert type(TruncatedTensor.one(2, 2).coefficient(())) is int
     assert type((F(4, 2) * t).terms[(1,)]) is int
 
@@ -242,7 +242,7 @@ def test_non_rational_coefficients_are_rejected(bad):
     with pytest.raises(TypeError):
         bad * ExteriorElement.basis(2, (1,))
     with pytest.raises(TypeError):
-        bad * HomTensor(2, 1, (t.recap(1), TruncatedTensor.zero(2, 1)))
+        bad * HomTensor.from_columns(2, 1, (t.recap(1), TruncatedTensor.zero(2, 1)))
 
 
 @pytest.mark.parametrize(
@@ -254,15 +254,32 @@ def test_non_rational_coefficients_are_rejected(bad):
         lambda: ExteriorElement(3, 2, {(2, 1): 1}),        # not increasing
         lambda: ExteriorElement(3, 2, {(2, 2): 1}),        # not increasing
         lambda: ExteriorElement(3, 2, {(1, 4): 1}),        # index out of range
-        lambda: HomTensor(2, 2, (                          # column not homogeneous
+        lambda: HomTensor.from_columns(2, 2, (  # column not homogeneous
             TruncatedTensor(2, 2, {(1, 2): 1, (1,): 1}),
             TruncatedTensor.zero(2, 2),
         )),
+        lambda: HomTensor.from_columns(2, 2, (TruncatedTensor.zero(2, 2),)),  # a column short
+        lambda: HomTensor.from_columns(2, 1, (  # a column of rank 3
+            TruncatedTensor.basis(3, 1, 1),
+            TruncatedTensor.zero(2, 1),
+        )),
+        lambda: HomTensor(2, 2, {(1, 2): 1}),              # argument without its image
     ],
 )
 def test_public_constructors_check_every_index(build):
     with pytest.raises(ValueError):
         build()
+
+
+def test_sum_of_two_shapes_is_refused():
+    t = TruncatedTensor(2, 2, {(1, 2): 1})
+    u = HomTensor(2, 2, {(1, 1, 2): 1})
+    e = ExteriorElement(2, 2, {(1, 2): 1})
+    for a, b in ((t, u), (u, t), (t, e), (e, t), (u, e)):
+        with pytest.raises(ValueError, match="cannot combine"):
+            a + b
+        with pytest.raises(ValueError, match="cannot combine"):
+            a - b
 
 
 def test_internal_results_hold_no_zero_coefficient():
@@ -273,9 +290,9 @@ def test_internal_results_hold_no_zero_coefficient():
     u = random_hom(rng, 3, 2)
     assert all(col.terms == {} for col in (u - u).columns)
     e = alt_project(t.component(2), 2)
-    assert (e - e).coords == {}
+    assert (e - e).terms == {}
     # X1 X2 + X2 X1 is symmetric: its projection cancels to nothing stored
-    assert alt_project(TruncatedTensor(2, 2, {(1, 2): 1, (2, 1): 1}), 2).coords == {}
+    assert alt_project(TruncatedTensor(2, 2, {(1, 2): 1, (2, 1): 1}), 2).terms == {}
 
 
 # randomised laws against the oracles
@@ -331,6 +348,7 @@ def test_contract_is_linear():
     for _ in range(40):
         n = rng.randint(1, 3)
         u, v = random_hom(rng, n, 2), random_hom(rng, n, 2)
+        assert HomTensor.from_columns(n, 2, u.columns) == u
         assert (u + v).contract() == u.contract() + v.contract()
         assert (F(3, 2) * u).contract() == F(3, 2) * u.contract()
 
@@ -356,7 +374,7 @@ def test_alt_project_matches_signed_permutation_oracle():
             n, q,
             {idx: F(rng.randint(-3, 3)) for idx in all_indices(n, q) if rng.random() < 0.6},
         )
-        assert dict(alt_project(t, q).coords) == oracle_alt(t, q)
+        assert dict(alt_project(t, q).terms) == oracle_alt(t, q)
 
 
 def test_alt_project_is_multiplicative():
@@ -404,7 +422,7 @@ def test_exterior_action_is_representative_independent():
 ])
 def test_actions_reject_a_non_permutation(perm):
     t = TruncatedTensor(3, 2, {(1, 2): 1, (3,): 2})
-    u = HomTensor(3, 1, tuple(TruncatedTensor.basis(3, 1, i) for i in (1, 2, 3)))
+    u = HomTensor.from_columns(3, 1, tuple(TruncatedTensor.basis(3, 1, i) for i in (1, 2, 3)))
     e = ExteriorElement.basis(3, (1, 3))
     for act in (t.act, u.conjugate, e.act):
         with pytest.raises(ValueError, match="permutation"):
