@@ -12,14 +12,14 @@ union.  A candidate keeps S, never the q!-term chain.
 Every element of S is pure, so hbar_mu sees no coefficient action and
 <hbar_mu, T(S)> is the sum over ordered set partitions (U_1, ..., U_k) of S
 with |U_j| = mu_j of B(U_1) ^ ... ^ B(U_k), signed by the permutation that
-lists U_1, U_2, ... each in base order.  B(U) projects the contraction of
-D(U), the signed sum over orderings of U of the nested tau1 values:
-D({g}) = tau1(g) and D(U) = sum over g in U of (-1)^pos(g) times tau1(g)
-composed through the first slot of D(U - g), pos(g) counting from 0 in U.
-D and B are computed once per cycle for every row; the outer sum runs over
-the unions of the first j parts.  Pairing every hbar_mu against every
-candidate cycle and coordinate of Lambda^q H yields an exact rational
-matrix whose row rank is computed fraction-free.
+lists U_1, U_2, ... each in base order.  B(U), the projected contraction of
+the signed sum over orderings of U of the nested tau1 values, is the trace
+of a product of exterior-valued matrices (tensors.nested_traces).  Each
+tau1(g) lives on its block's strands, so B(U) vanishes once U meets two
+blocks, and the outer sum over the unions of the first j parts skips every
+zero B.  B is computed once per cycle for every row.  Pairing every hbar_mu
+against every candidate cycle and coordinate of Lambda^q H yields an exact
+rational matrix whose row rank is computed fraction-free.
 
 The verdict is "pass" exactly when the rank equals the number of
 partitions: the rows are then linearly independent as cochains, hence as
@@ -71,9 +71,7 @@ from .cochains import (
     unit_cochain,
 )
 from .magnus import MagnusExpansion
-from .tensors import (
-    ExteriorElement, HomTensor, Scalar, alt_project, compose_first_slot, exterior_basis
-)
+from .tensors import ExteriorElement, Scalar, exterior_basis, nested_traces
 
 EXTERIOR_CONVENTION = "exterior projection is the signed coefficient sum, no 1/q! factor"
 
@@ -188,33 +186,29 @@ def torus_pairings(
         if not g.acts_trivially():
             raise ValueError("chain support acts nontrivially on homology")
     n, q, full = theta.n, len(elements), (1 << len(elements)) - 1
-    taus = [tau1(theta, g) for g in elements]
-    bits = [[i for i in range(q) if mask >> i & 1] for mask in range(full + 1)]
-    nested = {1 << i: tau for i, tau in enumerate(taus)}
-    for mask in range(1, full + 1):
-        if mask not in nested:
-            value = HomTensor.zero(n, len(bits[mask]) + 1)
-            for pos, i in enumerate(bits[mask]):
-                term = compose_first_slot(taus[i], nested[mask ^ 1 << i])
-                value = value - term if pos % 2 else value + term
-            nested[mask] = value
-    blocks = {mask: alt_project(d.contract(), len(bits[mask])) for mask, d in nested.items()}
+    sized: dict[int, list[tuple[int, ExteriorElement]]] = {}  # the nonzero B(U) by |U|
+    for mask, value in nested_traces([tau1(theta, g) for g in elements]).items():
+        if not value.is_zero():
+            sized.setdefault(mask.bit_count(), []).append((mask, value))
     out = []
     for mu in rows:
-        layer = {0: ExteriorElement.unit(n)}
-        for m in filter(None, mu):
+        parts = [m for m in mu if m]
+        # the first part's sums are its blocks themselves, with no wedge or sign
+        layer = dict(sized.get(parts[0], ())) if parts else {0: ExteriorElement.unit(n)}
+        for m in parts[1:]:
             grown: dict[int, ExteriorElement] = {}
             for used, value in layer.items():
-                for part in combinations(bits[full ^ used], m):
-                    mask = sum(1 << i for i in part)
-                    term = value.wedge(blocks[mask])
+                for mask, block in sized.get(m, ()):
+                    if used & mask:
+                        continue
+                    term = value.wedge(block)
                     # one inversion per used element listed before a smaller one
-                    if sum((used >> i + 1).bit_count() for i in part) % 2:
+                    if sum((used >> i + 1).bit_count() for i in range(q) if mask >> i & 1) % 2:
                         term = -term
                     key = used | mask
                     grown[key] = grown[key] + term if key in grown else term
             layer = grown
-        out.append(layer[full])
+        out.append(layer.get(full, ExteriorElement.zero(n, q)))
     return out
 
 
@@ -327,10 +321,15 @@ def certificate(
         lam: [torus_pairings(theta, c.elements, parts_list) for c in cycles[lam]]
         for lam in parts_list
     }
-    matrix: list[list[Scalar]] = [
-        [v[i].coefficient(idx) for lam in parts_list for v in values[lam] for idx in basis]
-        for i in range(len(parts_list))
-    ]
+    # exterior coordinates are keyed by bitmask, bit i-1 for X_i
+    column = {sum(1 << i - 1 for i in idx): k for k, idx in enumerate(basis)}
+    matrix: list[list[Scalar]] = [[] for _ in parts_list]
+    for i, row in enumerate(matrix):
+        for v in (v for lam in parts_list for v in values[lam]):
+            segment: list[Scalar] = [0] * len(basis)
+            for mask, c in v[i].terms.items():
+                segment[column[mask]] = c
+            row += segment
 
     rank = exact_rank(matrix)
     expected = len(parts_list)

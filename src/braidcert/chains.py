@@ -40,7 +40,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .braids import parse_braid
 from .cochains import BlockEmbedding, Cochain, GroupElement
-from .tensors import Scalar, _sort_with_sign, rational
+from .tensors import Scalar, rational, sort_sign
 from .words import GrammarError
 
 
@@ -121,9 +121,9 @@ def torus_cycle(elems: Sequence[GroupElement]) -> BarChain:
         raise ValueError(f"elements at positions {pair[0]} and {pair[1]} do not commute")
     p = len(elems)
     terms: dict[tuple, int] = {}
-    for perm in permutations(range(p)):
-        tup = tuple(elems[k] for k in perm)
-        sign = _sort_with_sign(perm)[1]
+    for perm in permutations(range(1, p + 1)):
+        tup = tuple(elems[k - 1] for k in perm)
+        sign = sort_sign(perm)[1]
         terms[tup] = terms.get(tup, 0) + sign
     return BarChain(p, terms)
 

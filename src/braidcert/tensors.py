@@ -1,7 +1,7 @@
 """Exact sparse tensor algebra on H = Q^n, truncated in degree.
 
 Every value here is stored one way: a rank n, a grade, and a dict `terms`
-from index tuples to nonzero exact rational coefficients.  The three shapes
+from index keys to nonzero exact rational coefficients.  The three shapes
 differ only in their grade field and in which index tuples they accept:
 
 * TruncatedTensor(n, cap, terms)   -- an element of T(H)/T_{>cap}: a tuple
@@ -11,7 +11,8 @@ differ only in their grade field and in which index tuples they accept:
   argument: (j, i_1, ..., i_m) is the coefficient of X_{i_1}...X_{i_m} in the
   image of X_j;
 * ExteriorElement(n, q, terms)     -- an element of Lambda^q H, on strictly
-  increasing q-tuples.
+  increasing q-tuples, each keyed by its bitmask (bit i-1 for X_i); tuples
+  appear only in the constructor, coefficient, sorted_terms, JSON and repr.
 
 The checks, the linear arithmetic and the JSON term list live once, in the
 shared core.  Multiplication concatenates indices and never forms a term
@@ -41,7 +42,8 @@ Braids act on H by a permutation, given as an image tuple: X_i goes to
 X_{perm[i-1]}.  The action relabels every index (and re-sorts them, with
 sign, on exterior elements), so it does no arithmetic and adds no term; on a
 HomTensor, relabelling the argument's index too makes it conjugation.  A
-perm that is not a permutation of 1..n is a ValueError.
+perm that is not a permutation of 1..n is a ValueError.  Every exterior sign,
+of a wedge, an action, a projection or a sort, is an inversion parity.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from numbers import Rational
-from typing import Any, ClassVar, Mapping, Sequence, TypeVar
+from typing import Any, ClassVar, Iterable, Mapping, Sequence, TypeVar
 
 Index = tuple[int, ...]
 Scalar = Fraction | int
@@ -83,20 +85,31 @@ def _relabelled(terms: Mapping[Index, Scalar], perm: tuple[int, ...]) -> dict[In
     return {tuple(perm[i - 1] for i in idx): c for idx, c in terms.items()}
 
 
-def _sort_with_sign(idx: Index) -> tuple[Index, int] | None:
-    """Sort idx, returning (sorted tuple, permutation sign); None on a repeat."""
-    arr = list(idx)
-    sign = 1
-    for i in range(1, len(arr)):
-        j = i
-        while j > 0 and arr[j - 1] > arr[j]:
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(arr, arr[1:]):
-        if a == b:
+def _odd_above(a: int) -> int:
+    """The positions below an odd number of bits of a: for disjoint masks a
+    and b, X_a ^ X_b = -X_(a|b) exactly when _odd_above(a) & b has an odd
+    bit count, the parity of the pairs that a lists before b out of order."""
+    out = 0
+    while a:
+        out ^= (a & -a) - 1
+        a &= a - 1
+    return out
+
+
+def sort_sign(indices: Iterable[int]) -> tuple[int, int] | None:
+    """The mask of distinct indices, bit i-1 for index i, and the sign of the
+    permutation that sorts them, by the rule of _odd_above; None on a repeat."""
+    mask = odd = 0
+    for i in indices:
+        if mask >> i - 1 & 1:
             return None
-    return tuple(arr), sign
+        odd ^= _odd_above(mask) >> i - 1 & 1
+        mask |= 1 << i - 1
+    return mask, -1 if odd else 1
+
+
+def _indices(mask: int) -> Index:
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 class _Sparse:
@@ -122,8 +135,10 @@ class _Sparse:
                 raise ValueError(f"index {idx} out of range for rank {n}")
             c = rational(c)
             if c:
-                clean[idx] = c
+                clean[self._key(idx)] = c
         object.__setattr__(self, "terms", clean)
+
+    _key = staticmethod(tuple)  # the storage key of a checked index tuple
 
     @property
     def _grade(self) -> int:
@@ -144,7 +159,7 @@ class _Sparse:
         return cls(n, grade, {})
 
     def coefficient(self, idx: Index) -> Scalar:
-        return self.terms.get(tuple(idx), 0)
+        return self.terms.get(self._key(tuple(idx)), 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -347,18 +362,23 @@ def compose_maps(factors: Sequence[HomTensor]) -> HomTensor:
 
 @dataclass(frozen=True)
 class ExteriorElement(_Sparse):
-    """An element of Lambda^q H, coefficients on strictly increasing index tuples."""
+    """An element of Lambda^q H, coefficients keyed by bitmask, bit i-1 for X_i."""
 
     _GRADE = "q"
     n: int
     q: int
-    terms: Mapping[Index, Scalar] = field(default_factory=dict)
+    terms: Mapping[int, Scalar] = field(default_factory=dict)
 
     def _check_shape(self, idx: Index) -> None:
         if len(idx) != self.q:
             raise ValueError(f"index {idx} has wrong length for degree {self.q}")
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ValueError(f"index {idx} is not strictly increasing")
+
+    @staticmethod
+    def _key(idx: Index) -> int | None:
+        """The bitmask of a strictly increasing tuple of positive indices, else None."""
+        return sum(1 << i - 1 for i in idx) if all(a < b for a, b in zip((0, *idx), idx)) else None
 
     @classmethod
     def unit(cls, n: int) -> ExteriorElement:
@@ -368,31 +388,38 @@ class ExteriorElement(_Sparse):
     def basis(cls, n: int, idx: Index) -> ExteriorElement:
         return cls(n, len(idx), {tuple(idx): 1})
 
+    def sorted_terms(self) -> list[tuple[Index, Scalar]]:
+        return sorted((_indices(mask), c) for mask, c in self.terms.items())
+
     def wedge(self, other: ExteriorElement) -> ExteriorElement:
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        out: dict[Index, Scalar] = {}
-        for i1, c1 in self.terms.items():
-            for i2, c2 in other.terms.items():
-                sorted_sign = _sort_with_sign(i1 + i2)
-                if sorted_sign is None:
+        out: dict[int, Scalar] = {}
+        get = out.get
+        for a, c1 in self.terms.items():
+            odd_above = _odd_above(a)
+            for b, c2 in other.terms.items():
+                if a & b:
                     continue
-                idx, sign = sorted_sign
-                out[idx] = out.get(idx, 0) + sign * c1 * c2
+                c = c1 * c2
+                out[a | b] = get(a | b, 0) + (-c if (odd_above & b).bit_count() & 1 else c)
         return ExteriorElement._trusted(self.n, self.q + other.q, out)
 
     def act(self, perm: tuple[int, ...]) -> ExteriorElement:
         """Relabel every index i as perm[i-1] and re-sort each tuple, with its sign."""
         _check_permutation(perm, self.n)
-        out: dict[Index, Scalar] = {}
-        for idx, c in _relabelled(self.terms, perm).items():
+        out: dict[int, Scalar] = {}
+        for mask, c in self.terms.items():
             # relabelled indices stay distinct, so the sort never finds a repeat
-            key, sign = _sort_with_sign(idx)
+            key, sign = sort_sign(perm[i - 1] for i in _indices(mask))
             out[key] = sign * c
         return ExteriorElement._trusted(self.n, self.q, out)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"n": self.n, "q": self.q, "coords": self._json_terms()}
+
+    def __repr__(self) -> str:
+        return f"ExteriorElement(n={self.n}, q={self.q}, terms={dict(self.sorted_terms())})"
 
 
 def alt_project(t: TruncatedTensor, q: int) -> ExteriorElement:
@@ -400,14 +427,52 @@ def alt_project(t: TruncatedTensor, q: int) -> ExteriorElement:
     increasing tuple, without dividing by q!."""
     if any(len(i) != q for i in t.terms):
         raise ValueError(f"tensor is not homogeneous of degree {q}")
-    out: dict[Index, Scalar] = {}
+    out: dict[int, Scalar] = {}
     for idx, c in t.terms.items():
-        sorted_sign = _sort_with_sign(idx)
-        if sorted_sign is None:
-            continue
-        key, sign = sorted_sign
-        out[key] = out.get(key, 0) + sign * c
+        if (mask_sign := sort_sign(idx)) is not None:
+            key, sign = mask_sign
+            out[key] = out.get(key, 0) + sign * c
     return ExteriorElement._trusted(t.n, q, out)
+
+
+def nested_traces(maps: Sequence[HomTensor]) -> dict[int, ExteriorElement]:
+    """Tr N(U) in Lambda^|U| H for each nonempty set U of positions in maps,
+    a list of maps H -> H^(x)2 of one rank, keyed by the bitmask of U.
+
+    N({g}) = M_g, the matrix with entry (a, b) = sum_c maps[g][(b, a, c)] X_c,
+    and N(U) = sum over g in U of (-1)^pos(g) M_g N(U - g), pos counting from
+    0 in U.  As alt_project is an algebra map, Tr N(U) is the projected
+    contraction of the signed sum over orderings of U of the maps nested
+    through the first slot, the first outermost.
+    """
+    n = maps[0].n if maps else 0
+    if any(t.n != n or t.out_degree != 2 for t in maps):
+        raise ValueError("expected maps H -> H^(x)2 of one rank")
+    # the nonzero entries of N(U) by row: {a: [(column, mask, coefficient)]}; N({}) = 1
+    nested = {0: {a: [(a, 0, 1)] for a in range(1, n + 1)}}
+    out: dict[int, ExteriorElement] = {}
+    for mask in range(1, 1 << len(maps)):
+        acc: dict[tuple[int, int, int], Scalar] = {}
+        get = acc.get
+        for pos, g in enumerate(g for g in range(len(maps)) if mask >> g & 1):
+            inner = nested[mask ^ 1 << g]
+            for (b, a, c), x in maps[g].terms.items():
+                bit = 1 << c - 1
+                for j, rest, y in inner.get(b, ()):
+                    if not rest & bit:
+                        # X_c, wedged on the left, moves past the indices of rest below it
+                        key = (a, j, rest | bit)
+                        odd = (pos + (rest & bit - 1).bit_count()) % 2
+                        acc[key] = get(key, 0) + (-x * y if odd else x * y)
+        rows, trace = {}, {}
+        for (a, j, rest), c in acc.items():
+            if c:
+                rows.setdefault(a, []).append((j, rest, c))
+                if a == j:
+                    trace[rest] = trace.get(rest, 0) + c
+        nested[mask] = rows
+        out[mask] = ExteriorElement._trusted(n, mask.bit_count(), trace)
+    return out
 
 
 def exterior_basis(n: int, q: int) -> list[Index]:

@@ -19,6 +19,7 @@ import pytest
 from braidcert import certify as certify_module
 from braidcert import chains as chains_module
 from braidcert import cli
+from braidcert import tensors as tensors_module
 from braidcert.braids import BraidWord, pure_gen_braid
 from braidcert.certify import (
     Certificate,
@@ -32,8 +33,9 @@ from braidcert.certify import (
     torus_pairings,
 )
 from braidcert.chains import pair, parse_cycle, torus_cycle
-from braidcert.cochains import GroupElement, hbar_partition_cochain
+from braidcert.cochains import GroupElement, hbar_partition_cochain, tau1
 from braidcert.magnus import MagnusExpansion
+from braidcert.tensors import nested_traces
 from test_chains import random_commuting_set
 from test_cochains import random_custom
 
@@ -275,6 +277,25 @@ def test_torus_pairings_match_pair_on_random_commuting_sets():
     assert rows_checked >= 60 and repeats and identities and nonzero >= 10
 
 
+def test_sets_meeting_two_blocks_have_zero_trace_under_a_custom_tail():
+    # each catalog element is pure on its block, so its tau1 lives on the
+    # block's strands whatever the tail, and N(U) vanishes once U meets two blocks
+    rng = random.Random(76)
+    spanning = nonzero = 0
+    for parts, n in [((2, 1, 0), 6), ((2, 2, 0, 0), 8), ((1, 1, 1, 0), 7)]:
+        theta = random_custom(rng, n)
+        block = [k for k, p in enumerate(parts) for _ in range(p)]
+        for cand in partition_cycles(parts, n, depth=2):
+            traces = nested_traces([tau1(theta, g) for g in cand.elements])
+            for mask, value in traces.items():
+                if len({block[g] for g in range(len(block)) if mask >> g & 1}) > 1:
+                    assert value.is_zero(), (cand.descriptor, mask)
+                    spanning += 1
+                else:
+                    nonzero += not value.is_zero()
+    assert spanning >= 40 and nonzero >= 20
+
+
 def test_torus_pairings_reject_elements_acting_on_homology():
     theta = MagnusExpansion.standard(3, 2)
     s1 = GroupElement(BraidWord(3, (1,)))
@@ -286,8 +307,13 @@ def test_certificate_builds_no_bar_chain(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("the certificate path builds no bar chain")
 
+    def refuse_nesting(*args, **kwargs):
+        raise AssertionError("the certificate path nests no HomTensor")
+
     monkeypatch.setattr(certify_module, "pair", refuse)
     monkeypatch.setattr(chains_module.BarChain, "__init__", refuse)
+    monkeypatch.setattr(tensors_module, "compose_first_slot", refuse_nesting)
+    monkeypatch.setattr(tensors_module.HomTensor, "contract", refuse_nesting)
     capsys.readouterr()
     assert cli.main(["independence", "--n", "8", "--q", "4"]) == 0
     out = capsys.readouterr().out.encode("utf-8")
@@ -307,6 +333,13 @@ def test_certificate_small_cases_pass():
 
 def test_certificate_frontier_ten_five_at_depth_six():
     cert = certificate(10, 5, catalog_depth=6)
+    assert cert.passed
+    assert cert.rank == cert.expected_rank == 7
+    assert not cert.triangular_violations
+
+
+def test_certificate_eleven_five_at_depth_six():
+    cert = certificate(11, 5, catalog_depth=6)
     assert cert.passed
     assert cert.rank == cert.expected_rank == 7
     assert not cert.triangular_violations

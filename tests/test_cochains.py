@@ -533,6 +533,19 @@ def test_group_element_equality_ignores_spelling():
     assert a == b and hash(a) == hash(b)
 
 
+def test_element_hash_reads_the_forward_images_once(monkeypatch):
+    calls = []
+    original = FreeWord.__hash__
+    monkeypatch.setattr(FreeWord, "__hash__", lambda w: calls.append(w) or original(w))
+    # (s1 s2^-1)^8: forward images of 16,715 letters in all, spelled nowhere else
+    g = GroupElement(BraidWord(3, (1, -2) * 8))
+    first = hash(g)
+    assert len(calls) == 3
+    assert hash(g) == first and len(calls) == 3
+    respelled = GroupElement(BraidWord(3, (2, -2) + (1, -2) * 8))
+    assert respelled == g and hash(respelled) == first
+
+
 def test_full_twist_acts_trivially_on_homology():
     for n in (2, 3, 4):
         g = GroupElement(full_twist(n, n))

@@ -7,7 +7,9 @@ with entries wrapped in Fraction, and each result is rebuilt through plain
 dicts.  The fast paths must agree with them on seeded random inputs (ranks
 1-5, caps 2-4, integer and non-integral coefficients, custom tails with
 denominators), must never hold a zero coefficient, and must keep integer
-inputs in int.
+inputs in int.  The oracle for nested_traces is the certificate pairing's
+earlier subset sum over nested maps, built from compose_first_slot, contract
+and alt_project, which the tests here check against their own oracles.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ from braidcert.tensors import (
     HomTensor,
     TruncatedTensor,
     alt_project,
+    compose_first_slot,
     compose_maps,
     exterior_basis,
+    nested_traces,
 )
 from braidcert.words import FreeWord
 
@@ -113,7 +117,11 @@ def oracle_alt(terms: dict) -> dict:
 
 def oracle_wedge(a: ExteriorElement, b: ExteriorElement) -> dict:
     return oracle_alt(
-        {i1 + i2: F(c1) * F(c2) for i1, c1 in a.terms.items() for i2, c2 in b.terms.items()}
+        {
+            i1 + i2: F(c1) * F(c2)
+            for i1, c1 in a.sorted_terms()
+            for i2, c2 in b.sorted_terms()
+        }
     )
 
 
@@ -135,6 +143,24 @@ def oracle_value(theta: MagnusExpansion, word: FreeWord) -> dict:
             v = TruncatedTensor(theta.n, theta.cap, inv)
         result = oracle_mul(TruncatedTensor(theta.n, theta.cap, result), v)
     return result
+
+
+def oracle_nested_traces(maps: list[HomTensor]) -> dict[int, ExteriorElement]:
+    """alt_project(contract(D(U))) for every nonempty mask U of positions, with
+    D({g}) = maps[g] and D(U) = sum over g in U of (-1)^pos(g) maps[g]
+    composed through the first slot of D(U - g): the nested-map subset sum
+    that the certificate pairing ran before the trace form."""
+    n, full = maps[0].n, (1 << len(maps)) - 1
+    nested = {1 << g: t for g, t in enumerate(maps)}
+    for mask in range(1, full + 1):
+        if mask not in nested:
+            members = [g for g in range(len(maps)) if mask >> g & 1]
+            value = HomTensor.zero(n, len(members) + 1)
+            for pos, g in enumerate(members):
+                term = compose_first_slot(maps[g], nested[mask ^ 1 << g])
+                value = value - term if pos % 2 else value + term
+            nested[mask] = value
+    return {mask: alt_project(d.contract(), mask.bit_count()) for mask, d in nested.items()}
 
 
 # random inputs
@@ -245,10 +271,10 @@ def test_wedge_and_alt_project_match_oracle():
     for rng, n, cap, integral in cases(104, 150):
         qa, qb = rng.randint(0, min(2, n)), rng.randint(0, min(2, n))
         a, b = random_exterior(rng, n, qa, integral), random_exterior(rng, n, qb, integral)
-        assert_exact(dict(a.wedge(b).terms), oracle_wedge(a, b), integral)
+        assert_exact(dict(a.wedge(b).sorted_terms()), oracle_wedge(a, b), integral)
         q = rng.randint(0, cap)
         t = TruncatedTensor(n, q, random_terms(rng, n, (q,), rng.randint(0, 12), integral))
-        assert_exact(dict(alt_project(t, q).terms), oracle_alt(t.terms), integral)
+        assert_exact(dict(alt_project(t, q).sorted_terms()), oracle_alt(t.terms), integral)
 
 
 def test_magnus_value_matches_oracle():
@@ -268,3 +294,36 @@ def test_magnus_value_matches_oracle():
             word = FreeWord.reduce(n, [rng.choice([1, -1]) * rng.randint(1, n) for _ in range(rng.randint(0, 8))])
             assert_exact(dict(theta.value(word).terms), oracle_value(theta, word), kind < 2)
 
+
+
+def test_nested_traces_match_nested_map_oracle():
+    rng = random.Random(106)
+    nonzero_products = 0
+    for k in range(40):
+        n, integral = rng.randint(2, 6), k % 2 == 0
+        maps = [
+            HomTensor.from_columns(n, 2, tuple(
+                TruncatedTensor(n, 2, random_terms(rng, n, (2,), rng.randint(0, n), integral))
+                for _ in range(n)
+            ))
+            for _ in range(rng.randint(1, 4))
+        ]
+        got, want = nested_traces(maps), oracle_nested_traces(maps)
+        assert got.keys() == want.keys()
+        for mask, value in got.items():
+            assert value.q == mask.bit_count()
+            assert_exact(dict(value.sorted_terms()), dict(want[mask].sorted_terms()), integral)
+            nonzero_products += mask.bit_count() >= 2 and not value.is_zero()
+    assert nonzero_products >= 50
+
+
+def test_exterior_masks_at_rank_twelve_match_oracle():
+    rng = random.Random(107)
+    for k in range(20):
+        integral = k % 2 == 0
+        qa, qb = rng.randint(0, 2), rng.randint(0, 2)
+        a, b = random_exterior(rng, 12, qa, integral), random_exterior(rng, 12, qb, integral)
+        assert_exact(dict(a.wedge(b).sorted_terms()), oracle_wedge(a, b), integral)
+        perm = random_perm(rng, 12)
+        want = oracle_alt(oracle_act(dict(a.sorted_terms()), 12, permutation_matrix(perm)))
+        assert_exact(dict(a.act(perm).sorted_terms()), want, integral)

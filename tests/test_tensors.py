@@ -218,7 +218,8 @@ def test_integral_fractions_are_stored_as_int():
     assert type(t.terms[(1,)]) is int and t.terms[(1,)] == 2
     assert type(t.terms[(2,)]) is Fraction and t.terms[(2,)] == F(1, 2)
     e = ExteriorElement(2, 1, {(1,): F(6, 3), (2,): F(1, 2)})
-    assert type(e.terms[(1,)]) is int and type(e.terms[(2,)]) is Fraction
+    coords = dict(e.sorted_terms())
+    assert type(coords[(1,)]) is int and type(coords[(2,)]) is Fraction
     assert type(TruncatedTensor.one(2, 2).coefficient(())) is int
     assert type((F(4, 2) * t).terms[(1,)]) is int
 
@@ -228,6 +229,22 @@ def test_json_prints_integral_coefficients_as_k_over_1():
     assert [term["c"] for term in t.to_json_dict()["terms"]] == ["2/1", "-3/1"]
     e = ExteriorElement(2, 2, {(1, 2): F(-8, 4)})
     assert e.to_json_dict()["coords"] == [{"idx": [1, 2], "c": "-2/1"}]
+
+
+def test_exterior_coordinates_print_in_lexicographic_order_at_rank_ten_and_up():
+    # (1, 10) is stored under a larger bitmask than (2, 3), yet comes first
+    e = ExteriorElement(12, 2, {(2, 3): 1, (11, 12): -1, (1, 10): F(1, 2), (1, 2): 3})
+    order = [(1, 2), (1, 10), (2, 3), (11, 12)]
+    assert [tuple(t["idx"]) for t in e.to_json_dict()["coords"]] == order
+    assert [idx for idx, _ in e.sorted_terms()] == order
+    text = str(e)
+    spots = [text.index(str(idx)) for idx in order]
+    assert spots == sorted(spots)
+    assert e.coefficient((1, 10)) == F(1, 2) and e.coefficient([2, 3]) == 1
+    assert e.coefficient((10, 1)) == 0 and e.coefficient((0, 1)) == 0
+    assert e.coefficient((1, 13)) == 0 and e.coefficient((1,)) == 0
+    w = ExteriorElement.basis(12, (10,)).wedge(ExteriorElement.basis(12, (2, 11)))
+    assert w.sorted_terms() == [((2, 10, 11), -1)]
 
 
 @pytest.mark.parametrize("bad", [0.1, 0.5, "1/2", "2", None, 1j])
@@ -254,6 +271,10 @@ def test_non_rational_coefficients_are_rejected(bad):
         lambda: ExteriorElement(3, 2, {(2, 1): 1}),        # not increasing
         lambda: ExteriorElement(3, 2, {(2, 2): 1}),        # not increasing
         lambda: ExteriorElement(3, 2, {(1, 4): 1}),        # index out of range
+        lambda: ExteriorElement(12, 2, {(10, 3): 1}),      # not increasing
+        lambda: ExteriorElement.basis(10, (10, 10)),       # not increasing
+        lambda: ExteriorElement(10, 2, {(1, 11): 1}),      # index out of range
+        lambda: ExteriorElement.basis(10, (0, 10)),        # index out of range
         lambda: HomTensor.from_columns(2, 2, (  # column not homogeneous
             TruncatedTensor(2, 2, {(1, 2): 1, (1,): 1}),
             TruncatedTensor.zero(2, 2),
@@ -374,7 +395,7 @@ def test_alt_project_matches_signed_permutation_oracle():
             n, q,
             {idx: F(rng.randint(-3, 3)) for idx in all_indices(n, q) if rng.random() < 0.6},
         )
-        assert dict(alt_project(t, q).terms) == oracle_alt(t, q)
+        assert dict(alt_project(t, q).sorted_terms()) == oracle_alt(t, q)
 
 
 def test_alt_project_is_multiplicative():
