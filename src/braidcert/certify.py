@@ -71,7 +71,7 @@ from .cochains import (
     unit_cochain,
 )
 from .magnus import MagnusExpansion
-from .tensors import ExteriorElement, Scalar, exterior_basis, nested_traces
+from .tensors import ExteriorElement, Scalar, _odd_above, exterior_basis, nested_traces
 
 EXTERIOR_CONVENTION = "exterior projection is the signed coefficient sum, no 1/q! factor"
 
@@ -198,12 +198,13 @@ def torus_pairings(
         for m in parts[1:]:
             grown: dict[int, ExteriorElement] = {}
             for used, value in layer.items():
+                # one inversion per used element listed before a smaller one
+                odd_above = _odd_above(used)
                 for mask, block in sized.get(m, ()):
                     if used & mask:
                         continue
                     term = value.wedge(block)
-                    # one inversion per used element listed before a smaller one
-                    if sum((used >> i + 1).bit_count() for i in range(q) if mask >> i & 1) % 2:
+                    if (odd_above & mask).bit_count() & 1:
                         term = -term
                     key = used | mask
                     grown[key] = grown[key] + term if key in grown else term

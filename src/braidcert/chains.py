@@ -35,7 +35,7 @@ blocks are placed on consecutive strands starting at strand 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Any, Iterable, Mapping, Sequence
 
 from .braids import parse_braid
@@ -65,27 +65,15 @@ class BarChain:
             clean[tup] = c
         object.__setattr__(self, "terms", clean)
 
-    @classmethod
-    def zero(cls, degree: int) -> BarChain:
-        return cls(degree, {})
-
-    @classmethod
-    def unit(cls) -> BarChain:
-        return cls(0, {(): 1})
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def support(self) -> set:
         return {g for tup in self.terms for g in tup}
 
-    def __rmul__(self, scalar: Scalar) -> BarChain:
-        c = rational(scalar)
-        return BarChain(self.degree, {t: c * v for t, v in self.terms.items()})
-
     def boundary(self) -> BarChain:
         if self.degree == 0:
-            return BarChain.zero(0)
+            return BarChain(0)
         out: dict[tuple, Scalar] = {}
 
         def put(tup: tuple, c: Scalar) -> None:
@@ -130,18 +118,10 @@ def torus_cycle(elems: Sequence[GroupElement]) -> BarChain:
 
 def _shuffles(p: int, q: int):
     """All interleavings of 0..p-1 with p..p+q-1 preserving both orders, signed."""
-    def go(a: int, b: int):
-        if a == p and b == q:
-            yield (), 0
-            return
-        if a < p:
-            for rest, inv in go(a + 1, b):
-                yield (a,) + rest, inv
-        if b < q:
-            for rest, inv in go(a, b + 1):
-                # p + b jumps ahead of the p - a remaining left entries
-                yield (p + b,) + rest, inv + (p - a)
-    yield from go(0, 0)
+    for slots in combinations(range(p + q), p):
+        left, right = iter(range(p)), iter(range(p, p + q))
+        order = tuple(next(left) if k in slots else next(right) for k in range(p + q))
+        yield order, sort_sign(k + 1 for k in order)[1]
 
 
 def shuffle(z1: BarChain, z2: BarChain) -> BarChain:
@@ -156,9 +136,8 @@ def shuffle(z1: BarChain, z2: BarChain) -> BarChain:
     for t1, c1 in z1.terms.items():
         for t2, c2 in z2.terms.items():
             pool = t1 + t2
-            for order, inversions in _shuffles(p, q):
+            for order, sign in _shuffles(p, q):
                 tup = tuple(pool[k] for k in order)
-                sign = -1 if inversions % 2 else 1
                 out[tup] = out.get(tup, 0) + sign * c1 * c2
     return BarChain(p + q, out)
 

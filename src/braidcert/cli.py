@@ -17,6 +17,7 @@ import contextlib
 import json
 import os
 import sys
+from functools import cache
 from typing import Any, Sequence
 
 from .braids import artin_action, parse_braid, permutation
@@ -47,6 +48,7 @@ def _default_degree() -> int:
     return value
 
 
+@cache  # built on the first call, not at import; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="braidcert",

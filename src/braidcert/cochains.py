@@ -30,8 +30,10 @@ materialised.  The basic constructions:
   computed letter by letter through tau1(gh) = tau1(g) + g.tau1(h), at a
   cost linear in the braid's length;
 * coboundary, with the usual twisted alternating-sum formula;
-* cup, the Alexander-Whitney product: the first factor eats the leading
-  arguments, the second is translated by their product;
+* cup, the Alexander-Whitney product of exterior-valued cochains: the
+  first factor eats the leading arguments, the second is translated by
+  their product, and the values are multiplied by the wedge (any other
+  value shape is a TypeError);
 * composite_cochain, the cup of Hom-valued 1-cochains followed by nesting
   the values through the first tensor slot (the first factor outermost);
 * hp_cochain(theta, p) = composite_cochain of p copies of tau1, valued in
@@ -157,15 +159,10 @@ def block_layout(sizes: Sequence[int], ambient: int) -> tuple[BlockEmbedding, ..
 
 def coeff_action(g: GroupElement, value: Value) -> Value:
     """The coefficient action of g, dispatched on the shape of the value."""
-    return _act(g.perm, value)
-
-
-def _act(perm: tuple[int, ...], value: Value) -> Value:
-    """The action of the permutation perm on H, dispatched on the shape of the value."""
     if isinstance(value, (TruncatedTensor, ExteriorElement)):
-        return value.act(perm)
+        return value.act(g.perm)
     if isinstance(value, HomTensor):
-        return value.conjugate(perm)
+        return value.conjugate(g.perm)
     raise TypeError(f"no action defined on {type(value).__name__}")
 
 
@@ -192,20 +189,6 @@ class Cochain:
         if len(elems) != self.degree:
             raise ValueError(f"degree {self.degree} cochain got {len(elems)} arguments")
         return self.evaluate(*elems)
-
-    def __add__(self, other: Cochain) -> Cochain:
-        if self.degree != other.degree or self.n != other.n:
-            raise ValueError("degree or rank mismatch")
-        return Cochain(
-            self.degree, self.n, self.zero_value,
-            lambda *es: self.evaluate(*es) + other.evaluate(*es),
-        )
-
-    def __rmul__(self, scalar) -> Cochain:
-        return Cochain(
-            self.degree, self.n, self.zero_value,
-            lambda *es: scalar * self.evaluate(*es),
-        )
 
 
 _TAU1_CACHES: WeakKeyDictionary = WeakKeyDictionary()
@@ -277,23 +260,9 @@ def coboundary(u: Cochain) -> Cochain:
     return Cochain(p + 1, u.n, u.zero_value, evaluate)
 
 
-def _concat_product(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
-    cap = a.cap + b.cap
-    return a.recap(cap) * b.recap(cap)
-
-
-def _combine_values(a: Value, b: Value) -> Value:
-    if isinstance(a, TruncatedTensor) and isinstance(b, TruncatedTensor):
-        return _concat_product(a, b)
-    if isinstance(a, ExteriorElement) and isinstance(b, ExteriorElement):
-        return a.wedge(b)
-    raise TypeError(
-        f"no cup product of {type(a).__name__} and {type(b).__name__} values"
-    )
-
-
 def cup(u: Cochain, v: Cochain) -> Cochain:
-    """Alexander-Whitney product; the right value is translated by the left arguments."""
+    """Alexander-Whitney product of exterior-valued cochains: the wedge of the
+    values, the right one translated by the left arguments."""
     if u.n != v.n:
         raise ValueError("rank mismatch")
     p = u.degree
@@ -301,17 +270,17 @@ def cup(u: Cochain, v: Cochain) -> Cochain:
     def evaluate(*gs):
         left = u(*gs[:p])
         right = v(*gs[p:])
+        if not (isinstance(left, ExteriorElement) and isinstance(right, ExteriorElement)):
+            raise TypeError(
+                f"no cup product of {type(left).__name__} and {type(right).__name__} values"
+            )
         prefix = None
         for g in gs[:p]:
             prefix = _times(prefix, g)
-        if prefix is not None:
-            right = _act(prefix, right)
-        return _combine_values(left, right)
+        return left.wedge(right if prefix is None else right.act(prefix))
 
     return Cochain(
-        p + v.degree, u.n,
-        lambda: _combine_values(u.zero_value(), v.zero_value()),
-        evaluate,
+        p + v.degree, u.n, lambda: ExteriorElement.zero(u.n, p + v.degree), evaluate
     )
 
 

@@ -224,16 +224,6 @@ class TruncatedTensor(_Sparse):
             self.n, self.cap, {i: c for i, c in self.terms.items() if len(i) == m}
         )
 
-    def recap(self, cap: int) -> TruncatedTensor:
-        """Same element viewed at a different cap; degrees above it are dropped."""
-        if cap == self.cap:
-            return self
-        if cap < 0:
-            raise ValueError(f"cap must be nonnegative, got {cap}")
-        return TruncatedTensor._trusted(
-            self.n, cap, {i: c for i, c in self.terms.items() if len(i) <= cap}
-        )
-
     def __mul__(self, other: TruncatedTensor) -> TruncatedTensor:
         self._require_like(other)
         cap = self.cap

@@ -183,10 +183,6 @@ class AutPair:
         object.__setattr__(pair, "inv", inv)
         return pair
 
-    @property
-    def n(self) -> int:
-        return self.fwd.n
-
     @classmethod
     def identity(cls, n: int) -> AutPair:
         e = EndoMap.identity(n)

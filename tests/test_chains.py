@@ -15,6 +15,7 @@ import pytest
 from braidcert.braids import BraidWord, full_twist, pure_gen_braid
 from braidcert.chains import (
     BarChain,
+    _shuffles,
     embed_chain,
     pair,
     parse_cycle,
@@ -132,11 +133,38 @@ def test_torus_of_three_has_six_signed_terms():
 # shuffles
 
 
+def oracle_shuffles(p: int, q: int):
+    """The interleavings of 0..p-1 with p..p+q-1, each with its inversion count,
+    built recursively one leading entry at a time."""
+    def go(a: int, b: int):
+        if a == p and b == q:
+            yield (), 0
+            return
+        if a < p:
+            for rest, inv in go(a + 1, b):
+                yield (a,) + rest, inv
+        if b < q:
+            for rest, inv in go(a, b + 1):
+                # p + b jumps ahead of the p - a remaining left entries
+                yield (p + b,) + rest, inv + (p - a)
+    yield from go(0, 0)
+
+
+def test_shuffles_match_recursive_oracle():
+    for p in range(5):
+        for q in range(5):
+            want = {order: -1 if inv % 2 else 1 for order, inv in oracle_shuffles(p, q)}
+            got = list(_shuffles(p, q))
+            assert len(got) == len(want)
+            assert dict(got) == want
+
+
 def test_shuffle_with_unit_is_neutral():
     a = band(3, 1, 2)
     z = torus_cycle([a])
-    assert shuffle(BarChain.unit(), z) == z
-    assert shuffle(z, BarChain.unit()) == z
+    unit = BarChain(0, {(): 1})
+    assert shuffle(unit, z) == z
+    assert shuffle(z, unit) == z
 
 
 def test_shuffle_of_tori_is_torus_of_union():
@@ -245,12 +273,11 @@ def test_pairing_kills_coboundaries_on_cycles():
     rng = random.Random(62)
     theta = MagnusExpansion.standard(4, 2)
     # an arbitrary 1-cochain with the right value type, not a cocycle
-    v = Cochain(
-        1, 4,
-        lambda: TruncatedTensor.zero(4, 2),
-        lambda g: hbar_cochain(theta, 1)(g).recap(2) * hbar_cochain(theta, 1)(g).recap(2)
-        + hbar_cochain(theta, 2)(g, g),
-    )
+    def value(g):
+        t = TruncatedTensor(4, 2, hbar_cochain(theta, 1)(g).terms)  # lifted to cap 2
+        return t * t + hbar_cochain(theta, 2)(g, g)
+
+    v = Cochain(1, 4, lambda: TruncatedTensor.zero(4, 2), value)
     a, b, c = band(4, 1, 2), twist(4, 3), twist(4, 4)
     for za in ([a, b], [a, c], [b, c]):
         assert pair(coboundary(v), torus_cycle(za)).is_zero()

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import braidcert.cli as cli
 import braidcert.suites as suites
 from braidcert.cli import main
 
@@ -280,6 +281,15 @@ def test_repeated_invocations_are_byte_identical(capsys):
     _, first, _ = run_cli(capsys, "independence", "--n", "4", "--q", "2", "--seed", "7")
     _, second, _ = run_cli(capsys, "independence", "--n", "4", "--q", "2", "--seed", "7")
     assert first == second
+
+
+def test_parser_is_built_once_and_keeps_no_seed_between_calls(capsys):
+    cli._build_parser.cache_clear()
+    _, first, _ = run_cli(capsys, "check", "--suite", "lemmas", "--seed", "5")
+    _, second, _ = run_cli(capsys, "check", "--suite", "lemmas")
+    _, third, _ = run_cli(capsys, "--seed", "3", "check", "--suite", "lemmas")
+    assert cli._build_parser.cache_info().misses == 1
+    assert [json.loads(out)["seed"] for out in (first, second, third)] == [5, 0, 3]
 
 
 def test_subprocess_output_is_byte_identical():

@@ -200,31 +200,58 @@ def test_normalisation_kills_degenerate_tuples():
 # cup product calculus
 
 
+def shifted_hbar1(theta: MagnusExpansion, i: int) -> Cochain:
+    """The exterior hbar_1 plus the constant X_i: a 1-cochain that is not a cocycle."""
+    n = theta.n
+    h = hbar_cochain(theta, 1, exterior=True)
+    shift = ExteriorElement.basis(n, (i,))
+    return Cochain(1, n, lambda: ExteriorElement.zero(n, 1), lambda g: h(g) + shift)
+
+
 def test_cup_is_associative_pointwise():
+    # rank 5, so that the degree-4 values have room to be nonzero
     rng = random.Random(46)
-    theta = MagnusExpansion.standard(3, 2)
-    u = hbar_cochain(theta, 1)
-    v = hbar_cochain(theta, 1)
-    w = hbar_cochain(theta, 2)
+    theta = MagnusExpansion.standard(5, 2)
+    u = hbar_cochain(theta, 1, exterior=True)
+    v = hbar_cochain(theta, 1, exterior=True)
+    w = hbar_cochain(theta, 2, exterior=True)
     left = cup(cup(u, v), w)
     right = cup(u, cup(v, w))
+    nonzero = 0
     for _ in range(10):
-        gs = tuple(random_braid_element(rng, 3, 5) for _ in range(4))
-        assert left(*gs) == right(*gs)
+        gs = tuple(random_braid_element(rng, 5, 8) for _ in range(4))
+        value = left(*gs)
+        assert value == right(*gs)
+        nonzero += not value.is_zero()
+    assert nonzero
 
 
 def test_cup_satisfies_leibniz():
+    # neither factor is a cocycle, so both terms on the right are seen
     rng = random.Random(47)
     theta = MagnusExpansion.standard(3, 2)
-    u = hbar_cochain(theta, 1)
-    v = hbar_cochain(theta, 1)
+    u, v = shifted_hbar1(theta, 1), shifted_hbar1(theta, 2)
     lhs = coboundary(cup(u, v))
-    rhs = cup(coboundary(u), v) + (-1) * cup(u, coboundary(v))
+    first, second = cup(coboundary(u), v), cup(u, coboundary(v))
     # the sign convention: delta(u cup v) = delta(u) cup v - u cup delta(v)
     # for u of degree 1; the middle term needs the graded sign
+    seen = [0, 0]
     for _ in range(10):
         gs = tuple(random_braid_element(rng, 3, 4) for _ in range(3))
-        assert lhs(*gs) == rhs(*gs)
+        a, b = first(*gs), second(*gs)
+        assert lhs(*gs) == a - b
+        seen[0] += not a.is_zero()
+        seen[1] += not b.is_zero()
+    assert all(seen)
+
+
+def test_cup_refuses_tensor_values():
+    rng = random.Random(147)
+    theta = MagnusExpansion.standard(3, 2)
+    u = cup(hbar_cochain(theta, 1), hbar_cochain(theta, 1))
+    gs = tuple(random_braid_element(rng, 3, 5) for _ in range(2))
+    with pytest.raises(TypeError, match="TruncatedTensor and TruncatedTensor"):
+        u(*gs)
 
 
 def test_unit_cochain_is_neutral_for_cup():
@@ -281,7 +308,7 @@ def oracle_tau1(theta: MagnusExpansion, g: GroupElement) -> HomTensor:
     for j in range(1, n + 1):
         base = theta.value(FreeWord.generator(n, j)).component(2)
         pulled = theta.value(g.aut.inv.images[j - 1]).component(2)
-        cols.append((base - pulled.act(g.perm)).recap(2))
+        cols.append(base - pulled.act(g.perm))
     return HomTensor.from_columns(n, 2, tuple(cols))
 
 

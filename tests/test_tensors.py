@@ -258,8 +258,9 @@ def test_non_rational_coefficients_are_rejected(bad):
         bad * t
     with pytest.raises(TypeError):
         bad * ExteriorElement.basis(2, (1,))
+    column = TruncatedTensor.basis(2, 1, 1)
     with pytest.raises(TypeError):
-        bad * HomTensor.from_columns(2, 1, (t.recap(1), TruncatedTensor.zero(2, 1)))
+        bad * HomTensor.from_columns(2, 1, (column, TruncatedTensor.zero(2, 1)))
 
 
 @pytest.mark.parametrize(
