@@ -76,15 +76,6 @@ class BraidWord:
         base = self if k >= 0 else self.inverse()
         return BraidWord(self.n, base.letters * abs(k))
 
-    def embed(self, offset: int, ambient: int) -> BraidWord:
-        """The same word on strands offset+1, ..., offset+n inside B_ambient."""
-        if offset < 0 or offset + self.n > ambient:
-            raise ValueError(
-                f"block [{offset + 1}, {offset + self.n}] does not fit in {ambient} strands"
-            )
-        shifted = tuple(l + offset if l > 0 else l - offset for l in self.letters)
-        return BraidWord(ambient, shifted)
-
     def __str__(self) -> str:
         return format_braid(self)
 

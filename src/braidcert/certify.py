@@ -131,7 +131,9 @@ def _block_elements(size: int) -> list[tuple[str, GroupElement]]:
 @cache
 def _commuting_tuples(part: int, depth: int) -> tuple[tuple[tuple[str, GroupElement], ...], ...]:
     """The first depth part-element pairwise commuting tuples from the catalog
-    of a block of size part + 1, searched once per process, each pair once."""
+    of a block of size part + 1, searched once per process, each pair once.
+    There is always one: A(1,2), twist(3), ..., twist(part + 1) commute
+    pairwise, each twist being central among the braids on its strands."""
     elements = _block_elements(part + 1)
     commutes = cache(lambda i, j: elements[i][1].commutes_with(elements[j][1]))
     found: list[tuple[tuple[str, GroupElement], ...]] = []
@@ -160,12 +162,7 @@ def partition_cycles(
     for part, embedding in zip(parts, layout):
         if part == 0:
             continue
-        tuples = _commuting_tuples(part, depth)
-        if not tuples:
-            raise ValueError(
-                f"catalog exhausted: no commuting {part}-tuple in a block of size {part + 1}"
-            )
-        per_block.append([(embedding, combo) for combo in tuples])
+        per_block.append([(embedding, combo) for combo in _commuting_tuples(part, depth)])
     out: list[CandidateCycle] = []
     for choice in product(*per_block):
         descriptor = "cross:" + "".join(

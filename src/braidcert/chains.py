@@ -13,15 +13,16 @@ the coboundary in cochains when every element in sight acts trivially on
 the coefficients; the pairing therefore refuses elements that act
 nontrivially on H.
 
-Cycles come from two constructors, both of which check that their
-ingredients commute; the cycle property then follows from the algebra and
-is not re-checked:
-
-* torus_cycle: the signed sum over all orderings of p pairwise commuting
-  elements, the image of the fundamental class of a p-torus;
-* shuffle: the Eilenberg-Zilber shuffle product of two chains whose
-  supports commute elementwise, a cycle when both factors are.  The
-  shuffle of two tori is the torus of the union of their elements.
+Cycles come from torus_cycle: the signed sum over all orderings of p
+pairwise commuting elements, the image of the fundamental class of a
+p-torus.  The constructor checks that the elements commute; the cycle
+property then follows from the algebra and is not re-checked, and a torus
+with a repeated element or the identity is zero at once.  A product of tori
+on disjoint blocks of strands is the torus of the union of their elements,
+so the grammar builds every crossed cycle as that one torus, each braid
+embedded once by BlockEmbedding.apply, as the certificate catalog does.
+shuffle (the Eilenberg-Zilber product) and embed_chain remain as the
+bar-complex operations that the tests use as the reference.
 
 Cycle grammar (used by the command line):
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .braids import parse_braid
 from .cochains import BlockEmbedding, Cochain, GroupElement
@@ -93,21 +94,23 @@ class BarChain:
         return self.boundary().is_zero()
 
 
-def _noncommuting_pair(elems: Sequence[GroupElement]) -> tuple[int, int] | None:
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            if not elems[i].commutes_with(elems[j]):
-                return i, j
-    return None
+class NoncommutingError(ValueError):
+    """Two elements of a torus do not commute; pair holds their indices."""
+
+    def __init__(self, i: int, j: int):
+        super().__init__(f"elements at positions {i} and {j} do not commute")
+        self.pair = (i, j)
 
 
 def torus_cycle(elems: Sequence[GroupElement]) -> BarChain:
     """The signed sum over all orderings of pairwise commuting elements."""
     elems = tuple(elems)
-    pair = _noncommuting_pair(elems)
-    if pair is not None:
-        raise ValueError(f"elements at positions {pair[0]} and {pair[1]} do not commute")
+    for i, j in combinations(range(len(elems)), 2):
+        if not elems[i].commutes_with(elems[j]):
+            raise NoncommutingError(i, j)
     p = len(elems)
+    if len(set(elems)) < p or any(g.is_identity for g in elems):
+        return BarChain(p)  # every term holds the identity or cancels its transposed twin
     terms: dict[tuple, int] = {}
     for perm in permutations(range(1, p + 1)):
         tup = tuple(elems[k - 1] for k in perm)
@@ -166,77 +169,80 @@ def pair(u: Cochain, z: BarChain):
 # cycle grammar
 
 
-def parse_cycle(text: str, n: int, offset: int = 0) -> BarChain:
-    """Parse the cycle grammar over braids on n strands."""
-    stripped = text.strip()
-    base = offset + (len(text) - len(text.lstrip()))
-    if stripped.startswith("torus:"):
-        body = stripped[len("torus:"):]
-        cursor = base + len("torus:")
-        elems, starts = [], []
-        for piece in body.split("|"):
-            beta = _parse_braid_at(piece, n, cursor)
-            elems.append(GroupElement(beta))
-            starts.append(cursor + len(piece) - len(piece.lstrip()))
-            cursor += len(piece) + 1
-        try:
-            return torus_cycle(elems)
-        except ValueError as exc:
-            # point at the later element of the pair that does not commute
-            pair = _noncommuting_pair(elems)
-            raise GrammarError(str(exc), starts[pair[1]] if pair else base) from None
-    if stripped.startswith("cross:"):
-        return _parse_cross(stripped[len("cross:"):], n, base + len("cross:"))
-    raise GrammarError("cycle must start with 'torus:' or 'cross:'", base)
-
-
-def _parse_braid_at(piece: str, n: int, offset: int) -> Any:
+def parse_cycle(text: str, n: int) -> BarChain:
+    """Parse the cycle grammar over braids on n strands into the torus of the
+    braids it names, each embedded at the strands of its block."""
+    closing = _closing_braces(text)
+    elems: list[GroupElement] = []
+    where: list[tuple[int, int]] = []  # each element's index in its torus: and text position
+    todo = [(0, len(text), 0, n)]  # cycles left to parse: text span, strand offset, strands
+    while todo:
+        base, end, at, size = todo.pop()
+        while base < end and text[base].isspace():
+            base += 1
+        if text.startswith("torus:", base, end):
+            cursor = base + len("torus:")
+            for k, piece in enumerate(text[cursor:end].split("|")):
+                try:
+                    beta = parse_braid(piece, size)
+                except GrammarError as exc:
+                    raise GrammarError(exc.message, cursor + exc.position) from None
+                elems.append(BlockEmbedding(at, size, n).apply(GroupElement(beta)))
+                where.append((k, cursor + len(piece) - len(piece.lstrip())))
+                cursor += len(piece) + 1
+        elif text.startswith("cross:", base, end):
+            blocks = _cross_blocks(text, base + len("cross:"), end, size, closing)
+            todo += [(s, e, at + offset, b) for s, e, offset, b in reversed(blocks)]
+        else:
+            raise GrammarError("cycle must start with 'torus:' or 'cross:'", base)
     try:
-        return parse_braid(piece, n)
-    except GrammarError as exc:
-        raise GrammarError(str(exc).rsplit(" (at position", 1)[0], offset + exc.position) from None
+        return torus_cycle(elems)
+    except NoncommutingError as exc:
+        (i, _), (j, position) = (where[k] for k in exc.pair)
+        raise GrammarError(f"elements at positions {i} and {j} do not commute", position) from None
 
 
-def _parse_cross(body: str, n: int, offset: int) -> BarChain:
-    blocks: list[tuple[int, str, int]] = []
-    i = 0
-    while i < len(body):
-        if body[i].isspace():
+def _closing_braces(text: str) -> dict[int, int]:
+    """The position of the '}' that closes each balanced '{'."""
+    closing, opened = {}, []
+    for i, c in enumerate(text):
+        if c == "{":
+            opened.append(i)
+        elif c == "}" and opened:
+            closing[opened.pop()] = i
+    return closing
+
+
+def _cross_blocks(
+    text: str, start: int, end: int, n: int, closing: Mapping[int, int]
+) -> list[tuple[int, int, int, int]]:
+    """The blocks {<size>:<cycle>} of a cross body on n strands: the span of
+    each block's cycle, its strand offset and its size."""
+    blocks = []
+    offset, i = 0, start
+    while i < end:
+        if text[i].isspace():
             i += 1
             continue
-        if body[i] != "{":
-            raise GrammarError("expected '{' in cross expression", offset + i)
-        depth = 1
-        j = i + 1
-        while j < len(body) and depth:
-            if body[j] == "{":
-                depth += 1
-            elif body[j] == "}":
-                depth -= 1
-            j += 1
-        if depth:
-            raise GrammarError("unbalanced '{' in cross expression", offset + i)
-        inner = body[i + 1:j - 1]
-        if ":" not in inner:
-            raise GrammarError("cross block needs '<size>:<cycle>'", offset + i + 1)
-        size_text, cycle_text = inner.split(":", 1)
+        if text[i] != "{":
+            raise GrammarError("expected '{' in cross expression", i)
+        if i not in closing:
+            raise GrammarError("unbalanced '{' in cross expression", i)
+        colon = text.find(":", i + 1, closing[i])
+        if colon < 0:
+            raise GrammarError("cross block needs '<size>:<cycle>'", i + 1)
+        size_text = text[i + 1:colon]
         try:
             size = int(size_text.strip())
         except ValueError:
             size = 0
         if size < 1:
-            raise GrammarError(f"bad block size {size_text.strip()!r}", offset + i + 1)
-        blocks.append((size, cycle_text, offset + i + 1 + len(size_text) + 1))
-        i = j
+            raise GrammarError(f"bad block size {size_text.strip()!r}", i + 1)
+        blocks.append((colon + 1, closing[i], offset, size))
+        offset += size
+        i = closing[i] + 1
     if not blocks:
-        raise GrammarError("cross expression has no blocks", offset)
-    if sum(size for size, _, _ in blocks) > n:
-        raise GrammarError(f"cross blocks exceed {n} strands", offset)
-    result: BarChain | None = None
-    at = 0
-    for size, cycle_text, pos in blocks:
-        local = parse_cycle(cycle_text, size, pos)
-        embedded = embed_chain(local, BlockEmbedding(at, size, n))
-        at += size
-        result = embedded if result is None else shuffle(result, embedded)
-    return result
+        raise GrammarError("cross expression has no blocks", start)
+    if offset > n:
+        raise GrammarError(f"cross blocks exceed {n} strands", start)
+    return blocks

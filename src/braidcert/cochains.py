@@ -142,7 +142,9 @@ class BlockEmbedding:
     def apply(self, g: GroupElement) -> GroupElement:
         if g.n != self.size:
             raise ValueError(f"element has rank {g.n}, block has size {self.size}")
-        return GroupElement(g.braid.embed(self.offset, self.ambient))
+        k = self.offset  # the same word on the block's strands
+        letters = tuple(l + k if l > 0 else l - k for l in g.braid.letters)
+        return GroupElement(BraidWord(self.ambient, letters))
 
 
 def block_layout(sizes: Sequence[int], ambient: int) -> tuple[BlockEmbedding, ...]:

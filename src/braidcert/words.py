@@ -21,10 +21,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 class GrammarError(ValueError):
-    """Raised on malformed word or braid input; carries the offending position."""
+    """Raised on malformed input; carries the bare message and the offending position."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 

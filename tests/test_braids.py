@@ -23,7 +23,7 @@ from braidcert.braids import (
     permutation,
     pure_gen_braid,
 )
-from braidcert.cochains import GroupElement
+from braidcert.cochains import BlockEmbedding, GroupElement
 from braidcert.words import AutPair, EndoMap, FreeWord, GrammarError
 
 
@@ -216,7 +216,7 @@ def test_embed_matches_free_group_embedding():
         ambient = m + rng.randint(0, 2)
         offset = rng.randint(0, ambient - m)
         beta = random_braid(rng, m, 6)
-        lhs = artin_action(beta.embed(offset, ambient)).fwd
+        lhs = BlockEmbedding(offset, m, ambient).apply(GroupElement(beta)).aut.fwd
         rhs = embed_endo(artin_action(beta).fwd, offset, ambient)
         assert lhs == rhs
 

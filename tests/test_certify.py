@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from itertools import combinations, product as iter_product
+from functools import reduce
+from itertools import accumulate, combinations, product as iter_product
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from braidcert import certify as certify_module
 from braidcert import chains as chains_module
 from braidcert import cli
 from braidcert import tensors as tensors_module
-from braidcert.braids import BraidWord, pure_gen_braid
+from braidcert.braids import BraidWord, full_twist, pure_gen_braid
 from braidcert.certify import (
     Certificate,
     certificate,
@@ -151,18 +152,45 @@ def test_exact_rank_ignores_interleaved_zero_columns():
 # catalogs
 
 
+GRAMMAR_GRID = [(4, 2), (5, 2), (6, 3), (7, 3), (8, 3), (8, 4)]
+
+
 def test_partition_cycles_round_trip_through_grammar():
-    # the grammar path embeds each block torus and shuffles the blocks, so this
-    # checks the torus of the union against the shuffle of the block tori
+    # the catalog lists each block's elements in block order; the shuffle of the
+    # block tori is the reference for the torus of the union that both build
     checked = 0
-    for n, q in [(4, 2), (5, 2), (6, 3), (7, 3), (8, 3), (8, 4)]:
+    for n, q in GRAMMAR_GRID:
         for parts in partitions(q, n - q):
             for cand in partition_cycles(parts, n, depth=3):
                 chain = torus_cycle(cand.elements)
                 assert parse_cycle(cand.descriptor, n) == chain
                 assert chain.is_cycle()
+                cuts = list(accumulate(p for p in parts if p))
+                blocks = [cand.elements[a:b] for a, b in zip([0] + cuts, cuts)]
+                assert reduce(chains_module.shuffle, map(torus_cycle, blocks)) == chain
                 checked += 1
     assert checked == 48
+
+
+def test_grammar_builds_the_catalog_torus_without_shuffling(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the grammar builds one torus")
+
+    monkeypatch.setattr(chains_module, "shuffle", refuse)
+    monkeypatch.setattr(chains_module, "embed_chain", refuse)
+    descriptors = 0
+    for n, q in GRAMMAR_GRID:
+        for parts in partitions(q, n - q):
+            for cand in partition_cycles(parts, n, depth=3):
+                assert parse_cycle(cand.descriptor, n) == torus_cycle(cand.elements)
+                descriptors += 1
+    assert descriptors == 48
+    # the README's crossed example, byte for byte
+    argv = ["pair", "--n", "3", "--partition", "2", "cross:{3:torus:A(1,2)|twist(3)}"]
+    assert cli.main(argv) == 0
+    coords = [{"idx": [1, 3], "c": "2/1"}, {"idx": [2, 3], "c": "2/1"}]
+    payload = {"n": 3, "q": 2, "coords": coords}
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_partition_cycles_priority_order_for_pairs():
@@ -171,6 +199,18 @@ def test_partition_cycles_priority_order_for_pairs():
     descriptors = [c.descriptor for c in cands]
     assert descriptors[0] == "cross:{3:torus:A(1,2)|twist(3)}"
     assert descriptors[1] == "cross:{3:torus:A(2,3)|twist(3)}"
+
+
+@pytest.mark.parametrize("part", [1, 2, 3, 4, 5])
+def test_every_block_catalog_holds_a_commuting_tuple(part):
+    # A(1,2), twist(3), ..., twist(part + 1) commute pairwise, so the search
+    # for commuting part-tuples in a block of size part + 1 is never empty
+    size = part + 1
+    nested = [GroupElement(pure_gen_braid(size, 1, 2))]
+    nested += [GroupElement(full_twist(size, k)) for k in range(3, size + 1)]
+    assert len(nested) == part
+    assert all(a.commutes_with(b) for a, b in combinations(nested, 2))
+    assert certify_module._commuting_tuples(part, 1)
 
 
 def test_partition_cycles_depth_limits_count():

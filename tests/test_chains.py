@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from braidcert import chains as chains_module
 from braidcert.braids import BraidWord, full_twist, pure_gen_braid
 from braidcert.chains import (
     BarChain,
@@ -188,7 +189,7 @@ def random_commuting_set(rng: random.Random, n: int) -> list[GroupElement]:
         i = rng.randint(1, size - 1)
         j = rng.randint(i + 1, size)
         for beta in (pure_gen_braid(size, i, j) ** rng.choice([1, 2]), full_twist(size, size)):
-            g = GroupElement(beta.embed(offset, n))
+            g = BlockEmbedding(offset, size, n).apply(GroupElement(beta))
             pool += [g, g.inverse()]
         offset += size
     pool = list(dict.fromkeys(pool))  # on two strands the band may be the twist
@@ -212,6 +213,18 @@ def test_tori_and_their_shuffles_are_cycles_on_random_commuting_sets():
         product = shuffle(torus_cycle(elems[:k]), torus_cycle(elems[k:]))
         assert product.is_cycle()
         assert product == z
+
+
+def test_degenerate_torus_is_zero_without_enumerating_orderings(monkeypatch):
+    # a repeat cancels against its transposed twin and the identity is dropped,
+    # as the shuffle reference computes term by term
+    a, b = band(4, 1, 2), twist(4, 3)
+    one = GroupElement(BraidWord.identity(4))
+    expected = [shuffle(torus_cycle([a]), torus_cycle([a, b])),
+                shuffle(torus_cycle([one]), torus_cycle([b]))]
+    monkeypatch.setattr(chains_module, "permutations", None)
+    got = [torus_cycle([a, a, b]), torus_cycle([one, b])]
+    assert got == expected == [BarChain(3), BarChain(2)]
 
 
 def test_shuffle_is_associative():
@@ -324,6 +337,38 @@ def test_parse_torus_two_factors():
 def test_parse_cross_of_tori():
     z = parse_cycle("cross:{2:torus:A(1,2)}{2:torus:A(1,2)}", 4)
     assert z == torus_cycle([band(4, 1, 2), band(4, 3, 4)])
+
+
+def test_parse_three_level_cross_is_torus_of_union():
+    text = "cross:{5:cross:{3:cross:{3:torus:A(1,3)|twist(3)}}{2:torus:A(1,2)}}{2:torus:A(1,2)^-1}"
+    union = [band(7, 1, 3), twist(7, 3), band(7, 4, 5), band(7, 6, 7).inverse()]
+    z = parse_cycle(text, 7)
+    assert z == torus_cycle(union)
+    assert len(z.terms) == 24
+    # nested in the later blocks, so each offset accumulates over two levels
+    text = ("cross:{2:torus:A(1,2)}"
+            "{6:cross:{2:torus:A(1,2)}{4:cross:{2:torus:twist(2)}{2:torus:A(1,2)}}}")
+    z = parse_cycle(text, 8)
+    assert z == torus_cycle([band(8, 1, 2), band(8, 3, 4), band(8, 5, 6), band(8, 7, 8)])
+    # the shuffle of the embedded block tori is the reference
+    block = torus_cycle([band(2, 1, 2)])
+    a, b, c, d = (embed_chain(block, BlockEmbedding(k, 2, 8)) for k in (0, 2, 4, 6))
+    assert z == shuffle(shuffle(shuffle(a, b), c), d)
+
+
+@pytest.mark.parametrize("text, union", [
+    # a torus of the identity
+    ("cross:{2:torus:}{2:torus:A(1,2)}", [BraidWord.identity(4), pure_gen_braid(4, 3, 4)]),
+    # one element twice, spelled two ways, beside a torus of the identity
+    ("cross:{3:torus:A(1,2)|s1 s1}{1:torus:}",
+     [pure_gen_braid(4, 1, 2), BraidWord(4, (1, 1)), BraidWord.identity(4)]),
+    ("cross:{2:torus:A(1,2)|A(1,2)}{2:torus:A(1,2)}",
+     [pure_gen_braid(4, 1, 2)] * 2 + [pure_gen_braid(4, 3, 4)]),
+])
+def test_parse_cross_with_degenerate_torus_is_torus_of_union(text, union):
+    z = parse_cycle(text, 4)
+    assert z == torus_cycle([GroupElement(beta) for beta in union])
+    assert z == BarChain(len(union))
 
 
 def test_parse_cross_nested_sizes_must_fit():

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import shlex
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -269,6 +272,26 @@ def test_noncommuting_torus_names_the_later_element(capsys, cycle, position):
     code, out, err = run_cli(capsys, "pair", "--n", "5", "--p", "2", cycle)
     assert (code, out) == (2, "")
     assert err == f"error: elements at positions 0 and 1 do not commute (at position {position})\n"
+
+
+def test_deeply_nested_cross_is_parsed_without_recursion(capsys):
+    levels = 1000
+    cycle = "cross:{1:" * levels + "torus:" + "}" * levels
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "pair", "--n", "1", "--p", "1", cycle)
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"n": 1, "q": 1, "coords": []}
+
+
+def test_readme_subcommand_examples_exit_0(capsys, monkeypatch, tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Subcommands", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in block.strip().splitlines()]
+    assert len(commands) == 10
+    monkeypatch.chdir(tmp_path)  # for the --out file
+    for argv in commands:
+        assert run_cli(capsys, *argv)[0] == 0, argv
 
 
 def test_unknown_suite_is_usage_error(capsys):
