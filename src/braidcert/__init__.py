@@ -4,7 +4,6 @@ from .braids import (
     BraidWord,
     artin_action,
     full_twist,
-    is_pure,
     parse_braid,
     permutation,
     pure_gen_braid,
@@ -13,10 +12,8 @@ from .certify import (
     Certificate,
     certificate,
     exact_rank,
-    multiplicity_factor,
     partition_cycles,
     partitions,
-    scalar_factor_check,
 )
 from .chains import (
     BarChain,

@@ -114,10 +114,6 @@ def permutation(beta: BraidWord) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def is_pure(beta: BraidWord) -> bool:
-    return permutation(beta) == tuple(range(1, beta.n + 1))
-
-
 def pure_gen_braid(n: int, i: int, j: int) -> BraidWord:
     """The band generator A_{i,j} of the pure braid group, 1 <= i < j <= n."""
     if not 1 <= i < j <= n:

@@ -35,14 +35,6 @@ against cycles of a strictly later partition in the enumeration order are
 expected to vanish identically, which makes the pass criterion a matter of
 nonzero diagonal blocks.
 
-scalar_factor_check compares the restriction of hbar_lambda to the block
-product with the cup of its single-block factors scaled by the repetition
-factor prod_p (count of parts equal to p)!.  It pairs both sides against
-catalog cycles of lambda whose elements are raised to random powers; powers
-of pairwise commuting elements commute, so these are tori too.  The
-comparison is a pairing of cycles because the two sides agree only up to a
-coboundary, not pointwise.
-
 All exterior coordinates use the projection without 1/q! normalisation;
 certificates say so in their JSON output.
 """
@@ -50,26 +42,13 @@ certificates say so in their JSON output.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
 from typing import Any, Sequence
 
-from .braids import BraidWord, full_twist, pure_gen_braid
-from .chains import pair, torus_cycle
-from .cochains import (
-    BlockEmbedding,
-    Cochain,
-    GroupElement,
-    block_layout,
-    cup,
-    hbar_cochain,
-    hbar_partition_cochain,
-    projection_pullback,
-    tau1,
-    unit_cochain,
-)
+from .braids import parse_braid
+from .cochains import BlockEmbedding, GroupElement, block_layout, tau1
 from .magnus import MagnusExpansion
 from .tensors import ExteriorElement, Scalar, _odd_above, exterior_basis, nested_traces
 
@@ -99,15 +78,6 @@ def partitions(total: int, slots: int) -> list[tuple[int, ...]]:
     return out
 
 
-def multiplicity_factor(parts: Sequence[int]) -> int:
-    """Product of factorials of the multiplicities of the nonzero parts."""
-    result = 1
-    for p in set(parts):
-        if p > 0:
-            result *= math.factorial(sum(1 for a in parts if a == p))
-    return result
-
-
 def partition_layout(parts: Sequence[int], n: int) -> tuple[BlockEmbedding, ...]:
     """Consecutive blocks of sizes part + 1; they tile the n strands exactly."""
     return block_layout([p + 1 for p in parts], n)
@@ -118,14 +88,10 @@ def partition_layout(parts: Sequence[int], n: int) -> tuple[BlockEmbedding, ...]
 
 def _block_elements(size: int) -> list[tuple[str, GroupElement]]:
     """Commuting-tuple ingredients for one block, adjacent bands first."""
-    out: list[tuple[str, BraidWord]] = []
-    for span in range(1, size):
-        for i in range(1, size - span + 1):
-            j = i + span
-            out.append((f"A({i},{j})", pure_gen_braid(size, i, j)))
-    for k in range(3, size + 1):
-        out.append((f"twist({k})", full_twist(size, k)))
-    return [(name, GroupElement(beta)) for name, beta in out]
+    names = [
+        f"A({i},{i + span})" for span in range(1, size) for i in range(1, size - span + 1)
+    ] + [f"twist({k})" for k in range(3, size + 1)]
+    return [(name, GroupElement(parse_braid(name, size))) for name in names]
 
 
 @cache
@@ -355,49 +321,3 @@ def certificate(
         verdict=verdict,
         triangular_violations=violations,
     )
-
-
-# the scalar factor of restricted cup powers
-
-
-def scalar_factor_check(
-    theta: MagnusExpansion,
-    parts: Sequence[int],
-    n: int,
-    rng: random.Random,
-) -> tuple[bool, list[tuple[Any, Any]]]:
-    """Pair both sides of the restriction identity against three random block tori.
-
-    Each torus is a random catalog cycle of the partition, at the
-    certificate's default depth, with each element raised to a random power
-    in {-2, -1, 1, 2}.  The left side is hbar over the partition, restricted
-    to the block product; the right side is the cup of the blockwise
-    pullbacks scaled by the repetition factor.  Returns overall success and
-    the list of paired (left, right) values.
-    """
-    parts = tuple(parts)
-    layout = partition_layout(parts, n)
-    lhs = hbar_partition_cochain(theta, parts)
-    rhs: Cochain = unit_cochain(n)
-    for k, p in enumerate(parts):
-        if p:
-            rhs = cup(
-                rhs, projection_pullback(hbar_cochain(theta, p, exterior=True), k, layout)
-            )
-    factor = multiplicity_factor(parts)
-
-    cycles = partition_cycles(parts, n, 3)
-    witnesses: list[tuple[Any, Any]] = []
-    ok = True
-    for _ in range(3):
-        elements = [
-            GroupElement(g.braid ** rng.choice([-2, -1, 1, 2]))
-            for g in rng.choice(cycles).elements
-        ]
-        z = torus_cycle(elements)
-        left = pair(lhs, z)
-        right = factor * pair(rhs, z)
-        witnesses.append((left, right))
-        if left != right:
-            ok = False
-    return ok, witnesses

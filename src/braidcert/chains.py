@@ -231,13 +231,11 @@ def _cross_blocks(
         colon = text.find(":", i + 1, closing[i])
         if colon < 0:
             raise GrammarError("cross block needs '<size>:<cycle>'", i + 1)
-        size_text = text[i + 1:colon]
-        try:
-            size = int(size_text.strip())
-        except ValueError:
-            size = 0
+        size_text = text[i + 1:colon].strip()
+        # ASCII decimal only: int() would also take a sign, '_' and other scripts' digits
+        size = int(size_text) if size_text.isascii() and size_text.isdigit() else 0
         if size < 1:
-            raise GrammarError(f"bad block size {size_text.strip()!r}", i + 1)
+            raise GrammarError(f"bad block size {size_text!r}", i + 1)
         blocks.append((colon + 1, closing[i], offset, size))
         offset += size
         i = closing[i] + 1

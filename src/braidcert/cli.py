@@ -186,10 +186,10 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "pair":
         theta = MagnusExpansion.standard(args.n, 2)
         if args.partition is not None:
-            try:
-                parts = tuple(int(x) for x in args.partition.split(","))
-            except ValueError:
-                raise ValueError(f"bad partition {args.partition!r}") from None
+            fields = [x.strip() for x in args.partition.split(",")]
+            if not all(x.isascii() and x.isdigit() for x in fields):
+                raise ValueError(f"bad partition {args.partition!r}")
+            parts = tuple(int(x) for x in fields)
             cochain = hbar_partition_cochain(theta, parts)
         else:
             exterior = args.form == "exterior"
@@ -209,13 +209,12 @@ def _dispatch(args: argparse.Namespace) -> int:
             cert = certificate(
                 args.n, args.q, catalog_depth=args.catalog_depth, seed=args.seed
             )
-            payload = cert.to_json_dict()
+            text = json.dumps(cert.to_json_dict(), indent=2) + "\n"
             if fh:
                 fh.seek(0)
                 fh.truncate()
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-        _emit(payload)
+                fh.write(text)
+        sys.stdout.write(text)
         if not cert.passed:
             print(
                 f"rank deficit: {cert.rank} of {cert.expected_rank}", file=sys.stderr

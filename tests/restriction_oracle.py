@@ -1,0 +1,85 @@
+"""The restriction identity, checked on the bar complex.
+
+scalar_factor_check compares the restriction of hbar_lambda to the block
+product with the cup of its single-block factors scaled by the repetition
+factor prod_p (count of parts equal to p)!.  It pairs both sides against
+catalog cycles of lambda whose elements are raised to random powers; powers
+of pairwise commuting elements commute, so these are tori too.  The
+comparison is a pairing of cycles because the two sides agree only up to a
+coboundary, not pointwise.
+
+The certificate never evaluates the identity, so this check lives with the
+tests as their oracle for it; a block-factored certificate (ROADMAP item 1)
+would rest on it.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from typing import Any, Sequence
+
+from braidcert.certify import partition_cycles, partition_layout
+from braidcert.chains import pair, torus_cycle
+from braidcert.cochains import (
+    Cochain,
+    GroupElement,
+    cup,
+    hbar_cochain,
+    hbar_partition_cochain,
+    projection_pullback,
+    unit_cochain,
+)
+from braidcert.magnus import MagnusExpansion
+
+
+def multiplicity_factor(parts: Sequence[int]) -> int:
+    """Product of factorials of the multiplicities of the nonzero parts."""
+    result = 1
+    for p in set(parts):
+        if p > 0:
+            result *= math.factorial(sum(1 for a in parts if a == p))
+    return result
+
+
+def scalar_factor_check(
+    theta: MagnusExpansion,
+    parts: Sequence[int],
+    n: int,
+    rng: random.Random,
+) -> tuple[bool, list[tuple[Any, Any]]]:
+    """Pair both sides of the restriction identity against three random block tori.
+
+    Each torus is a random catalog cycle of the partition, at the
+    certificate's default depth, with each element raised to a random power
+    in {-2, -1, 1, 2}.  The left side is hbar over the partition, restricted
+    to the block product; the right side is the cup of the blockwise
+    pullbacks scaled by the repetition factor.  Returns overall success and
+    the list of paired (left, right) values.
+    """
+    parts = tuple(parts)
+    layout = partition_layout(parts, n)
+    lhs = hbar_partition_cochain(theta, parts)
+    rhs: Cochain = unit_cochain(n)
+    for k, p in enumerate(parts):
+        if p:
+            rhs = cup(
+                rhs, projection_pullback(hbar_cochain(theta, p, exterior=True), k, layout)
+            )
+    factor = multiplicity_factor(parts)
+
+    cycles = partition_cycles(parts, n, 3)
+    witnesses: list[tuple[Any, Any]] = []
+    ok = True
+    for _ in range(3):
+        elements = [
+            GroupElement(g.braid ** rng.choice([-2, -1, 1, 2]))
+            for g in rng.choice(cycles).elements
+        ]
+        z = torus_cycle(elements)
+        left = pair(lhs, z)
+        right = factor * pair(rhs, z)
+        witnesses.append((left, right))
+        if left != right:
+            ok = False
+    return ok, witnesses

@@ -15,18 +15,14 @@ import time
 from itertools import product as iter_product
 
 from braidcert.braids import BraidWord, pure_gen_braid
-from braidcert.certify import (
-    certificate,
-    partition_cycles,
-    partitions,
-    scalar_factor_check,
-)
+from braidcert.certify import certificate, partition_cycles, partitions
 from braidcert.chains import pair, torus_cycle
 from braidcert.cochains import GroupElement, hbar_cochain, tau1
 from braidcert.magnus import MagnusExpansion
 from braidcert.suites import run_suite
 from braidcert.tensors import HomTensor, TruncatedTensor
 from braidcert.words import FreeWord
+from restriction_oracle import scalar_factor_check
 
 
 def report(number: int, description: str, ok: bool, detail: str = "") -> None:

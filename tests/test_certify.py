@@ -26,17 +26,17 @@ from braidcert.certify import (
     Certificate,
     certificate,
     exact_rank,
-    multiplicity_factor,
     partition_cycles,
     partition_layout,
     partitions,
-    scalar_factor_check,
     torus_pairings,
 )
 from braidcert.chains import pair, parse_cycle, torus_cycle
 from braidcert.cochains import GroupElement, hbar_partition_cochain, tau1
 from braidcert.magnus import MagnusExpansion
 from braidcert.tensors import nested_traces
+import restriction_oracle
+from restriction_oracle import multiplicity_factor, scalar_factor_check
 from test_chains import random_commuting_set
 from test_cochains import random_custom
 
@@ -350,7 +350,7 @@ def test_certificate_builds_no_bar_chain(monkeypatch, capsys):
     def refuse_nesting(*args, **kwargs):
         raise AssertionError("the certificate path nests no HomTensor")
 
-    monkeypatch.setattr(certify_module, "pair", refuse)
+    monkeypatch.setattr(chains_module, "pair", refuse)
     monkeypatch.setattr(chains_module.BarChain, "__init__", refuse)
     monkeypatch.setattr(tensors_module, "compose_first_slot", refuse_nesting)
     monkeypatch.setattr(tensors_module.HomTensor, "contract", refuse_nesting)
@@ -482,7 +482,7 @@ def test_scalar_factor_holds_at_every_part_size(monkeypatch):
 
     assert seen(6, (1, 1, 1))
     assert any(seen(n, parts) for n, parts in cases if max(parts) >= 3)
-    monkeypatch.setattr(certify_module, "multiplicity_factor", lambda parts: 1)
+    monkeypatch.setattr(restriction_oracle, "multiplicity_factor", lambda parts: 1)
     theta = MagnusExpansion.standard(6, 2)
     ok, _ = scalar_factor_check(theta, (1, 1, 1), 6, random.Random(113))
     assert not ok

@@ -384,6 +384,19 @@ def test_parse_cross_block_size_below_one_is_grammar_error(size):
     assert str(exc.value) == f"bad block size '{size}' (at position 7)"
 
 
+@pytest.mark.parametrize("size", ["+3", "3_0", "\u0663", "\uff13"])
+def test_parse_cross_block_size_must_be_ascii_decimal(size):
+    with pytest.raises(GrammarError) as exc:
+        parse_cycle(f"cross:{{{size}:torus:}}", 3)
+    assert exc.value.position == len("cross:{")
+    assert str(exc.value) == f"bad block size {size!r} (at position 7)"
+
+
+@pytest.mark.parametrize("text", ["cross:{ 2 :torus:A(1,2)}", "cross:{\t2\n:torus:A(1,2)}"])
+def test_parse_cross_block_size_may_be_padded_with_whitespace(text):
+    assert parse_cycle(text, 3) == parse_cycle("cross:{2:torus:A(1,2)}", 3)
+
+
 def test_parse_cycle_bad_prefix():
     with pytest.raises(GrammarError):
         parse_cycle("loop:A(1,2)", 2)

@@ -118,6 +118,28 @@ def test_cross_block_size_below_one_names_its_position(capsys, size):
     assert err == f"error: bad block size '{size}' (at position 7)\n"
 
 
+# ASCII decimal only: a sign, an underscore or another script's digit is refused
+@pytest.mark.parametrize("partition", ["+2", "2_0", "\u0662", "1,+1", "1,\u0661", "-1"])
+def test_partition_parts_must_be_ascii_decimal(capsys, partition):
+    code, out, err = run_cli(
+        capsys, "pair", "--n", "4", "--partition", partition,
+        "cross:{2:torus:A(1,2)}{2:torus:A(1,2)}",
+    )
+    assert (code, out, err) == (2, "", f"error: bad partition {partition!r}\n")
+
+
+def test_partition_parts_may_be_padded_with_whitespace(capsys):
+    padded = run_cli(
+        capsys, "pair", "--n", "4", "--partition", " 1 , 1 ",
+        "cross:{2:torus:A(1,2)}{2:torus:A(1,2)}",
+    )
+    plain = run_cli(
+        capsys, "pair", "--n", "4", "--partition", "1,1",
+        "cross:{2:torus:A(1,2)}{2:torus:A(1,2)}",
+    )
+    assert padded == plain and plain[0] == 0
+
+
 def test_hbar_exterior_value(capsys):
     code, out, _ = run_cli(
         capsys, "hbar", "--n", "3", "--p", "2", "--exterior", "A(1,2)", "twist(3)"
@@ -182,9 +204,8 @@ def test_independence_writes_out_file(capsys, tmp_path):
         capsys, "independence", "--n", "3", "--q", "1", "--out", str(out_path)
     )
     assert code == 0
-    on_disk = json.loads(out_path.read_text())
-    assert on_disk == json.loads(out)
-    assert on_disk["verdict"] == "pass"
+    assert out_path.read_bytes() == out.encode("utf-8")
+    assert json.loads(out)["verdict"] == "pass"
 
 
 def test_independence_unwritable_out_is_usage_error(capsys, tmp_path):

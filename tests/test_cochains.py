@@ -17,7 +17,7 @@ from itertools import product as iter_product
 import pytest
 
 from braidcert import certify, cochains
-from braidcert.braids import BraidWord, artin_action, full_twist, is_pure, pure_gen_braid
+from braidcert.braids import BraidWord, artin_action, full_twist, permutation, pure_gen_braid
 from braidcert.cochains import (
     BlockEmbedding,
     Cochain,
@@ -292,7 +292,7 @@ def test_hbar_partition_ignores_zero_parts():
 def random_non_pure_element(rng: random.Random, n: int, max_len: int) -> GroupElement:
     while True:
         g = random_braid_element(rng, n, max_len)
-        if not is_pure(g.braid):
+        if permutation(g.braid) != tuple(range(1, n + 1)):
             return g
 
 
