@@ -31,14 +31,11 @@ from .cochains import (
     coboundary,
     coeff_action,
     composite_cochain,
-    cup,
     hbar_cochain,
-    hbar_partition_cochain,
     hp_cochain,
     projection_pullback,
     tau1,
     tau1_cochain,
-    unit_cochain,
 )
 from .magnus import MagnusExpansion, series_inverse
 from .suites import SUITES, SuiteReport, run_suite

@@ -13,16 +13,18 @@ the coboundary in cochains when every element in sight acts trivially on
 the coefficients; the pairing therefore refuses elements that act
 nontrivially on H.
 
-Cycles come from torus_cycle: the signed sum over all orderings of p
-pairwise commuting elements, the image of the fundamental class of a
-p-torus.  The constructor checks that the elements commute; the cycle
-property then follows from the algebra and is not re-checked, and a torus
-with a repeated element or the identity is zero at once.  A product of tori
+A torus is named by p pairwise commuting elements: commuting_set checks
+them, and is_degenerate tells when the torus is zero (a repeated element or
+the identity).  Its cycle, torus_cycle, is the signed sum over all orderings
+of the elements, the image of the fundamental class of a p-torus; the cycle
+property follows from the algebra and is not re-checked.  A product of tori
 on disjoint blocks of strands is the torus of the union of their elements,
-so the grammar builds every crossed cycle as that one torus, each braid
-embedded once by BlockEmbedding.apply, as the certificate catalog does.
-shuffle (the Eilenberg-Zilber product) and embed_chain remain as the
-bar-complex operations that the tests use as the reference.
+so the grammar reads every crossed cycle as that one commuting set, each
+braid embedded once by BlockEmbedding.apply, as the certificate catalog
+does.  Exterior values are paired with the set itself by
+certify.torus_pairings; torus_cycle and pair give the tensor-valued
+pairing, and with shuffle (the Eilenberg-Zilber product) and embed_chain
+they are the bar-complex reference that the tests use.
 
 Cycle grammar (used by the command line):
 
@@ -102,15 +104,27 @@ class NoncommutingError(ValueError):
         self.pair = (i, j)
 
 
-def torus_cycle(elems: Sequence[GroupElement]) -> BarChain:
-    """The signed sum over all orderings of pairwise commuting elements."""
+def commuting_set(elems: Sequence[GroupElement]) -> tuple[GroupElement, ...]:
+    """The elements of a torus, after checking that they commute pairwise."""
     elems = tuple(elems)
     for i, j in combinations(range(len(elems)), 2):
         if not elems[i].commutes_with(elems[j]):
             raise NoncommutingError(i, j)
+    return elems
+
+
+def is_degenerate(elems: Sequence[GroupElement]) -> bool:
+    """Whether the torus of these elements is zero: every term holds the
+    identity, or cancels the twin that swaps two equal elements."""
+    return len(set(elems)) < len(elems) or any(g.is_identity for g in elems)
+
+
+def torus_cycle(elems: Sequence[GroupElement]) -> BarChain:
+    """The signed sum over all orderings of pairwise commuting elements."""
+    elems = commuting_set(elems)
     p = len(elems)
-    if len(set(elems)) < p or any(g.is_identity for g in elems):
-        return BarChain(p)  # every term holds the identity or cancels its transposed twin
+    if is_degenerate(elems):
+        return BarChain(p)
     terms: dict[tuple, int] = {}
     for perm in permutations(range(1, p + 1)):
         tup = tuple(elems[k - 1] for k in perm)
@@ -169,9 +183,10 @@ def pair(u: Cochain, z: BarChain):
 # cycle grammar
 
 
-def parse_cycle(text: str, n: int) -> BarChain:
-    """Parse the cycle grammar over braids on n strands into the torus of the
-    braids it names, each embedded at the strands of its block."""
+def parse_cycle(text: str, n: int) -> tuple[GroupElement, ...]:
+    """Parse the cycle grammar over braids on n strands into the commuting set
+    of the torus: the braids it names in grammar order, each embedded at the
+    strands of its block."""
     closing = _closing_braces(text)
     elems: list[GroupElement] = []
     where: list[tuple[int, int]] = []  # each element's index in its torus: and text position
@@ -196,7 +211,7 @@ def parse_cycle(text: str, n: int) -> BarChain:
         else:
             raise GrammarError("cycle must start with 'torus:' or 'cross:'", base)
     try:
-        return torus_cycle(elems)
+        return commuting_set(elems)
     except NoncommutingError as exc:
         (i, _), (j, position) = (where[k] for k in exc.pair)
         raise GrammarError(f"elements at positions {i} and {j} do not commute", position) from None

@@ -21,11 +21,12 @@ from functools import cache
 from typing import Any, Sequence
 
 from .braids import artin_action, parse_braid, permutation
-from .certify import certificate
-from .chains import pair, parse_cycle
-from .cochains import GroupElement, hbar_cochain, hbar_partition_cochain, tau1
+from .certify import certificate, torus_pairings
+from .chains import is_degenerate, pair, parse_cycle, torus_cycle
+from .cochains import GroupElement, hbar_cochain, tau1
 from .magnus import MagnusExpansion
 from .suites import SUITES, run_suite
+from .tensors import ExteriorElement
 from .words import format_word, parse_word
 
 DEGREE_ENV = "BRAIDCERT_DEGREE"
@@ -98,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--partition", help="pair with the partition cochain, e.g. '2,1'")
     p.add_argument(
         "--form", choices=("exterior", "tensor"), default="exterior",
-        help="value shape for --p (partitions are always exterior)",
+        help="value shape for --p (partitions take only exterior)",
     )
     p.add_argument("cycle", help="cycle grammar: torus:... or cross:{size:...}...")
 
@@ -185,17 +186,27 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "pair":
         theta = MagnusExpansion.standard(args.n, 2)
-        if args.partition is not None:
+        if args.partition is None:
+            if args.p < 1:
+                raise ValueError("degree must be at least 1")
+            parts = (args.p,)
+        elif args.form == "tensor":
+            raise ValueError("--form tensor needs --p: partition values are exterior")
+        else:
             fields = [x.strip() for x in args.partition.split(",")]
             if not all(x.isascii() and x.isdigit() for x in fields):
                 raise ValueError(f"bad partition {args.partition!r}")
             parts = tuple(int(x) for x in fields)
-            cochain = hbar_partition_cochain(theta, parts)
+        elems = parse_cycle(args.cycle, args.n)
+        if args.form == "tensor":
+            value = pair(hbar_cochain(theta, args.p), torus_cycle(elems))
+        elif sum(parts) != len(elems):
+            raise ValueError(f"cochain degree {sum(parts)} vs chain degree {len(elems)}")
+        elif is_degenerate(elems):
+            value = ExteriorElement.zero(args.n, len(elems))
         else:
-            exterior = args.form == "exterior"
-            cochain = hbar_cochain(theta, args.p, exterior=exterior)
-        cycle = parse_cycle(args.cycle, args.n)
-        _emit(pair(cochain, cycle).to_json_dict())
+            value = torus_pairings(theta, elems, [parts])[0]
+        _emit(value.to_json_dict())
         return 0
 
     if args.command == "independence":

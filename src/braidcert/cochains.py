@@ -30,18 +30,16 @@ materialised.  The basic constructions:
   computed letter by letter through tau1(gh) = tau1(g) + g.tau1(h), at a
   cost linear in the braid's length;
 * coboundary, with the usual twisted alternating-sum formula;
-* cup, the Alexander-Whitney product of exterior-valued cochains: the
-  first factor eats the leading arguments, the second is translated by
-  their product, and the values are multiplied by the wedge (any other
-  value shape is a TypeError);
 * composite_cochain, the cup of Hom-valued 1-cochains followed by nesting
   the values through the first tensor slot (the first factor outermost);
 * hp_cochain(theta, p) = composite_cochain of p copies of tau1, valued in
   Hom(H, H^(x)(p+1));
 * hbar_cochain, its contraction down to H^(x)p, optionally pushed into
-  Lambda^p (signed coefficient sum, no division);
-* hbar_partition_cochain, the cup of exterior hbar factors along the parts
-  of a partition, largest part first.
+  Lambda^p (signed coefficient sum, no division).
+
+The partition classes hbar_lambda, cups of exterior hbar factors, are
+evaluated only on tori of pure braids, where certify.torus_pairings sums
+them over set partitions.
 
 Products of groups.  An element of a block product B_{n1} x ... x B_{nk}
 inside B_n is the ambient GroupElement of a braid word whose letters each
@@ -262,30 +260,6 @@ def coboundary(u: Cochain) -> Cochain:
     return Cochain(p + 1, u.n, u.zero_value, evaluate)
 
 
-def cup(u: Cochain, v: Cochain) -> Cochain:
-    """Alexander-Whitney product of exterior-valued cochains: the wedge of the
-    values, the right one translated by the left arguments."""
-    if u.n != v.n:
-        raise ValueError("rank mismatch")
-    p = u.degree
-
-    def evaluate(*gs):
-        left = u(*gs[:p])
-        right = v(*gs[p:])
-        if not (isinstance(left, ExteriorElement) and isinstance(right, ExteriorElement)):
-            raise TypeError(
-                f"no cup product of {type(left).__name__} and {type(right).__name__} values"
-            )
-        prefix = None
-        for g in gs[:p]:
-            prefix = _times(prefix, g)
-        return left.wedge(right if prefix is None else right.act(prefix))
-
-    return Cochain(
-        p + v.degree, u.n, lambda: ExteriorElement.zero(u.n, p + v.degree), evaluate
-    )
-
-
 def composite_cochain(factors: Sequence[Cochain]) -> Cochain:
     """Cup Hom-valued 1-cochains, then nest the values first slot first.
 
@@ -338,24 +312,6 @@ def hbar_cochain(theta: MagnusExpansion, p: int, exterior: bool = False) -> Coch
         lambda: ExteriorElement.zero(n, p),
         lambda *gs: alt_project(base(*gs).contract(), p),
     )
-
-
-def unit_cochain(n: int) -> Cochain:
-    """The degree-0 cochain with constant value 1 in Lambda^0."""
-    return Cochain(
-        0, n, lambda: ExteriorElement.zero(n, 0), lambda: ExteriorElement.unit(n)
-    )
-
-
-def hbar_partition_cochain(theta: MagnusExpansion, parts: Sequence[int]) -> Cochain:
-    """Cup the exterior hbar factors along the nonzero parts, in the given order."""
-    result = unit_cochain(theta.n)
-    for p in parts:
-        if p < 0:
-            raise ValueError("parts must be nonnegative")
-        if p:
-            result = cup(result, hbar_cochain(theta, p, exterior=True))
-    return result
 
 
 def _block_index(letter: int, layout: Sequence[BlockEmbedding]) -> int:

@@ -1,4 +1,9 @@
-"""The restriction identity, checked on the bar complex.
+"""The lazy exterior cup, and the restriction identity checked on the bar complex.
+
+cup, unit_cochain and hbar_partition_cochain evaluate hbar_lambda on any
+tuple of braids, term by term; the library pairs hbar_lambda only with tori
+of pure braids, by the set-partition sum of certify.torus_pairings, and the
+tests hold these as its oracle.
 
 scalar_factor_check compares the restriction of hbar_lambda to the block
 product with the cup of its single-block factors scaled by the repetition
@@ -24,13 +29,54 @@ from braidcert.chains import pair, torus_cycle
 from braidcert.cochains import (
     Cochain,
     GroupElement,
-    cup,
+    _times,
     hbar_cochain,
-    hbar_partition_cochain,
     projection_pullback,
-    unit_cochain,
 )
 from braidcert.magnus import MagnusExpansion
+from braidcert.tensors import ExteriorElement
+
+
+def cup(u: Cochain, v: Cochain) -> Cochain:
+    """Alexander-Whitney product of exterior-valued cochains: the wedge of the
+    values, the right one translated by the left arguments."""
+    if u.n != v.n:
+        raise ValueError("rank mismatch")
+    p = u.degree
+
+    def evaluate(*gs):
+        left = u(*gs[:p])
+        right = v(*gs[p:])
+        if not (isinstance(left, ExteriorElement) and isinstance(right, ExteriorElement)):
+            raise TypeError(
+                f"no cup product of {type(left).__name__} and {type(right).__name__} values"
+            )
+        prefix = None
+        for g in gs[:p]:
+            prefix = _times(prefix, g)
+        return left.wedge(right if prefix is None else right.act(prefix))
+
+    return Cochain(
+        p + v.degree, u.n, lambda: ExteriorElement.zero(u.n, p + v.degree), evaluate
+    )
+
+
+def unit_cochain(n: int) -> Cochain:
+    """The degree-0 cochain with constant value 1 in Lambda^0."""
+    return Cochain(
+        0, n, lambda: ExteriorElement.zero(n, 0), lambda: ExteriorElement.unit(n)
+    )
+
+
+def hbar_partition_cochain(theta: MagnusExpansion, parts: Sequence[int]) -> Cochain:
+    """Cup the exterior hbar factors along the nonzero parts, in the given order."""
+    result = unit_cochain(theta.n)
+    for p in parts:
+        if p < 0:
+            raise ValueError("parts must be nonnegative")
+        if p:
+            result = cup(result, hbar_cochain(theta, p, exterior=True))
+    return result
 
 
 def multiplicity_factor(parts: Sequence[int]) -> int:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, combinations, product as iter_product
+from itertools import accumulate, combinations, permutations, product as iter_product
 from pathlib import Path
 
 import pytest
@@ -32,11 +33,11 @@ from braidcert.certify import (
     torus_pairings,
 )
 from braidcert.chains import pair, parse_cycle, torus_cycle
-from braidcert.cochains import GroupElement, hbar_partition_cochain, tau1
+from braidcert.cochains import GroupElement, tau1
 from braidcert.magnus import MagnusExpansion
 from braidcert.tensors import nested_traces
 import restriction_oracle
-from restriction_oracle import multiplicity_factor, scalar_factor_check
+from restriction_oracle import hbar_partition_cochain, multiplicity_factor, scalar_factor_check
 from test_chains import random_commuting_set
 from test_cochains import random_custom
 
@@ -162,8 +163,8 @@ def test_partition_cycles_round_trip_through_grammar():
     for n, q in GRAMMAR_GRID:
         for parts in partitions(q, n - q):
             for cand in partition_cycles(parts, n, depth=3):
+                assert parse_cycle(cand.descriptor, n) == cand.elements
                 chain = torus_cycle(cand.elements)
-                assert parse_cycle(cand.descriptor, n) == chain
                 assert chain.is_cycle()
                 cuts = list(accumulate(p for p in parts if p))
                 blocks = [cand.elements[a:b] for a, b in zip([0] + cuts, cuts)]
@@ -182,7 +183,7 @@ def test_grammar_builds_the_catalog_torus_without_shuffling(monkeypatch, capsys)
     for n, q in GRAMMAR_GRID:
         for parts in partitions(q, n - q):
             for cand in partition_cycles(parts, n, depth=3):
-                assert parse_cycle(cand.descriptor, n) == torus_cycle(cand.elements)
+                assert parse_cycle(cand.descriptor, n) == cand.elements
                 descriptors += 1
     assert descriptors == 48
     # the README's crossed example, byte for byte
@@ -336,6 +337,69 @@ def test_sets_meeting_two_blocks_have_zero_trace_under_a_custom_tail():
     assert spanning >= 40 and nonzero >= 20
 
 
+DIFFERENTIAL_ROWS = [(2, 1), (1, 2), (1, 1), (2, 2), (1, 0, 1), (3, 1), (1, 3)]
+
+
+def cli_pairing(capsys, row, elements):
+    """`braidcert pair` on the torus of the elements: exit code, stdout, stderr."""
+    flag = ["--p", str(row[0])] if len(row) == 1 else ["--partition", ",".join(map(str, row))]
+    cycle = "torus:" + "|".join(str(g.braid) for g in elements)
+    code = cli.main(["pair", "--n", str(elements[0].n), *flag, cycle])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def literal_output(elements, row):
+    theta = MagnusExpansion.standard(elements[0].n, 2)
+    try:
+        value = literal_pairings(theta, elements, [row])[0]
+    except ValueError as exc:
+        return 2, "", f"error: {exc}\n"
+    return 0, json.dumps(value.to_json_dict(), indent=2) + "\n", ""
+
+
+def test_pair_command_matches_literal_pairings(capsys):
+    # the command's exterior value (degree check, zero rule, set-partition sum)
+    # against the bar-complex pairing: on random commuting sets, on catalog
+    # cycles with their elements raised to powers and shuffled, and on non-pure
+    # tori, where a degenerate torus is zero and any other is refused
+    rng = random.Random(77)
+    inputs = [random_commuting_set(rng, n) for n in range(3, 8) for _ in range(6)]
+    catalog = [((1, 1), 4), ((2, 1), 5), ((2, 2), 6), ((3, 1), 6), ((3, 1, 0), 7), ((1, 1, 1), 6)]
+    for parts, n in catalog:
+        for cand in partition_cycles(parts, n, depth=3):
+            elems = [GroupElement(g.braid ** rng.choice([-2, -1, 1, 2])) for g in cand.elements]
+            rng.shuffle(elems)
+            inputs.append(elems)
+    s1, one = GroupElement(BraidWord(3, (1,))), GroupElement(BraidWord.identity(3))
+    inputs += [[s1, s1], [one, s1], [s1]]
+    seen = Counter()
+    for elems in inputs:
+        for row in [(len(elems),)] + DIFFERENTIAL_ROWS:
+            got = cli_pairing(capsys, row, elems)
+            assert got == literal_output(elems, row), (row, elems)
+            seen["refused" if got[0] else "nonzero" if '"c"' in got[1] else "zero"] += 1
+            seen[row] += '"c"' in got[1]
+    assert seen["refused"] >= 200 and seen["zero"] >= 100 and seen["nonzero"] >= 30
+    assert all(seen[row] >= 2 for row in DIFFERENTIAL_ROWS), seen
+
+
+def test_torus_values_do_not_depend_on_the_order_of_the_parts():
+    # swapping parts a and b signs the cup by (-1)^(ab) and the wedge of the
+    # values by (-1)^(ab) again, so on a torus hbar_(a,b) = hbar_(b,a); a row
+    # given in reverse order therefore pairs to the same value
+    nonzero = 0
+    for parts, n in [((2, 1), 5), ((3, 1), 6), ((2, 1, 1), 7)]:
+        theta = MagnusExpansion.standard(n, 2)
+        rows = sorted(set(permutations(parts)))
+        for cand in partition_cycles(parts, n, depth=3):
+            values = literal_pairings(theta, cand.elements, rows)
+            assert values == [values[0]] * len(rows), cand.descriptor
+            assert torus_pairings(theta, cand.elements, rows) == values
+            nonzero += not values[0].is_zero()
+    assert nonzero >= 4
+
+
 def test_torus_pairings_reject_elements_acting_on_homology():
     theta = MagnusExpansion.standard(3, 2)
     s1 = GroupElement(BraidWord(3, (1,)))
@@ -441,13 +505,8 @@ def test_scalar_factor_sees_the_repeat_factor_two():
     assert any(not left.is_zero() for left, _ in witnesses)
     # dropping the factor must break the identity on some witness
     from braidcert.braids import pure_gen_braid
-    from braidcert.cochains import (
-        GroupElement,
-        cup,
-        hbar_cochain,
-        hbar_partition_cochain,
-        projection_pullback,
-    )
+    from braidcert.cochains import GroupElement, hbar_cochain, projection_pullback
+    from restriction_oracle import cup
     from braidcert.certify import partition_layout as layout_of
     from braidcert.chains import pair, torus_cycle
 

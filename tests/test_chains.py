@@ -18,6 +18,7 @@ from braidcert.chains import (
     BarChain,
     _shuffles,
     embed_chain,
+    is_degenerate,
     pair,
     parse_cycle,
     shuffle,
@@ -227,6 +228,17 @@ def test_degenerate_torus_is_zero_without_enumerating_orderings(monkeypatch):
     assert got == expected == [BarChain(3), BarChain(2)]
 
 
+def test_zero_rule_matches_the_enumerated_torus_on_random_commuting_sets(monkeypatch):
+    # without the rule torus_cycle sums every ordering, and the sum is zero
+    # exactly on the sets that the rule calls degenerate
+    rng = random.Random(67)
+    sets = [random_commuting_set(rng, rng.randint(2, 6)) for _ in range(60)]
+    rule = [is_degenerate(elems) for elems in sets]
+    monkeypatch.setattr(chains_module, "is_degenerate", lambda elems: False)
+    assert rule == [torus_cycle(elems).is_zero() for elems in sets]
+    assert 5 <= sum(rule) < len(rule)
+
+
 def test_shuffle_is_associative():
     a, b, c = band(4, 1, 2), twist(4, 3), twist(4, 4)
     z1, z2, z3 = (torus_cycle([g]) for g in (a, b, c))
@@ -325,35 +337,33 @@ def test_pairing_degree_guard():
 
 
 def test_parse_torus_single():
-    z = parse_cycle("torus:A(1,2)", 2)
-    assert z == torus_cycle([band(2, 1, 2)])
+    assert parse_cycle("torus:A(1,2)", 2) == (band(2, 1, 2),)
 
 
 def test_parse_torus_two_factors():
-    z = parse_cycle("torus: A(1,2) | twist(3)", 3)
-    assert z == torus_cycle([band(3, 1, 2), twist(3, 3)])
+    assert parse_cycle("torus: A(1,2) | twist(3)", 3) == (band(3, 1, 2), twist(3, 3))
 
 
 def test_parse_cross_of_tori():
-    z = parse_cycle("cross:{2:torus:A(1,2)}{2:torus:A(1,2)}", 4)
-    assert z == torus_cycle([band(4, 1, 2), band(4, 3, 4)])
+    elems = parse_cycle("cross:{2:torus:A(1,2)}{2:torus:A(1,2)}", 4)
+    assert elems == (band(4, 1, 2), band(4, 3, 4))
 
 
 def test_parse_three_level_cross_is_torus_of_union():
     text = "cross:{5:cross:{3:cross:{3:torus:A(1,3)|twist(3)}}{2:torus:A(1,2)}}{2:torus:A(1,2)^-1}"
     union = [band(7, 1, 3), twist(7, 3), band(7, 4, 5), band(7, 6, 7).inverse()]
-    z = parse_cycle(text, 7)
-    assert z == torus_cycle(union)
-    assert len(z.terms) == 24
+    elems = parse_cycle(text, 7)
+    assert elems == tuple(union)
+    assert len(torus_cycle(elems).terms) == 24
     # nested in the later blocks, so each offset accumulates over two levels
     text = ("cross:{2:torus:A(1,2)}"
             "{6:cross:{2:torus:A(1,2)}{4:cross:{2:torus:twist(2)}{2:torus:A(1,2)}}}")
-    z = parse_cycle(text, 8)
-    assert z == torus_cycle([band(8, 1, 2), band(8, 3, 4), band(8, 5, 6), band(8, 7, 8)])
+    elems = parse_cycle(text, 8)
+    assert elems == (band(8, 1, 2), band(8, 3, 4), band(8, 5, 6), band(8, 7, 8))
     # the shuffle of the embedded block tori is the reference
     block = torus_cycle([band(2, 1, 2)])
     a, b, c, d = (embed_chain(block, BlockEmbedding(k, 2, 8)) for k in (0, 2, 4, 6))
-    assert z == shuffle(shuffle(shuffle(a, b), c), d)
+    assert torus_cycle(elems) == shuffle(shuffle(shuffle(a, b), c), d)
 
 
 @pytest.mark.parametrize("text, union", [
@@ -366,9 +376,10 @@ def test_parse_three_level_cross_is_torus_of_union():
      [pure_gen_braid(4, 1, 2)] * 2 + [pure_gen_braid(4, 3, 4)]),
 ])
 def test_parse_cross_with_degenerate_torus_is_torus_of_union(text, union):
-    z = parse_cycle(text, 4)
-    assert z == torus_cycle([GroupElement(beta) for beta in union])
-    assert z == BarChain(len(union))
+    elems = parse_cycle(text, 4)
+    assert elems == tuple(GroupElement(beta) for beta in union)
+    assert is_degenerate(elems)
+    assert torus_cycle(elems) == BarChain(len(union))
 
 
 def test_parse_cross_nested_sizes_must_fit():

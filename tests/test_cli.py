@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import braidcert.chains as chains
 import braidcert.cli as cli
 import braidcert.suites as suites
 from braidcert.cli import main
@@ -154,7 +155,7 @@ def _terms(*pairs):
 
 
 # exact outputs, recorded before HomTensor was stored flat
-@pytest.mark.parametrize("argv, payload", [
+PINNED_OUTPUTS = [
     (
         ["hbar", "--n", "3", "--p", "2", "A(1,2)", "twist(3)"],
         {"n": 3, "terms": _terms(*(((a, b), "1/1") for a in (1, 2) for b in (1, 2, 3)))},
@@ -173,9 +174,102 @@ def _terms(*pairs):
             ((1, 3, 4), "2/1"), ((1, 3, 5), "2/1"), ((2, 3, 4), "2/1"), ((2, 3, 5), "2/1")
         )},
     ),
-])
+]
+
+
+@pytest.mark.parametrize("argv, payload", PINNED_OUTPUTS)
 def test_hbar_and_pair_outputs_are_pinned(capsys, argv, payload):
     assert run_cli(capsys, *argv) == (0, json.dumps(payload, indent=2) + "\n", "")
+
+
+NESTED = "cross:{5:cross:{3:cross:{3:torus:A(1,3)|twist(3)}}{2:torus:A(1,2)}}{2:torus:A(1,2)^-1}"
+
+
+def _zero(n, q):
+    return json.dumps({"n": n, "q": q, "coords": []}, indent=2) + "\n"
+
+
+# stdout, stderr and exit code, recorded before pair took exterior values from
+# the set-partition sum; errors come in the order degree, grammar, degree
+# mismatch, purity, and a degenerate torus is zero before purity is asked
+PINNED_PAIRS = [
+    (["--n", "2", "--p", "2", "torus:s1|s1"], 0, _zero(2, 2), ""),
+    (["--n", "4", "--partition", "1,1", "torus:A(1,2)|s1 s1"], 0, _zero(4, 2), ""),
+    (["--n", "2", "--p", "1", "torus:s1"],
+     2, "", "error: chain support acts nontrivially on homology\n"),
+    (["--n", "2", "--p", "2", "torus:A(1,2)"],
+     2, "", "error: cochain degree 2 vs chain degree 1\n"),
+    (["--n", "1", "--partition", "0", "torus:"],
+     2, "", "error: cochain degree 0 vs chain degree 1\n"),
+    (["--n", "2", "--p", "0", "torus:A(1,2)"], 2, "", "error: degree must be at least 1\n"),
+    (["--n", "2", "--p", "0", "torus:zzz"], 2, "", "error: degree must be at least 1\n"),
+    (["--n", "3", "--p", "2", "torus:A(1,2)|A(1,3)"],
+     2, "", "error: elements at positions 0 and 1 do not commute (at position 13)\n"),
+    (["--n", "7", "--p", "4", NESTED], 0, _zero(7, 4), ""),
+    (["--n", "7", "--partition", "2,1,1", NESTED], 0, json.dumps({
+        "n": 7, "q": 4, "coords": _terms(
+            *(((1, 2, a, b), "-4/1") for a in (4, 5) for b in (6, 7)),
+            *(((2, 3, a, b), "4/1") for a in (4, 5) for b in (6, 7)),
+        )}, indent=2) + "\n", ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", PINNED_PAIRS)
+def test_pair_zero_and_error_outputs_are_pinned(capsys, argv, code, out, err):
+    assert run_cli(capsys, "pair", *argv) == (code, out, err)
+
+
+def test_exterior_pair_builds_no_bar_chain(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exterior values build no bar chain")
+
+    for module in (chains, cli):
+        monkeypatch.setattr(module, "torus_cycle", refuse)
+        monkeypatch.setattr(module, "pair", refuse)
+    monkeypatch.setattr(chains.BarChain, "__init__", refuse)
+    exterior = [(["pair", *argv], (code, out, err)) for argv, code, out, err in PINNED_PAIRS]
+    exterior += [
+        (argv, (0, json.dumps(payload, indent=2) + "\n", ""))
+        for argv, payload in PINNED_OUTPUTS if argv[0] == "pair" and "tensor" not in argv
+    ]
+    assert len(exterior) == 11
+    for argv, expected in exterior:
+        assert run_cli(capsys, *argv) == expected, argv
+
+
+@pytest.mark.parametrize("partition", ["1", "2,1"])
+def test_partition_refuses_tensor_form(capsys, partition):
+    cycle = "cross:{3:torus:A(1,2)|twist(3)}{2:torus:A(1,2)}"
+    code, out, err = run_cli(
+        capsys, "pair", "--n", "5", "--partition", partition, "--form", "tensor", cycle
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --form tensor needs --p: partition values are exterior\n"
+    explicit = run_cli(capsys, "pair", "--n", "5", "--partition", "2,1", "--form", "exterior", cycle)
+    assert explicit == run_cli(capsys, "pair", "--n", "5", "--partition", "2,1", cycle)
+    assert explicit[0] == 0 and json.loads(explicit[1])["coords"]
+
+
+def test_nested_twist_torus_pairs_nonzero_at_every_degree(capsys):
+    # A(1,2), twist(3), ..., twist(p + 1) commute pairwise on p + 1 strands,
+    # and hbar_p is nonzero on their torus: the block rank behind each
+    # diagonal entry of a certificate
+    for p in range(1, 8):
+        cycle = "torus:" + "|".join(["A(1,2)"] + [f"twist({k})" for k in range(3, p + 2)])
+        code, out, err = run_cli(capsys, "pair", "--n", str(p + 1), "--p", str(p), cycle)
+        assert (code, err) == (0, ""), p
+        assert json.loads(out)["coords"], p
+
+
+@pytest.mark.parametrize("row", [["--p", "8"], ["--partition", "1,1,1,1,1,1,1,1"]])
+def test_eight_block_cross_pairs_in_under_a_second(capsys, row):
+    # 8! = 40,320 orderings as a bar chain; the set-partition sum visits 2^8 subsets
+    cycle = "cross:" + "{2:torus:A(1,2)}" * 8
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "pair", "--n", "16", *row, cycle)
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["coords"]) == (0 if row[0] == "--p" else 2 ** 8)
 
 
 def test_pair_with_partition(capsys):

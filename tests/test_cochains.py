@@ -26,14 +26,11 @@ from braidcert.cochains import (
     coboundary,
     coeff_action,
     composite_cochain,
-    cup,
     hbar_cochain,
-    hbar_partition_cochain,
     hp_cochain,
     projection_pullback,
     tau1,
     tau1_cochain,
-    unit_cochain,
 )
 from braidcert.magnus import MagnusExpansion
 from braidcert.suites import run_suite
@@ -45,6 +42,7 @@ from braidcert.tensors import (
     compose_maps,
 )
 from braidcert.words import FreeWord
+from restriction_oracle import cup, hbar_partition_cochain, unit_cochain
 
 F = Fraction
 
