@@ -48,7 +48,6 @@ from .tensors import (
     exterior_basis,
 )
 from .words import (
-    AutPair,
     EndoMap,
     FreeWord,
     GrammarError,

@@ -11,6 +11,8 @@ The action sends s_i to the automorphism
 
 fixing the other generators, and a word acts by composing the actions of its
 letters in function order: the action of uv is (action of u) o (action of v).
+An automorphism is stored as this one forward map; its inverse is the action
+of the inverse word, since the action of beta^-1 is (action of beta)^-1.
 
 Distinguished pure braids:
 
@@ -33,7 +35,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import AutPair, EndoMap, FreeWord, GrammarError
+from .words import EndoMap, FreeWord, GrammarError
 
 
 @dataclass(frozen=True)
@@ -80,25 +82,41 @@ class BraidWord:
         return format_braid(self)
 
 
-@lru_cache(maxsize=None)
-def _letter_action(n: int, letter: int) -> AutPair:
-    i = abs(letter)
+def _generator_images(n: int, i: int) -> tuple[tuple[FreeWord, ...], tuple[FreeWord, ...]]:
+    """The generator images under s_i and under s_i^-1."""
     fwd = [FreeWord.generator(n, k) for k in range(1, n + 1)]
-    inv = [FreeWord.generator(n, k) for k in range(1, n + 1)]
+    inv = list(fwd)
     fwd[i - 1] = FreeWord(n, (i + 1,))
     fwd[i] = FreeWord(n, (-(i + 1), i, i + 1))
     inv[i - 1] = FreeWord(n, (i, i + 1, -i))
     inv[i] = FreeWord(n, (i,))
-    pair = AutPair(EndoMap(n, tuple(fwd)), EndoMap(n, tuple(inv)))
-    return pair if letter > 0 else pair.inverse()
+    return tuple(fwd), tuple(inv)
+
+
+@lru_cache(maxsize=None)
+def _generator_maps(n: int, i: int) -> tuple[EndoMap, EndoMap]:
+    """The maps of s_i and s_i^-1, checked once to be mutually inverse."""
+    fwd, inv = (EndoMap(n, images) for images in _generator_images(n, i))
+    if not (fwd.compose(inv).is_identity() and inv.compose(fwd).is_identity()):
+        raise ValueError(f"the images of s{i} and s{i}^-1 are not mutually inverse")
+    return fwd, inv
+
+
+def _letter_action(n: int, letter: int) -> EndoMap:
+    """The automorphism of F_n given by the single letter s_letter."""
+    fwd, inv = _generator_maps(n, abs(letter))
+    return fwd if letter > 0 else inv
 
 
 # bounded, so a long-lived process does not keep every automorphism it has seen;
 # a certificate re-uses each within a few dozen distinct braids
 @lru_cache(maxsize=128)
-def artin_action(beta: BraidWord) -> AutPair:
-    """The automorphism of F_n given by beta, letters composing left to right."""
-    result = AutPair.identity(beta.n)
+def artin_action(beta: BraidWord) -> EndoMap:
+    """The automorphism of F_n given by beta, letters composing left to right.
+
+    Only the forward map is built: the inverse automorphism is the action of
+    beta.inverse()."""
+    result = EndoMap.identity(beta.n)
     for letter in beta.letters:
         result = result.compose(_letter_action(beta.n, letter))
     return result

@@ -59,23 +59,26 @@ def partitions(total: int, slots: int) -> list[tuple[int, ...]]:
     """Weakly decreasing tuples of the given length summing to total, largest first."""
     if slots < 0:
         raise ValueError("slots must be nonnegative")
-    if slots == 0:
-        return [()] if total == 0 else []
+    if slots == 0 or total < 0:
+        return [()] if total == slots == 0 else []
     out: list[tuple[int, ...]] = []
-
-    def go(remaining: int, bound: int, prefix: tuple[int, ...]) -> None:
-        if len(prefix) == slots:
-            if remaining == 0:
-                out.append(prefix)
-            return
-        slots_left = slots - len(prefix)
-        for part in range(min(remaining, bound), -1, -1):
-            if part * slots_left < remaining:
+    parts = [total] + [0] * (slots - 1)
+    while True:
+        out.append(tuple(parts))
+        # the next tuple lowers the rightmost part that can lose one while the
+        # parts after it, each at most its new value, absorb the rest
+        rest = parts[-1]
+        for k in range(slots - 2, -1, -1):
+            if (slots - 1 - k) * (parts[k] - 1) > rest:
                 break
-            go(remaining - part, part, prefix + (part,))
-
-    go(total, total, ())
-    return out
+            rest += parts[k]
+        else:
+            return out
+        parts[k] -= 1
+        rest += 1
+        for j in range(k + 1, slots):
+            parts[j] = min(parts[k], rest)
+            rest -= parts[j]
 
 
 def partition_layout(parts: Sequence[int], n: int) -> tuple[BlockEmbedding, ...]:

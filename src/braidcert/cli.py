@@ -142,12 +142,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "xi":
-        aut = artin_action(parse_braid(args.braid, args.n))
+        beta = parse_braid(args.braid, args.n)
         _emit(
             {
                 "n": args.n,
-                "images": [format_word(w) for w in aut.fwd.images],
-                "inverse_images": [format_word(w) for w in aut.inv.images],
+                "images": [format_word(w) for w in artin_action(beta).images],
+                "inverse_images": [
+                    format_word(w) for w in artin_action(beta.inverse()).images
+                ],
             }
         )
         return 0

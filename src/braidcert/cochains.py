@@ -3,11 +3,11 @@
 Elements and actions.  A GroupElement is a braid word and the braid's
 underlying permutation; products, inverses and embeddings act on the words.
 The automorphism of F_n that the braid acts by is derived from the word only
-where a decision needs it, and the cached artin_action is its memo.  Equality
-and commutation both compare forward automorphisms, which the faithful action
-makes decisive: two elements are equal when their forward maps are, and
-commutes_with compares f o g with g o f on the generators without building
-either product.  tau1, and every class built from it, reads only the letters
+where a decision needs it, and the cached artin_action is its memo.  Only
+that one map is built; no inverse automorphism is ever needed.  Equality and
+commutation both compare automorphisms, which the faithful action makes
+decisive: two elements are equal when their maps are, and commutes_with
+compares f o g with g o f on the generators without building either product.  tau1, and every class built from it, reads only the letters
 and the permutation.  A braid acts on H = Z^n through that permutation,
 X_i -> X_{perm[i-1]}, so its action on coefficient values is a relabelling
 of indices:
@@ -64,7 +64,7 @@ from .tensors import (
     alt_project,
     compose_maps,
 )
-from .words import AutPair, FreeWord
+from .words import EndoMap, FreeWord
 
 Value = Any  # TruncatedTensor | HomTensor | ExteriorElement
 
@@ -83,7 +83,7 @@ class GroupElement:
         self.perm = permutation(braid)
 
     @property
-    def aut(self) -> AutPair:
+    def aut(self) -> EndoMap:
         return artin_action(self.braid)
 
     @property
@@ -92,7 +92,7 @@ class GroupElement:
 
     @property
     def is_identity(self) -> bool:
-        return self.aut.fwd.is_identity()
+        return self.aut.is_identity()
 
     def acts_trivially(self) -> bool:
         return self.perm == tuple(range(1, self.n + 1))
@@ -106,17 +106,18 @@ class GroupElement:
         return GroupElement(self.braid.inverse())
 
     def commutes_with(self, other: GroupElement) -> bool:
-        """Whether self * other == other * self, decided on the forward maps."""
+        """Whether self * other == other * self, decided on the automorphisms:
+        f(g(x_j)) == g(f(x_j)) for every generator x_j."""
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        f, g = self.aut.fwd, other.aut.fwd
+        f, g = self.aut, other.aut
         return all(f(gx) == g(fx) for fx, gx in zip(f.images, g.images))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, GroupElement) and self.aut.fwd == other.aut.fwd
+        return isinstance(other, GroupElement) and self.aut == other.aut
 
     def __hash__(self) -> int:
-        return hash(self.aut.fwd)
+        return hash(self.aut)
 
     def __repr__(self) -> str:
         return f"<braid {self.braid.letters} on {self.n} strands>"
@@ -196,12 +197,12 @@ _LETTER_TAU1: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def _letter_tau1(theta: MagnusExpansion, letter: int) -> HomTensor:
-    """tau1(s_letter) by the defining formula on the letter's inverse images,
-    which have at most 3 letters."""
+    """tau1(s_letter) by the defining formula on the generator images under
+    the inverse letter, which have at most 3 letters."""
     cache = _LETTER_TAU1.setdefault(theta, {})
     if letter not in cache:
         n = theta.n
-        inv = _letter_action(n, letter).inv
+        inv = _letter_action(n, -letter)
         swap = permutation(BraidWord(n, (letter,)))
         terms: dict = {}
         for j in range(1, n + 1):

@@ -13,8 +13,10 @@ from itertools import product
 
 import pytest
 
+from braidcert import braids
 from braidcert.braids import (
     BraidWord,
+    _letter_action,
     artin_action,
     format_braid,
     full_twist,
@@ -23,7 +25,7 @@ from braidcert.braids import (
     pure_gen_braid,
 )
 from braidcert.cochains import BlockEmbedding, GroupElement
-from braidcert.words import AutPair, EndoMap, FreeWord, GrammarError
+from braidcert.words import EndoMap, FreeWord, GrammarError
 
 
 def same(a: BraidWord, b: BraidWord) -> bool:
@@ -42,19 +44,19 @@ def random_braid(rng: random.Random, n: int, max_len: int) -> BraidWord:
 
 
 def test_action_of_elementary_generator():
-    phi = artin_action(BraidWord(2, (1,))).fwd
+    phi = artin_action(BraidWord(2, (1,)))
     assert phi.images[0] == FreeWord(2, (2,))
     assert phi.images[1] == FreeWord(2, (-2, 1, 2))
 
 
 def test_action_of_inverse_generator():
-    phi = artin_action(BraidWord(2, (-1,))).fwd
+    phi = artin_action(BraidWord(2, (-1,)))
     assert phi.images[0] == FreeWord(2, (1, 2, -1))
     assert phi.images[1] == FreeWord(2, (1,))
 
 
 def test_action_fixes_far_generators():
-    phi = artin_action(BraidWord(4, (1,))).fwd
+    phi = artin_action(BraidWord(4, (1,)))
     assert phi.images[2] == FreeWord.generator(4, 3)
     assert phi.images[3] == FreeWord.generator(4, 4)
 
@@ -66,7 +68,7 @@ def test_action_preserves_product_of_generators():
         n = rng.randint(2, 5)
         beta = random_braid(rng, n, 10)
         w = FreeWord(n, tuple(range(1, n + 1)))
-        assert artin_action(beta).fwd(w) == w
+        assert artin_action(beta)(w) == w
 
 
 # relations
@@ -99,7 +101,7 @@ def test_action_is_a_homomorphism():
     for _ in range(30):
         n = rng.randint(2, 5)
         a, b = random_braid(rng, n, 6), random_braid(rng, n, 6)
-        assert artin_action(a * b).fwd == artin_action(a).compose(artin_action(b)).fwd
+        assert artin_action(a * b) == artin_action(a).compose(artin_action(b))
 
 
 # permutations
@@ -131,9 +133,8 @@ def test_permutation_matches_induced_matrix():
         beta = random_braid(rng, n, 8)
         perm = permutation(beta)
         inverse = tuple(sorted(range(1, n + 1), key=lambda i: perm[i - 1]))
-        action = artin_action(beta)
-        assert exponent_sum_matrix(action.fwd) == permutation_matrix(perm)
-        assert exponent_sum_matrix(action.inv) == permutation_matrix(inverse)
+        assert exponent_sum_matrix(artin_action(beta)) == permutation_matrix(perm)
+        assert exponent_sum_matrix(artin_action(beta.inverse())) == permutation_matrix(inverse)
         assert inverse == permutation(beta.inverse())
 
 
@@ -215,8 +216,8 @@ def test_embed_matches_free_group_embedding():
         ambient = m + rng.randint(0, 2)
         offset = rng.randint(0, ambient - m)
         beta = random_braid(rng, m, 6)
-        lhs = BlockEmbedding(offset, m, ambient).apply(GroupElement(beta)).aut.fwd
-        rhs = embed_endo(artin_action(beta).fwd, offset, ambient)
+        lhs = BlockEmbedding(offset, m, ambient).apply(GroupElement(beta)).aut
+        rhs = embed_endo(artin_action(beta), offset, ambient)
         assert lhs == rhs
 
 
@@ -258,23 +259,44 @@ def test_format_round_trips():
         assert parse_braid(format_braid(beta), 4) == beta
 
 
-# pairs built by compose and inverse are not re-checked; they stay inverse
+# the inverse automorphism is the action of the inverse word
 
 
-def assert_mutually_inverse(aut: AutPair) -> None:
-    assert aut.fwd.compose(aut.inv).is_identity()
-    assert aut.inv.compose(aut.fwd).is_identity()
+def test_letter_maps_compose_with_inverse_letter_maps_to_the_identity():
+    for n in range(2, 9):
+        for i in range(1, n):
+            f, g = _letter_action(n, i), _letter_action(n, -i)
+            assert f.compose(g).is_identity()
+            assert g.compose(f).is_identity()
+
+
+def test_letter_action_rejects_an_image_table_that_is_not_inverse(monkeypatch):
+    images = braids._generator_images
+    # s_i^-1 given the images of s_i
+    monkeypatch.setattr(braids, "_generator_images", lambda n, i: (images(n, i)[0],) * 2)
+    braids._generator_maps.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="not mutually inverse"):
+            _letter_action(3, 1)
+    finally:
+        braids._generator_maps.cache_clear()
+
+
+def assert_mutually_inverse(beta: BraidWord) -> None:
+    f, g = artin_action(beta), artin_action(beta.inverse())
+    assert f.compose(g).is_identity()
+    assert g.compose(f).is_identity()
 
 
 def test_composed_pairs_stay_mutually_inverse():
     rng = random.Random(29)
     for _ in range(30):
         n = rng.randint(3, 5)
-        assert_mutually_inverse(artin_action(random_braid(rng, n, 12)))
+        assert_mutually_inverse(random_braid(rng, n, 12))
         g = GroupElement(random_braid(rng, n, 6))
         h = GroupElement(random_braid(rng, n, 6))
         for elem in (g * h, h.inverse() * g, (g * h).inverse()):
-            assert_mutually_inverse(elem.aut)
+            assert_mutually_inverse(elem.braid)
 
 
 def test_artin_action_cache_stops_growing_at_its_bound():

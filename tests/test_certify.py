@@ -72,6 +72,17 @@ def test_partitions_are_ordered_largest_first():
     assert partitions(4, 2) == [(4, 0), (3, 1), (2, 2)]
 
 
+def test_partitions_of_many_slots_match_brute_force_in_order():
+    # at most `total` parts are nonzero, so the brute force runs on that many
+    # slots and pads with zeros; each slot once cost a level of recursion
+    for total, slots, count in ((1, 5000, 1), (2, 3000, 2)):
+        zeros = (0,) * (slots - total)
+        expected = sorted((tup + zeros for tup in brute_partitions(total, total)), reverse=True)
+        got = partitions(total, slots)
+        assert len(got) == count
+        assert got == expected
+
+
 def test_multiplicity_factor_frozen_values():
     assert multiplicity_factor((1, 1)) == 2
     assert multiplicity_factor((2, 1, 0)) == 1

@@ -14,7 +14,9 @@ import pytest
 import braidcert.chains as chains
 import braidcert.cli as cli
 import braidcert.suites as suites
+from braidcert.braids import _letter_action, artin_action
 from braidcert.cli import main
+from braidcert.words import EndoMap
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -87,6 +89,25 @@ def test_braid_eq_answers_both_ways(capsys):
     assert code == 0 and json.loads(out)["equal"] is True
     code, out, _ = run_cli(capsys, "braid-eq", "--n", "3", "s1", "s2")
     assert code == 0 and json.loads(out)["equal"] is False
+
+
+def test_braid_eq_composes_one_map_per_letter(capsys, monkeypatch):
+    # decisions build forward maps only, never an inverse beside them
+    left, right = "s1 s2^-1 s3 s1", "s3^-1 s2 s2 s1^-1 s3"
+    for letter in (1, -1, 2, -2, 3, -3):
+        _letter_action(4, letter)
+    artin_action.cache_clear()
+    calls = []
+    compose = EndoMap.compose
+
+    def counting(self, other):
+        calls.append(other)
+        return compose(self, other)
+
+    monkeypatch.setattr(EndoMap, "compose", counting)
+    code, out, _ = run_cli(capsys, "braid-eq", "--n", "4", left, right)
+    assert code == 0 and json.loads(out)["equal"] is False
+    assert len(calls) == 4 + 5
 
 
 def test_hbar_argument_count_is_checked(capsys):
@@ -347,6 +368,13 @@ def test_independence_overwrites_longer_out_file(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out_path.read_text()) == json.loads(out)
+
+
+def test_independence_on_a_thousand_strands_passes(capsys):
+    # partitions(1, 1099) once recursed once per slot, past the recursion limit
+    code, out, _ = run_cli(capsys, "independence", "--n", "1100", "--q", "1")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
 
 
 @pytest.mark.parametrize("depth", ["0", "-1"])

@@ -11,7 +11,6 @@ import random
 import pytest
 
 from braidcert.words import (
-    AutPair,
     EndoMap,
     FreeWord,
     GrammarError,
@@ -70,19 +69,6 @@ def test_apply_substitutes_generator_images():
     phi = EndoMap(2, (FreeWord(2, (1, 2)), FreeWord(2, (2,))))
     w = FreeWord(2, (1, -2))
     assert phi(w).letters == (1,)  # x1 x2 x2^-1
-
-
-def test_autpair_rejects_non_inverse():
-    phi = EndoMap(2, (FreeWord(2, (1, 2)), FreeWord(2, (2,))))
-    with pytest.raises(ValueError):
-        AutPair(phi, phi)
-
-
-def test_autpair_accepts_transvection():
-    phi = EndoMap(2, (FreeWord(2, (1, 2)), FreeWord(2, (2,))))
-    psi = EndoMap(2, (FreeWord(2, (1, -2)), FreeWord(2, (2,))))
-    pair = AutPair(phi, psi)
-    assert pair.inverse().fwd == psi
 
 
 # grammar
