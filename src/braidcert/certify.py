@@ -14,12 +14,20 @@ Every element of S is pure, so hbar_mu sees no coefficient action and
 with |U_j| = mu_j of B(U_1) ^ ... ^ B(U_k), signed by the permutation that
 lists U_1, U_2, ... each in base order.  B(U), the projected contraction of
 the signed sum over orderings of U of the nested tau1 values, is the trace
-of a product of exterior-valued matrices (tensors.nested_traces).  Each
-tau1(g) lives on its block's strands, so B(U) vanishes once U meets two
-blocks, and the outer sum over the unions of the first j parts skips every
-zero B.  B is computed once per cycle for every row.  Pairing every hbar_mu
-against every candidate cycle and coordinate of Lambda^q H yields an exact
-rational matrix whose row rank is computed fraction-free.
+of a product of exterior-valued matrices (tensors.nested_traces), and
+torus_pairings sums these.  The certificate sums by block: B(U) vanishes
+once U meets two blocks, and regrouping the parts by block changes the
+listing and wedge signs alike, so with S_b the elements, p_b the part of block b
+
+    <hbar_mu, T(S)> = sum over nu of c(nu) V_1[nu_1] ^ ... ^ V_k[nu_k]
+
+over the splittings nu of the nonzero parts of mu into decreasing tuples,
+|nu_b| = p_b, where c(nu) = prod_p mult_mu(p)! / prod_b prod_p mult_nu_b(p)!
+counts their interleavings.  The table V_b[nu] = <hbar_nu, T(S_b)> is built
+once per process at rank p_b + 1, then shifted by the block's offset, as
+tau1 of an embedded element is shifted; the blocks wedge with no sign.  The
+pairings of every hbar_mu with every candidate cycle, on every coordinate of
+Lambda^q H, form an exact rational matrix whose rank is computed fraction-free.
 
 The verdict is "pass" exactly when the rank equals the number of
 partitions: the rows are then linearly independent as cochains, hence as
@@ -30,10 +38,9 @@ group is an injective homomorphism, and elements on disjoint blocks commute.
 A rank deficit only means this catalog of cycles cannot separate the rows,
 so the verdict degrades to "inconclusive-catalog", never to a refutation.
 
-The certificate also records a triangularity table: pairings of hbar_mu
-against cycles of a strictly later partition in the enumeration order are
-expected to vanish identically, which makes the pass criterion a matter of
-nonzero diagonal blocks.
+The certificate also records a triangularity table: hbar_mu pairs to zero
+with the cycles of every later partition lambda, which mu cannot refine, so
+the pass criterion is a matter of nonzero diagonal blocks.
 
 All exterior coordinates use the projection without 1/q! normalisation;
 certificates say so in their JSON output.
@@ -44,8 +51,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, product
-from typing import Any, Sequence
+from itertools import islice, product
+from typing import Any, Iterator, Sequence
 
 from .braids import parse_braid
 from .cochains import BlockEmbedding, GroupElement, block_layout, tau1
@@ -53,6 +60,7 @@ from .magnus import MagnusExpansion
 from .tensors import ExteriorElement, Scalar, _odd_above, exterior_basis, nested_traces
 
 EXTERIOR_CONVENTION = "exterior projection is the signed coefficient sum, no 1/q! factor"
+_standard = cache(MagnusExpansion.standard)  # one per rank, sharing its tau1 caches
 
 
 def partitions(total: int, slots: int) -> list[tuple[int, ...]]:
@@ -100,18 +108,21 @@ def _block_elements(size: int) -> list[tuple[str, GroupElement]]:
 @cache
 def _commuting_tuples(part: int, depth: int) -> tuple[tuple[tuple[str, GroupElement], ...], ...]:
     """The first depth part-element pairwise commuting tuples from the catalog
-    of a block of size part + 1, searched once per process, each pair once.
-    There is always one: A(1,2), twist(3), ..., twist(part + 1) commute
-    pairwise, each twist being central among the braids on its strands."""
+    of a block of size part + 1, searched depth-first over commuting prefixes
+    once per process, each pair once.  There is always one: A(1,2), twist(3),
+    ..., twist(part + 1) commute pairwise, each twist central on its strands."""
     elements = _block_elements(part + 1)
     commutes = cache(lambda i, j: elements[i][1].commutes_with(elements[j][1]))
-    found: list[tuple[tuple[str, GroupElement], ...]] = []
-    for combo in combinations(range(len(elements)), part):
-        if all(commutes(i, j) for i, j in combinations(combo, 2)):
-            found.append(tuple(elements[i] for i in combo))
-            if len(found) == depth:
-                break
-    return tuple(found)
+
+    def extend(chosen: tuple[int, ...]) -> Iterator[tuple[int, ...]]:  # in lexicographic order
+        if len(chosen) == part:
+            yield chosen
+            return
+        for j in range(chosen[-1] + 1 if chosen else 0, len(elements)):
+            if all(commutes(i, j) for i in chosen):
+                yield from extend(chosen + (j,))
+
+    return tuple(tuple(elements[i] for i in combo) for combo in islice(extend(()), depth))
 
 
 @dataclass(frozen=True)
@@ -177,6 +188,52 @@ def torus_pairings(
             layer = grown
         out.append(layer.get(full, ExteriorElement.zero(n, q)))
     return out
+
+
+@cache
+def _block_tables(part: int, depth: int) -> tuple[dict[tuple[int, ...], ExteriorElement], ...]:
+    """V[nu] = <hbar_nu, T(S)> at rank part + 1 for each catalog tuple S and partition nu."""
+    rows = [tuple(m for m in nu if m) for nu in partitions(part, part)]
+    theta = _standard(part + 1, 2)
+    return tuple(
+        dict(zip(rows, torus_pairings(theta, [g for _, g in combo], rows)))
+        for combo in _commuting_tuples(part, depth)
+    )
+
+
+@cache
+def _splittings(sums: tuple[int, ...], mu: tuple[int, ...]) -> tuple[tuple[int, tuple], ...]:
+    """Each (c(nu), nu) dealing the nonzero parts of mu into decreasing nu_b, |nu_b| = sums[b]."""
+    parts = sorted((m for m in mu if m), reverse=True)
+    repeats = lambda t: math.prod(math.factorial(t.count(p)) for p in set(t))
+    choices = [[tuple(m for m in nu if m) for nu in partitions(s, s)] for s in sums]
+    return tuple(
+        (repeats(parts) // math.prod(map(repeats, nus)), nus)
+        for nus in product(*choices)
+        if sorted((m for nu in nus for m in nu), reverse=True) == parts
+    )
+
+
+def _block_pairings(
+    parts: Sequence[int], n: int, tables: Sequence[Sequence[dict]], rows: Sequence[Sequence[int]]
+) -> list[list[ExteriorElement]]:
+    """<hbar_mu, T(S)> for each S in product(*tables), one block tuple per nonzero
+    part along partition_layout(parts, n), and each row mu, by the splitting sum."""
+    sums = tuple(p for p in parts if p)
+    offsets = [e.offset for p, e in zip(parts, partition_layout(parts, n)) if p]
+
+    def pairing(choice: Sequence[dict], mu: Sequence[int]) -> ExteriorElement:
+        terms: dict[int, Scalar] = {}
+        for count, nus in _splittings(sums, tuple(mu)):
+            wedge = {0: count}
+            for offset, table, nu in zip(offsets, choice, nus):
+                shifted = [(mask << offset, c) for mask, c in table[nu].terms.items()]
+                wedge = {m | k: x * y for m, x in wedge.items() for k, y in shifted}
+            for m, x in wedge.items():
+                terms[m] = terms.get(m, 0) + x
+        return ExteriorElement._trusted(n, sum(sums), terms)
+
+    return [[pairing(choice, mu) for mu in rows] for choice in product(*tables)]
 
 
 # exact rank
@@ -279,13 +336,14 @@ def certificate(
         raise ValueError(f"need 0 <= q <= n, got q={q}, n={n}")
     if catalog_depth < 1:
         raise ValueError(f"catalog depth must be at least 1, got {catalog_depth}")
-    theta = MagnusExpansion.standard(n, 2)
     parts_list = partitions(q, n - q) if q else []
     basis = exterior_basis(n, q)
     cycles = {parts: partition_cycles(parts, n, catalog_depth) for parts in parts_list}
     # values[lam][c][i]: the pairing of row parts_list[i] with cycle c of lam
     values = {
-        lam: [torus_pairings(theta, c.elements, parts_list) for c in cycles[lam]]
+        lam: _block_pairings(
+            lam, n, [_block_tables(p, catalog_depth) for p in lam if p], parts_list
+        )
         for lam in parts_list
     }
     # exterior coordinates are keyed by bitmask, bit i-1 for X_i

@@ -226,8 +226,9 @@ def tau1(theta: MagnusExpansion, g: GroupElement) -> HomTensor:
         raise ValueError("element rank does not match expansion rank")
     terms: dict = {}
     perm = list(range(1, n + 1))
+    known = _LETTER_TAU1.setdefault(theta, {})  # one lookup per call, not per letter
     for letter in g.braid.letters:
-        for (j, a, b), c in _letter_tau1(theta, letter).terms.items():
+        for (j, a, b), c in (known.get(letter) or _letter_tau1(theta, letter)).terms.items():
             # relabel every index, the argument's included
             key = (perm[j - 1], perm[a - 1], perm[b - 1])
             terms[key] = terms.get(key, 0) + c

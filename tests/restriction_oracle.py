@@ -13,9 +13,10 @@ of pairwise commuting elements commute, so these are tori too.  The
 comparison is a pairing of cycles because the two sides agree only up to a
 coboundary, not pointwise.
 
-The certificate never evaluates the identity, so this check lives with the
-tests as their oracle for it; a block-factored certificate (ROADMAP item 1)
-would rest on it.
+The certificate now rests on the identity: it assembles each cycle's
+values from block tables by the splitting sum of certify's module
+docstring, whose diagonal terms are this factor times the cup of the
+blockwise values.  This check stays with the tests as the oracle for it.
 """
 
 from __future__ import annotations

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import accumulate, combinations, permutations, product as iter_product
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from braidcert.certify import (
 from braidcert.chains import pair, parse_cycle, torus_cycle
 from braidcert.cochains import GroupElement, tau1
 from braidcert.magnus import MagnusExpansion
-from braidcert.tensors import nested_traces
+from braidcert.tensors import ExteriorElement, exterior_basis, nested_traces
 import restriction_oracle
 from restriction_oracle import hbar_partition_cochain, multiplicity_factor, scalar_factor_check
 from test_chains import random_commuting_set
@@ -246,9 +247,52 @@ def test_certificate_searches_each_block_catalog_once(monkeypatch):
     assert sorted(sizes) == [2, 3, 4, 5]
 
 
+def filtered_tuples(part, depth):
+    """The catalog search as a filter over every combination, in lexicographic order."""
+    elements = certify_module._block_elements(part + 1)
+    commutes = cache(lambda i, j: elements[i][1].commutes_with(elements[j][1]))
+    found = []
+    for combo in combinations(range(len(elements)), part):
+        if all(commutes(i, j) for i, j in combinations(combo, 2)):
+            found.append(tuple(elements[i] for i in combo))
+            if len(found) == depth:
+                break
+    return tuple(found)
+
+
+def names(tuples):
+    return [[name for name, _ in combo] for combo in tuples]
+
+
+@pytest.mark.parametrize("part", range(1, 8))
+def test_commuting_prefix_search_matches_the_combinations_filter(part):
+    # the first d tuples of the filter are its answer at depth d
+    expected = filtered_tuples(part, 6)
+    for depth in range(1, 7):
+        got = certify_module._commuting_tuples(part, depth)
+        assert names(got) == names(expected[:depth])
+        assert all(
+            a == b for combo, want in zip(got, expected) for (_, a), (_, b) in zip(combo, want)
+        )
+    assert len(expected) == {1: 1, 2: 3, 3: 5}.get(part, 6)
+
+
+def test_commuting_prefix_search_reaches_part_nine_quickly():
+    # the filter over all 9-subsets of the block's 53 elements took minutes
+    start = time.perf_counter()
+    tuples = certify_module._commuting_tuples(9, 3)
+    assert time.perf_counter() - start < 1.0
+    assert len(tuples) == 3 and all(len(combo) == 9 for combo in tuples)
+    assert all(a.commutes_with(b) for combo in tuples for (_, a), (_, b) in combinations(combo, 2))
+
+
 def test_block_catalog_search_decides_each_pair_once(monkeypatch):
     # only the block elements count: the embedded cycle elements are plain
-    # GroupElements built afresh by BlockEmbedding.apply
+    # GroupElements built afresh by BlockEmbedding.apply; the search decides
+    # one pair the combinations filter never reaches: at part 4 it extends a
+    # prefix by the block's last element, twist(5), deciding its pairs before
+    # finding no element left to complete the tuple, while the filter never
+    # forms a 4-tuple in which twist(5) is third
     calls = []
 
     class Counting(GroupElement):
@@ -271,7 +315,7 @@ def test_block_catalog_search_decides_each_pair_once(monkeypatch):
                 partition_cycles(parts, n, depth=3)
     finally:
         certify_module._commuting_tuples.cache_clear()
-    assert len(calls) == len(set(calls)) == 50
+    assert len(calls) == len(set(calls)) == 51
 
 
 def test_catalog_candidates_commute_in_the_ambient_group():
@@ -433,6 +477,161 @@ def test_certificate_builds_no_bar_chain(monkeypatch, capsys):
     assert cli.main(["independence", "--n", "8", "--q", "4"]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert out == (GOLDEN / "independence-n8-q4.out").read_bytes()
+
+
+# block-factored pairings against the ambient set-partition sum
+
+
+standard = cache(MagnusExpansion.standard)
+
+
+def ambient_certificate(n, q, depth):
+    """The certificate with every cycle paired at ambient rank: torus_pairings
+    on the cycle's embedded elements under one standard expansion of rank n,
+    then the same matrix, rank and triangularity table as certificate()."""
+    theta = standard(n, 2)
+    parts_list = partitions(q, n - q) if q else []
+    basis = exterior_basis(n, q)
+    cycles = {lam: partition_cycles(lam, n, depth) for lam in parts_list}
+    values = {
+        lam: [torus_pairings(theta, c.elements, parts_list) for c in cycles[lam]]
+        for lam in parts_list
+    }
+    column = {sum(1 << i - 1 for i in idx): k for k, idx in enumerate(basis)}
+    matrix = [[] for _ in parts_list]
+    for i, row in enumerate(matrix):
+        for v in (v for lam in parts_list for v in values[lam]):
+            segment = [0] * len(basis)
+            for mask, c in v[i].terms.items():
+                segment[column[mask]] = c
+            row += segment
+    rank = exact_rank(matrix)
+    violations = [
+        {"row": list(mu), "cycle_partition": list(lam), "cycle": c.descriptor}
+        for i, mu in enumerate(parts_list)
+        for lam in parts_list[i + 1:]
+        for c, v in zip(cycles[lam], values[lam])
+        if not v[i].is_zero()
+    ]
+    verdict = "pass" if rank == len(parts_list) else "inconclusive-catalog"
+    return Certificate(
+        n, q, depth, 0, parts_list, cycles, matrix, rank, len(parts_list), verdict, violations
+    )
+
+
+AMBIENT_CONFIGS = [
+    (n, q, 3)
+    for n, q in [(2, 1), (3, 1), (4, 2), (5, 2), (6, 3), (7, 3), (8, 3), (8, 4), (9, 4), (10, 5)]
+] + [(10, 5, 6), (11, 5, 6), (12, 6, 3)]
+
+
+@pytest.mark.parametrize("n, q, depth", AMBIENT_CONFIGS)
+def test_block_tables_give_the_ambient_certificate(n, q, depth):
+    expected = ambient_certificate(n, q, depth).to_json_dict()
+    assert certificate(n, q, depth).to_json_dict() == expected
+
+
+def random_layout(rng, q):
+    """A composition of q into parts of at most 4, in random order, with up to
+    two one-strand blocks (zero parts) placed among them."""
+    parts = []
+    while sum(parts) < q:
+        parts.append(rng.randint(1, min(4, q - sum(parts))))
+    for _ in range(rng.randint(0, 2)):
+        parts.insert(rng.randint(0, len(parts)), 0)
+    return tuple(parts)
+
+
+def test_block_pairings_match_ambient_pairings_on_random_layouts():
+    # each block carries a random catalog tuple of depth 6; every partition of q
+    # is a row, and the assembled values must equal the ambient set-partition sum
+    rng = random.Random(78)
+    rows_checked = nonzero = repeated = unsorted = 0
+    for _ in range(60):
+        q = rng.randint(1, 6)
+        parts = random_layout(rng, q)
+        n = sum(p + 1 for p in parts)
+        picks = [
+            (p, e, rng.randrange(len(certify_module._commuting_tuples(p, 6))))
+            for p, e in zip(parts, partition_layout(parts, n))
+            if p
+        ]
+        elements = [
+            e.apply(g) for p, e, k in picks for _, g in certify_module._commuting_tuples(p, 6)[k]
+        ]
+        tables = [[certify_module._block_tables(p, 6)[k]] for p, _, k in picks]
+        rows = partitions(q, q)
+        got = certify_module._block_pairings(parts, n, tables, rows)
+        assert got == [torus_pairings(standard(n, 2), elements, rows)], parts
+        rows_checked += len(rows)
+        nonzero += sum(not v.is_zero() for v in got[0])
+        blocks = [p for p in parts if p]
+        repeated += len(set(blocks)) < len(blocks)
+        unsorted += blocks != sorted(blocks, reverse=True)
+    assert rows_checked >= 250 and nonzero >= 100 and repeated >= 15 and unsorted >= 8
+
+
+def test_cert_grid_builds_each_block_table_once(monkeypatch):
+    # parts 1, 2, 3 and 4 hold 1, 3, 3 and 3 catalog tuples at depth 3; every
+    # other use of a table, 47 of them over the five certificates, is a lookup
+    calls = []
+    original = certify_module.torus_pairings
+
+    def counting(theta, elements, rows):
+        calls.append((theta.n, tuple(g.braid for g in elements)))
+        return original(theta, elements, rows)
+
+    monkeypatch.setattr(certify_module, "torus_pairings", counting)
+    certify_module._block_tables.cache_clear()
+    for n, q in CERT_GRID:
+        assert certificate(n, q).passed
+    assert len(calls) == len(set(calls)) == 10
+    assert sorted(Counter(n for n, _ in calls).items()) == [(2, 1), (3, 3), (4, 3), (5, 3)]
+
+
+def test_certificate_pairs_only_at_block_rank(monkeypatch):
+    # (8, 4) has blocks of at most five strands, and no ambient-rank tau1 or trace
+    ranks = Counter()
+    real_tau1, real_traces = certify_module.tau1, certify_module.nested_traces
+
+    def tau1_at(theta, g):
+        ranks["tau1", theta.n] += 1
+        return real_tau1(theta, g)
+
+    def traces_at(maps):
+        ranks["traces", maps[0].n] += 1
+        return real_traces(maps)
+
+    monkeypatch.setattr(certify_module, "tau1", tau1_at)
+    monkeypatch.setattr(certify_module, "nested_traces", traces_at)
+    certify_module._block_tables.cache_clear()
+    assert certificate(8, 4).passed
+    assert {key for key in ranks} == {(f, n) for f in ("tau1", "traces") for n in (2, 3, 4, 5)}
+
+
+def test_diagonal_entry_is_the_repeat_factor_times_the_block_wedge():
+    # mu = lambda splits into lambda's blocks only one part per block, so its
+    # entry on the first cycle of lambda is multiplicity_factor(lambda) times
+    # the wedge of the single-part block values, each shifted to its strands
+    factors = Counter()
+    nonzero = 0
+    for n, q in [(6, 3), (8, 4), (9, 4)]:
+        cert = certificate(n, q)
+        width = len(exterior_basis(n, q))
+        firsts = list(accumulate((len(cert.cycles[lam]) for lam in cert.partitions), initial=0))
+        for i, lam in enumerate(cert.partitions):
+            wedge = ExteriorElement.unit(n)
+            for p, e in zip(lam, partition_layout(lam, n)):
+                if p:
+                    v = certify_module._block_tables(p, 3)[0][(p,)]
+                    shifted = {tuple(e.offset + a for a in idx): c for idx, c in v.sorted_terms()}
+                    wedge = wedge.wedge(ExteriorElement(n, p, shifted))
+            expected = multiplicity_factor(lam) * wedge
+            nonzero += not expected.is_zero()
+            segment = cert.matrix[i][firsts[i] * width:(firsts[i] + 1) * width]
+            assert segment == [expected.coefficient(idx) for idx in exterior_basis(n, q)], lam
+            factors[multiplicity_factor(lam)] += 1
+    assert set(factors) == {1, 2, 6, 24} and nonzero >= 8
 
 
 # certificates
