@@ -7,8 +7,9 @@ where a decision needs it, and the cached artin_action is its memo.  Only
 that one map is built; no inverse automorphism is ever needed.  Equality and
 commutation both compare automorphisms, which the faithful action makes
 decisive: two elements are equal when their maps are, and commutes_with
-compares f o g with g o f on the generators without building either product.  tau1, and every class built from it, reads only the letters
-and the permutation.  A braid acts on H = Z^n through that permutation,
+compares f o g with g o f on the generators without building either
+product.  tau1, and every class built from it, reads only the letters and
+the permutation.  A braid acts on H = Z^n through that permutation,
 X_i -> X_{perm[i-1]}, so its action on coefficient values is a relabelling
 of indices:
 
@@ -28,7 +29,8 @@ materialised.  The basic constructions:
   respect the degree-2 part of a Magnus expansion theta: its value on the
   basis vector X_j is defined as  theta_2(x_j) - g.theta_2(g^-1 x_j),  but
   computed letter by letter through tau1(gh) = tau1(g) + g.tau1(h), at a
-  cost linear in the braid's length;
+  cost linear in the braid's length; each letter's value is a flat list of
+  (j, a, b, c) terms, built once per expansion from degree-2 coefficients;
 * coboundary, with the usual twisted alternating-sum formula;
 * composite_cochain, the cup of Hom-valued 1-cochains followed by nesting
   the values through the first tensor slot (the first factor outermost);
@@ -64,7 +66,7 @@ from .tensors import (
     alt_project,
     compose_maps,
 )
-from .words import EndoMap, FreeWord
+from .words import EndoMap
 
 Value = Any  # TruncatedTensor | HomTensor | ExteriorElement
 
@@ -196,22 +198,28 @@ _TAU1_CACHES: WeakKeyDictionary = WeakKeyDictionary()
 _LETTER_TAU1: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _letter_tau1(theta: MagnusExpansion, letter: int) -> HomTensor:
-    """tau1(s_letter) by the defining formula on the generator images under
-    the inverse letter, which have at most 3 letters."""
-    cache = _LETTER_TAU1.setdefault(theta, {})
-    if letter not in cache:
-        n = theta.n
-        inv = _letter_action(n, -letter)
-        swap = permutation(BraidWord(n, (letter,)))
-        terms: dict = {}
-        for j in range(1, n + 1):
-            base = theta.value(FreeWord.generator(n, j)).component(2)
-            pulled = theta.value(inv.images[j - 1]).component(2)
-            col = base - pulled.act(swap)
-            terms.update({(j, *idx): c for idx, c in col.terms.items()})
-        cache[letter] = HomTensor._trusted(n, 2, terms)
-    return cache[letter]
+def _letter_tau1(theta: MagnusExpansion, letter: int) -> tuple[tuple, ...]:
+    """tau1(s_letter) as 0-based (j, a, b, c) terms, stored in _LETTER_TAU1,
+    by the defining formula on the generator images under the inverse letter,
+    which have at most 3 letters: column j is theta_2(x_j) minus theta_2 of
+    the image of x_j, relabelled by the transposition (i, i+1)."""
+    n = theta.n
+    i = abs(letter)
+    swap = list(range(n))
+    swap[i - 1], swap[i] = i, i - 1
+    inv = _letter_action(n, -letter)
+    table = []
+    for j in range(n):
+        col = {(idx[0] - 1, idx[1] - 1): c
+               for idx, c in theta.gen_values[j].terms.items() if len(idx) == 2}
+        for idx, c in theta.value(inv.images[j]).terms.items():
+            if len(idx) == 2:
+                key = (swap[idx[0] - 1], swap[idx[1] - 1])
+                col[key] = col.get(key, 0) - c
+        table.extend((j, a, b, c) for (a, b), c in col.items() if c)
+    table = tuple(table)
+    _LETTER_TAU1.setdefault(theta, {})[letter] = table
+    return table
 
 
 def tau1(theta: MagnusExpansion, g: GroupElement) -> HomTensor:
@@ -225,13 +233,17 @@ def tau1(theta: MagnusExpansion, g: GroupElement) -> HomTensor:
     if g.n != n:
         raise ValueError("element rank does not match expansion rank")
     terms: dict = {}
+    get = terms.get
     perm = list(range(1, n + 1))
     known = _LETTER_TAU1.setdefault(theta, {})  # one lookup per call, not per letter
     for letter in g.braid.letters:
-        for (j, a, b), c in (known.get(letter) or _letter_tau1(theta, letter)).terms.items():
+        table = known.get(letter)
+        if table is None:
+            table = _letter_tau1(theta, letter)
+        for j, a, b, c in table:
             # relabel every index, the argument's included
-            key = (perm[j - 1], perm[a - 1], perm[b - 1])
-            terms[key] = terms.get(key, 0) + c
+            key = (perm[j], perm[a], perm[b])
+            terms[key] = get(key, 0) + c
         i = abs(letter)
         perm[i - 1], perm[i] = perm[i], perm[i - 1]
     result = HomTensor._trusted(n, 2, terms)

@@ -131,17 +131,17 @@ class EndoMap:
         return cls(n, tuple(FreeWord.generator(n, i) for i in range(1, n + 1)))
 
     def __call__(self, w: FreeWord) -> FreeWord:
+        # each image is reduced, so letters cancel only across the seam
         out: list[int] = []
         for letter in w.letters:
             image = self.images[abs(letter) - 1].letters
             if letter < 0:
                 image = tuple(-l for l in reversed(image))
-            for m in image:
-                if out and out[-1] == -m:
-                    out.pop()
-                else:
-                    out.append(m)
-        # letters of the images, reduced on the fly
+            k = 0
+            while out and k < len(image) and out[-1] == -image[k]:
+                out.pop()
+                k += 1
+            out.extend(image[k:])
         return FreeWord._trusted(self.n, tuple(out))
 
     def compose(self, other: EndoMap) -> EndoMap:

@@ -14,8 +14,14 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product as iter_product
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import braidcert
 from braidcert import certify, cochains
 from braidcert.braids import BraidWord, artin_action, full_twist, permutation, pure_gen_braid
 from braidcert.cochains import (
@@ -429,6 +435,76 @@ def test_tau1_evaluates_theta_on_short_words_once_per_letter(monkeypatch):
     seen.clear()
     tau1(theta, GroupElement(BraidWord(3, (-2, 1, 1, -2, -2))))
     assert seen == []
+
+
+def oracle_letter_tau1(theta: MagnusExpansion, letter: int) -> HomTensor:
+    """tau1(s_letter) by the defining formula in tensor arithmetic, column by
+    column, on the images under the inverse letter."""
+    n = theta.n
+    inv = artin_action(BraidWord(n, (-letter,)))
+    swap = permutation(BraidWord(n, (letter,)))
+    cols = []
+    for j in range(1, n + 1):
+        base = theta.value(FreeWord.generator(n, j)).component(2)
+        pulled = theta.value(inv.images[j - 1]).component(2)
+        cols.append(base - pulled.act(swap))
+    return HomTensor.from_columns(n, 2, tuple(cols))
+
+
+def test_letter_tables_match_the_tensor_oracle():
+    # flat 0-based (j, a, b, c) terms, each key once, no zero coefficient
+    rng = random.Random(60)
+    for n in range(2, 7):
+        expansions = (
+            MagnusExpansion.standard(n, 2),
+            MagnusExpansion.standard(n, 3),
+            random_custom(rng, n),
+            random_custom(rng, n, cap=3),
+        )
+        for theta in expansions:
+            for letter in (l for i in range(1, n) for l in (i, -i)):
+                table = cochains._letter_tau1(theta, letter)
+                terms = {(j + 1, a + 1, b + 1): c for j, a, b, c in table}
+                assert len(terms) == len(table) and all(terms.values())
+                assert HomTensor(n, 2, terms) == oracle_letter_tau1(theta, letter)
+                assert cochains._LETTER_TAU1[theta][letter] is table
+
+
+def test_tau1_matches_word_path_oracle_at_cap_three():
+    rng = random.Random(62)
+    for k in range(24):
+        n = rng.randint(2, 5)
+        theta = random_custom(rng, n, cap=3) if k % 2 else MagnusExpansion.standard(n, 3)
+        g = random_non_pure_element(rng, n, 8)
+        assert tau1(theta, g) == oracle_tau1(theta, g)
+
+
+LETTER_TABLE_COUNT = """
+import collections, sys
+from braidcert import cochains
+from braidcert.cli import main
+
+built = collections.Counter()
+build = cochains._letter_tau1
+
+def counting(theta, letter):
+    built[theta, letter] += 1
+    return build(theta, letter)
+
+cochains._letter_tau1 = counting
+main(["check", "--suite", "expansion-independence", "--seed", "0"])
+print(sum(built.values()), max(built.values()), file=sys.stderr)
+"""
+
+
+def test_expansion_independence_builds_each_letter_table_once():
+    # a fresh process, so that no table is cached before the suite runs
+    src = str(Path(braidcert.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", LETTER_TABLE_COUNT], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stderr.split() == ["120", "1"]
 
 
 def test_tau1_rank_guard_comes_before_any_letter_value(monkeypatch):

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from braidcert.braids import BraidWord, artin_action
 from braidcert.words import (
     EndoMap,
     FreeWord,
@@ -131,3 +132,28 @@ def test_apply_respects_composition_and_products():
         assert phi.compose(psi)(w) == phi(psi(w))
         assert phi(w * v) == phi(w) * phi(v)
 
+
+
+def raw_substitution(f: EndoMap, w: FreeWord) -> FreeWord:
+    """f(w) by concatenating the images of the letters, reduced once at the end."""
+    letters: list[int] = []
+    for letter in w.letters:
+        image = f.images[abs(letter) - 1]
+        letters.extend((image if letter > 0 else image.inverse()).letters)
+    return FreeWord.reduce(f.n, letters)
+
+
+def test_substitution_matches_reducing_the_raw_concatenation():
+    # braid automorphisms on words that cancel deeply across the seams: the
+    # images of inverse images, and w f(w)^-1
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        length = rng.randint(1, 7)
+        beta = BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(length)))
+        f, f_inv = artin_action(beta), artin_action(beta.inverse())
+        w = random_word(rng, n, 8)
+        pulled = f_inv(w)
+        assert f(pulled) == raw_substitution(f, pulled) == w
+        for u in (w, w * f(w).inverse(), f(w).inverse() * w, pulled * w):
+            assert f(u) == raw_substitution(f, u)
