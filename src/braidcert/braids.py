@@ -1,18 +1,23 @@
-"""Braid groups acting on free groups.
+"""Braid groups: words, their Dynnikov coordinates and their action on F_n.
 
 A braid on n strands is a word in the elementary generators s_1, ..., s_{n-1},
 stored as signed integers (+i for s_i, -i for its inverse).  No rewriting is
-ever performed on braid words; cochains.GroupElement decides equality of the
-group elements they represent through the faithful action on F_n.
+ever performed on braid words.  dynnikov(beta) is the one key of the group
+element a word represents: B_n acts on Z^2n by piecewise-linear integer maps,
+each letter touching four coordinates through max and min, and two words are
+the same braid exactly when they send (0, 1, ..., 0, 1) to the same vector
+(Dynnikov 2002; Dehornoy, "Efficient solutions to the braid isotopy
+problem", 2008).  The bit length of the entries is linear in the word.
 
-The action sends s_i to the automorphism
+The faithful action on F_n sends s_i to the automorphism
 
     x_i |-> x_{i+1},    x_{i+1} |-> x_{i+1}^-1 x_i x_{i+1},
 
 fixing the other generators, and a word acts by composing the actions of its
 letters in function order: the action of uv is (action of u) o (action of v).
-An automorphism is stored as this one forward map; its inverse is the action
-of the inverse word, since the action of beta^-1 is (action of beta)^-1.
+Its images grow exponentially with the word, so artin_action builds the map
+only where free words are the output.  An automorphism is stored as this one
+forward map; its inverse is the action of the inverse word.
 
 Distinguished pure braids:
 
@@ -82,35 +87,18 @@ class BraidWord:
         return format_braid(self)
 
 
-def _generator_images(n: int, i: int) -> tuple[tuple[FreeWord, ...], tuple[FreeWord, ...]]:
-    """The generator images under s_i and under s_i^-1."""
-    fwd = [FreeWord.generator(n, k) for k in range(1, n + 1)]
-    inv = list(fwd)
-    fwd[i - 1] = FreeWord(n, (i + 1,))
-    fwd[i] = FreeWord(n, (-(i + 1), i, i + 1))
-    inv[i - 1] = FreeWord(n, (i, i + 1, -i))
-    inv[i] = FreeWord(n, (i,))
-    return tuple(fwd), tuple(inv)
-
-
 @lru_cache(maxsize=None)
-def _generator_maps(n: int, i: int) -> tuple[EndoMap, EndoMap]:
-    """The maps of s_i and s_i^-1, checked once to be mutually inverse."""
-    fwd, inv = (EndoMap(n, images) for images in _generator_images(n, i))
-    if not (fwd.compose(inv).is_identity() and inv.compose(fwd).is_identity()):
-        raise ValueError(f"the images of s{i} and s{i}^-1 are not mutually inverse")
-    return fwd, inv
-
-
 def _letter_action(n: int, letter: int) -> EndoMap:
     """The automorphism of F_n given by the single letter s_letter."""
-    fwd, inv = _generator_maps(n, abs(letter))
-    return fwd if letter > 0 else inv
+    i = abs(letter)
+    images = [FreeWord.generator(n, k) for k in range(1, n + 1)]
+    if letter > 0:
+        images[i - 1:i + 1] = FreeWord(n, (i + 1,)), FreeWord(n, (-(i + 1), i, i + 1))
+    else:
+        images[i - 1:i + 1] = FreeWord(n, (i, i + 1, -i)), FreeWord(n, (i,))
+    return EndoMap(n, images)
 
 
-# bounded, so a long-lived process does not keep every automorphism it has seen;
-# a certificate re-uses each within a few dozen distinct braids
-@lru_cache(maxsize=128)
 def artin_action(beta: BraidWord) -> EndoMap:
     """The automorphism of F_n given by beta, letters composing left to right.
 
@@ -120,6 +108,32 @@ def artin_action(beta: BraidWord) -> EndoMap:
     for letter in beta.letters:
         result = result.compose(_letter_action(beta.n, letter))
     return result
+
+
+def dynnikov(beta: BraidWord) -> tuple[int, ...]:
+    """The image of (0, 1) * n under beta, letters acting left to right: two
+    words on n strands are the same braid exactly when their images agree.
+
+    s_i moves the pairs (a_i, b_i), (a_{i+1}, b_{i+1}) at 0-based index
+    2i - 2.  The positive and negative parts max(x, 0), min(x, 0) are
+    written as conditionals, which save a function call each."""
+    v = [0, 1] * beta.n
+    for letter in beta.letters:
+        k = 2 * abs(letter) - 2
+        a1, b1, a2, b2 = v[k:k + 4]
+        p1, m1 = (b1, 0) if b1 > 0 else (0, b1)
+        p2, m2 = (b2, 0) if b2 > 0 else (0, b2)
+        if letter > 0:
+            t = a1 - m1 - a2 + p2
+            tp = t if t > 0 else 0
+            v[k:k + 4] = (a1 + p1 + (p2 - t if p2 > t else 0), b2 - tp,
+                          a2 + m2 + (m1 + t if m1 + t < 0 else 0), b1 + tp)
+        else:
+            t = a1 + m1 - a2 - p2
+            tm = t if t < 0 else 0
+            v[k:k + 4] = (a1 - p1 - (p2 + t if p2 + t > 0 else 0), b2 + tm,
+                          a2 - m2 - (m1 - t if m1 < t else 0), b1 - tm)
+    return tuple(v)
 
 
 def permutation(beta: BraidWord) -> tuple[int, ...]:

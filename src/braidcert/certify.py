@@ -60,7 +60,6 @@ from .magnus import MagnusExpansion
 from .tensors import ExteriorElement, Scalar, _odd_above, exterior_basis, nested_traces
 
 EXTERIOR_CONVENTION = "exterior projection is the signed coefficient sum, no 1/q! factor"
-_standard = cache(MagnusExpansion.standard)  # one per rank, sharing its tau1 caches
 
 
 def partitions(total: int, slots: int) -> list[tuple[int, ...]]:
@@ -194,7 +193,7 @@ def torus_pairings(
 def _block_tables(part: int, depth: int) -> tuple[dict[tuple[int, ...], ExteriorElement], ...]:
     """V[nu] = <hbar_nu, T(S)> at rank part + 1 for each catalog tuple S and partition nu."""
     rows = [tuple(m for m in nu if m) for nu in partitions(part, part)]
-    theta = _standard(part + 1, 2)
+    theta = MagnusExpansion.standard(part + 1, 2)
     return tuple(
         dict(zip(rows, torus_pairings(theta, [g for _, g in combo], rows)))
         for combo in _commuting_tuples(part, depth)

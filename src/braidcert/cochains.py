@@ -2,14 +2,12 @@
 
 Elements and actions.  A GroupElement is a braid word and the braid's
 underlying permutation; products, inverses and embeddings act on the words.
-The automorphism of F_n that the braid acts by is derived from the word only
-where a decision needs it, and the cached artin_action is its memo.  Only
-that one map is built; no inverse automorphism is ever needed.  Equality and
-commutation both compare automorphisms, which the faithful action makes
-decisive: two elements are equal when their maps are, and commutes_with
-compares f o g with g o f on the generators without building either
-product.  tau1, and every class built from it, reads only the letters and
-the permutation.  A braid acts on H = Z^n through that permutation,
+Equality, hashing, commutation and is_identity read one key, the braid's
+Dynnikov coordinates (braids.dynnikov), computed in one pass over the word:
+g commutes with h when gh and hg have the same key.  The automorphism of F_n
+the braid acts by is built only when .aut is read; no decision reads it.
+tau1, and every class built from it, reads only the letters and the
+permutation.  A braid acts on H = Z^n through that permutation,
 X_i -> X_{perm[i-1]}, so its action on coefficient values is a relabelling
 of indices:
 
@@ -57,7 +55,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 from weakref import WeakKeyDictionary
 
-from .braids import BraidWord, _letter_action, artin_action, permutation
+from .braids import BraidWord, _letter_action, artin_action, dynnikov, permutation
 from .magnus import MagnusExpansion
 from .tensors import (
     ExteriorElement,
@@ -74,9 +72,9 @@ Value = Any  # TruncatedTensor | HomTensor | ExteriorElement
 class GroupElement:
     """A braid word and its underlying permutation, which is its action on H.
 
-    The braid word is the element's only representation: the automorphism of
-    F_n it acts by is derived from the word when equality, hashing or
-    commutation asks for it."""
+    The braid word is the element's only representation: its Dynnikov
+    coordinates decide equality, and the automorphism of F_n it acts by is
+    built from the word only when .aut is read."""
 
     __slots__ = ("braid", "perm")
 
@@ -94,7 +92,7 @@ class GroupElement:
 
     @property
     def is_identity(self) -> bool:
-        return self.aut.is_identity()
+        return dynnikov(self.braid) == (0, 1) * self.n
 
     def acts_trivially(self) -> bool:
         return self.perm == tuple(range(1, self.n + 1))
@@ -108,18 +106,16 @@ class GroupElement:
         return GroupElement(self.braid.inverse())
 
     def commutes_with(self, other: GroupElement) -> bool:
-        """Whether self * other == other * self, decided on the automorphisms:
-        f(g(x_j)) == g(f(x_j)) for every generator x_j."""
+        """Whether self * other == other * self."""
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        f, g = self.aut, other.aut
-        return all(f(gx) == g(fx) for fx, gx in zip(f.images, g.images))
+        return dynnikov(self.braid * other.braid) == dynnikov(other.braid * self.braid)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, GroupElement) and self.aut == other.aut
+        return isinstance(other, GroupElement) and dynnikov(self.braid) == dynnikov(other.braid)
 
     def __hash__(self) -> int:
-        return hash(self.aut)
+        return hash(dynnikov(self.braid))
 
     def __repr__(self) -> str:
         return f"<braid {self.braid.letters} on {self.n} strands>"

@@ -120,12 +120,6 @@ class EndoMap:
             if w.n != self.n:
                 raise ValueError("generator image has wrong rank")
 
-    def __hash__(self) -> int:
-        # kept, since an image can run to thousands of letters
-        if "_hash" not in self.__dict__:
-            object.__setattr__(self, "_hash", hash((self.n, self.images)))
-        return self.__dict__["_hash"]
-
     @classmethod
     def identity(cls, n: int) -> EndoMap:
         return cls(n, tuple(FreeWord.generator(n, i) for i in range(1, n + 1)))
@@ -149,11 +143,6 @@ class EndoMap:
         if self.n != other.n:
             raise ValueError("rank mismatch")
         return EndoMap(self.n, tuple(self(w) for w in other.images))
-
-    def is_identity(self) -> bool:
-        return all(
-            w.letters == (i,) for i, w in enumerate(self.images, start=1)
-        )
 
 
 # Not API: perfbench/tracer.py counts compositions by wrapping

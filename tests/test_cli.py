@@ -14,7 +14,6 @@ import pytest
 import braidcert.chains as chains
 import braidcert.cli as cli
 import braidcert.suites as suites
-from braidcert.braids import _letter_action, artin_action
 from braidcert.cli import main
 from braidcert.words import EndoMap
 
@@ -91,23 +90,22 @@ def test_braid_eq_answers_both_ways(capsys):
     assert code == 0 and json.loads(out)["equal"] is False
 
 
-def test_braid_eq_composes_one_map_per_letter(capsys, monkeypatch):
-    # decisions build forward maps only, never an inverse beside them
-    left, right = "s1 s2^-1 s3 s1", "s3^-1 s2 s2 s1^-1 s3"
-    for letter in (1, -1, 2, -2, 3, -3):
-        _letter_action(4, letter)
-    artin_action.cache_clear()
+def test_braid_eq_composes_no_map(capsys, monkeypatch):
     calls = []
     compose = EndoMap.compose
-
-    def counting(self, other):
-        calls.append(other)
-        return compose(self, other)
-
-    monkeypatch.setattr(EndoMap, "compose", counting)
-    code, out, _ = run_cli(capsys, "braid-eq", "--n", "4", left, right)
+    monkeypatch.setattr(EndoMap, "compose", lambda f, g: calls.append(g) or compose(f, g))
+    code, out, _ = run_cli(capsys, "braid-eq", "--n", "4", "s1 s2^-1 s3 s1", "s3^-1 s2 s2 s1^-1 s3")
     assert code == 0 and json.loads(out)["equal"] is False
-    assert len(calls) == 4 + 5
+    assert calls == []
+
+
+def test_braid_eq_decides_a_32_letter_word_in_under_a_second(capsys):
+    # its free-group images grow exponentially with the word
+    word = " ".join(["s1 s2^-1"] * 16)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "braid-eq", "--n", "3", word, "s1 s2 s1 s2^-1 s1^-1 s2^-1 " + word)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["equal"] is True
 
 
 def test_hbar_argument_count_is_checked(capsys):

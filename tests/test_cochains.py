@@ -22,8 +22,10 @@ from pathlib import Path
 import pytest
 
 import braidcert
-from braidcert import certify, cochains
+import braidcert.cli as cli
+from braidcert import braids, certify, cochains
 from braidcert.braids import BraidWord, artin_action, full_twist, permutation, pure_gen_braid
+from braidcert.chains import parse_cycle
 from braidcert.cochains import (
     BlockEmbedding,
     Cochain,
@@ -47,7 +49,7 @@ from braidcert.tensors import (
     alt_project,
     compose_maps,
 )
-from braidcert.words import FreeWord
+from braidcert.words import EndoMap, FreeWord
 from restriction_oracle import cup, hbar_partition_cochain, unit_cochain
 
 F = Fraction
@@ -635,19 +637,6 @@ def test_group_element_equality_ignores_spelling():
     assert a == b and hash(a) == hash(b)
 
 
-def test_element_hash_reads_the_forward_images_once(monkeypatch):
-    calls = []
-    original = FreeWord.__hash__
-    monkeypatch.setattr(FreeWord, "__hash__", lambda w: calls.append(w) or original(w))
-    # (s1 s2^-1)^8: forward images of 16,715 letters in all, spelled nowhere else
-    g = GroupElement(BraidWord(3, (1, -2) * 8))
-    first = hash(g)
-    assert len(calls) == 3
-    assert hash(g) == first and len(calls) == 3
-    respelled = GroupElement(BraidWord(3, (2, -2) + (1, -2) * 8))
-    assert respelled == g and hash(respelled) == first
-
-
 def test_full_twist_acts_trivially_on_homology():
     for n in (2, 3, 4):
         g = GroupElement(full_twist(n, n))
@@ -674,15 +663,17 @@ def respelled(rng: random.Random, beta: BraidWord) -> BraidWord:
 
 
 def test_element_equality_matches_the_eager_automorphism_path():
+    # respellings through every relator kind, random pairs and mixed ranks
     rng = random.Random(60)
     outcomes = set()
-    for _ in range(150):
-        n = rng.randint(2, 6)
+    for _ in range(300):
+        n = rng.randint(2, 7)
         a = random_braid_element(rng, n, 5).braid
         b = rng.choice([
             respelled(rng, a),
+            respelled(rng, respelled(rng, a.inverse())).inverse(),
             random_braid_element(rng, n, 5).braid,
-            random_braid_element(rng, rng.randint(2, 6), 5).braid,
+            random_braid_element(rng, rng.randint(2, 7), 5).braid,
         ])
         x, y = GroupElement(a), GroupElement(b)
         equal = artin_action(a).images == artin_action(b).images
@@ -690,8 +681,9 @@ def test_element_equality_matches_the_eager_automorphism_path():
         if equal:
             assert hash(x) == hash(y)
         outcomes.add((equal, a.n == b.n))
-        assert x.inverse().aut.compose(artin_action(a)).is_identity()
-        assert artin_action(a).compose(x.inverse().aut).is_identity()
+        identity = EndoMap.identity(a.n)
+        assert x.inverse().aut.compose(artin_action(a)) == identity
+        assert artin_action(a).compose(x.inverse().aut) == identity
         if a.n == b.n:
             assert (x * y).aut == artin_action(a).compose(artin_action(b))
         else:
@@ -700,22 +692,64 @@ def test_element_equality_matches_the_eager_automorphism_path():
     assert outcomes == {(True, True), (False, True), (False, False)}
 
 
-def test_only_equality_and_commutation_build_automorphisms(monkeypatch):
-    built: list[BraidWord] = []
-    original = cochains.artin_action
+def test_commutes_with_matches_composed_automorphisms_on_bands_and_twists():
+    pairs = 0
+    for n in range(3, 8):
+        elems = [GroupElement(pure_gen_braid(n, i, j)) for i in range(1, n) for j in range(i + 1, n + 1)]
+        elems += [GroupElement(full_twist(n, k)) for k in range(2, n + 1)]
+        maps = [g.aut for g in elems]
+        for g, f in zip(elems, maps):
+            for h, k in zip(elems, maps):
+                assert g.commutes_with(h) == (f.compose(k) == k.compose(f))
+                pairs += 1
+    assert pairs == 1431
+
+
+def test_is_identity_matches_the_identity_automorphism():
+    rng = random.Random(63)
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(2, 7)
+        w = random_braid_element(rng, n, 6).braid
+        beta = rng.choice([w, respelled(rng, w * w.inverse()), respelled(rng, BraidWord.identity(n))])
+        g = GroupElement(beta)
+        expected = g.aut == EndoMap.identity(n)
+        assert g.is_identity == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_only_xi_builds_automorphisms(monkeypatch, capsys):
+    built: list = []
+    original = braids.artin_action
 
     def recording(beta):
         built.append(beta)
         return original(beta)
 
-    monkeypatch.setattr(cochains, "artin_action", recording)
+    for module in [m for name, m in sys.modules.items() if name.startswith("braidcert")]:
+        if getattr(module, "artin_action", None) is original:
+            monkeypatch.setattr(module, "artin_action", recording)
+    compose = EndoMap.compose
+    monkeypatch.setattr(EndoMap, "compose", lambda f, g: built.append(g) or compose(f, g))
     rng = random.Random(61)
     g = GroupElement(BraidWord(4, tuple(rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(30))))
     tau1(MagnusExpansion.standard(4, 2), g)
-    assert built == []
     for suite in ("lemmas", "cocycle", "primitivity", "expansion-independence"):
         assert run_suite(suite).passed
         assert built == [], suite
     certify._commuting_tuples.cache_clear()
+    certify._block_tables.cache_clear()
     assert certify.certificate(8, 4).passed
-    assert built and all(beta.n < 8 for beta in built)
+    assert parse_cycle("cross:{3:torus:A(1,2)|twist(3)}{2:torus:A(1,2)}", 5)
+    for argv in (
+        ["braid-eq", "--n", "3", "s1 s2 s1", "s2 s1 s2"],
+        ["pair", "--n", "4", "--p", "2", "torus:A(1,2)|A(3,4)"],
+    ):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert built == []
+    assert cli.main(["xi", "--n", "3", "s1 s2"]) == 0
+    assert built
+
+
