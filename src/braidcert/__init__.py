@@ -26,7 +26,6 @@ from .chains import (
 from .cochains import (
     BlockEmbedding,
     Cochain,
-    GroupElement,
     block_layout,
     coboundary,
     coeff_action,

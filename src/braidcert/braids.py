@@ -1,13 +1,16 @@
-"""Braid groups: words, their Dynnikov coordinates and their action on F_n.
+"""Braid groups: a braid is its word, keyed by its Dynnikov coordinates.
 
 A braid on n strands is a word in the elementary generators s_1, ..., s_{n-1},
 stored as signed integers (+i for s_i, -i for its inverse).  No rewriting is
-ever performed on braid words.  dynnikov(beta) is the one key of the group
-element a word represents: B_n acts on Z^2n by piecewise-linear integer maps,
-each letter touching four coordinates through max and min, and two words are
-the same braid exactly when they send (0, 1, ..., 0, 1) to the same vector
-(Dynnikov 2002; Dehornoy, "Efficient solutions to the braid isotopy
-problem", 2008).  The bit length of the entries is linear in the word.
+ever performed on braid words, and a BraidWord is the group element itself:
+products, inverses and embeddings act on the letters, while equality,
+hashing, commutation and is_identity read one key, dynnikov(beta), cached on
+the word.  B_n acts on Z^2n by piecewise-linear integer maps, each letter
+touching four coordinates through max and min, and two words are the same
+braid exactly when they send (0, 1, ..., 0, 1) to the same vector (Dynnikov
+2002; Dehornoy, "Efficient solutions to the braid isotopy problem", 2008).
+The bit length of the entries is linear in the word.  Compare .letters to
+compare spellings.
 
 The faithful action on F_n sends s_i to the automorphism
 
@@ -16,8 +19,9 @@ The faithful action on F_n sends s_i to the automorphism
 fixing the other generators, and a word acts by composing the actions of its
 letters in function order: the action of uv is (action of u) o (action of v).
 Its images grow exponentially with the word, so artin_action builds the map
-only where free words are the output.  An automorphism is stored as this one
-forward map; its inverse is the action of the inverse word.
+only where free words are the output (.aut); no decision reads it.  An
+automorphism is stored as this one forward map; its inverse is the action of
+the inverse word.
 
 Distinguished pure braids:
 
@@ -28,7 +32,8 @@ Distinguished pure braids:
 
 The underlying-permutation map sends s_i to the transposition (i, i+1) and is
 computed directly, composing in the same order as the action; it is the
-action on H = Z^n, sending the class of x_i to that of x_{perm[i-1]}.
+action on H = Z^n, sending the class of x_i to that of x_{perm[i-1]}, and a
+word caches it as .perm on first use.
 
 Text grammar: whitespace-separated tokens ``s<k>``, ``s<k>^-1``, ``A(i,j)``,
 ``A(i,j)^-1``, ``twist(k)``, ``twist(k)^-1``.
@@ -38,14 +43,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .words import EndoMap, FreeWord, GrammarError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BraidWord:
-    """A word in the elementary braid generators of B_n."""
+    """A word in the elementary braid generators of B_n, compared as a braid."""
 
     n: int
     letters: tuple[int, ...]
@@ -85,6 +90,35 @@ class BraidWord:
 
     def __str__(self) -> str:
         return format_braid(self)
+
+    @cached_property
+    def key(self) -> tuple[int, ...]:
+        return dynnikov(self)
+
+    @cached_property
+    def perm(self) -> tuple[int, ...]:
+        return permutation(self)
+
+    @property
+    def aut(self) -> EndoMap:
+        return artin_action(self)
+
+    @property
+    def is_identity(self) -> bool:
+        return self.key == (0, 1) * self.n
+
+    def acts_trivially(self) -> bool:
+        return self.perm == tuple(range(1, self.n + 1))
+
+    def commutes_with(self, other: BraidWord) -> bool:
+        """Whether self * other == other * self."""
+        return (self * other).key == (other * self).key
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BraidWord) and self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,8 @@ layout of consecutive strand blocks of sizes lambda_k + 1, and a catalog
 of commuting pure braid tuples inside each block.  Crossing the block tori
 gives candidate q-cycles: the torus T(S) of the union S of the embedded
 block tuples, in block order, since the shuffle of tori is the torus of the
-union.  A candidate keeps S, never the q!-term chain.
+union.  A candidate keeps only its cycle-grammar descriptor, which names S
+block by block; neither S nor the q!-term chain is stored.
 
 Every element of S is pure, so hbar_mu sees no coefficient action and
 <hbar_mu, T(S)> is the sum over ordered set partitions (U_1, ..., U_k) of S
@@ -54,8 +55,8 @@ from functools import cache
 from itertools import islice, product
 from typing import Any, Iterator, Sequence
 
-from .braids import parse_braid
-from .cochains import BlockEmbedding, GroupElement, block_layout, tau1
+from .braids import BraidWord, parse_braid
+from .cochains import BlockEmbedding, block_layout, tau1
 from .magnus import MagnusExpansion
 from .tensors import ExteriorElement, Scalar, _odd_above, exterior_basis, nested_traces
 
@@ -96,16 +97,16 @@ def partition_layout(parts: Sequence[int], n: int) -> tuple[BlockEmbedding, ...]
 # block catalogs
 
 
-def _block_elements(size: int) -> list[tuple[str, GroupElement]]:
+def _block_elements(size: int) -> list[tuple[str, BraidWord]]:
     """Commuting-tuple ingredients for one block, adjacent bands first."""
     names = [
         f"A({i},{i + span})" for span in range(1, size) for i in range(1, size - span + 1)
     ] + [f"twist({k})" for k in range(3, size + 1)]
-    return [(name, GroupElement(parse_braid(name, size))) for name in names]
+    return [(name, parse_braid(name, size)) for name in names]
 
 
 @cache
-def _commuting_tuples(part: int, depth: int) -> tuple[tuple[tuple[str, GroupElement], ...], ...]:
+def _commuting_tuples(part: int, depth: int) -> tuple[tuple[tuple[str, BraidWord], ...], ...]:
     """The first depth part-element pairwise commuting tuples from the catalog
     of a block of size part + 1, searched depth-first over commuting prefixes
     once per process, each pair once.  There is always one: A(1,2), twist(3),
@@ -124,37 +125,20 @@ def _commuting_tuples(part: int, depth: int) -> tuple[tuple[tuple[str, GroupElem
     return tuple(tuple(elements[i] for i in combo) for combo in islice(extend(()), depth))
 
 
-@dataclass(frozen=True)
-class CandidateCycle:
-    """A catalogued cycle, the torus of its elements, with its grammar descriptor."""
-
-    descriptor: str
-    elements: tuple[GroupElement, ...]
-
-
-def partition_cycles(
-    parts: Sequence[int], n: int, depth: int
-) -> list[CandidateCycle]:
-    """Cross the block torus catalogs along the layout of the partition."""
+def partition_cycles(parts: Sequence[int], n: int, depth: int) -> list[str]:
+    """Cross the block torus catalogs along the layout of the partition: the
+    descriptor of each candidate cycle, which parse_cycle reads back."""
     layout = partition_layout(parts, n)
-    per_block: list[list[tuple[BlockEmbedding, tuple[tuple[str, GroupElement], ...]]]] = []
-    for part, embedding in zip(parts, layout):
-        if part == 0:
-            continue
-        per_block.append([(embedding, combo) for combo in _commuting_tuples(part, depth)])
-    out: list[CandidateCycle] = []
-    for choice in product(*per_block):
-        descriptor = "cross:" + "".join(
-            f"{{{e.size}:torus:{'|'.join(name for name, _ in combo)}}}"
-            for e, combo in choice
-        )
-        elements = tuple(e.apply(g) for e, combo in choice for _, g in combo)
-        out.append(CandidateCycle(descriptor, elements))
-    return out
+    per_block = [
+        [f"{{{e.size}:torus:{'|'.join(name for name, _ in combo)}}}"
+         for combo in _commuting_tuples(part, depth)]
+        for part, e in zip(parts, layout) if part
+    ]
+    return ["cross:" + "".join(choice) for choice in product(*per_block)]
 
 
 def torus_pairings(
-    theta: MagnusExpansion, elements: Sequence[GroupElement], rows: Sequence[Sequence[int]]
+    theta: MagnusExpansion, elements: Sequence[BraidWord], rows: Sequence[Sequence[int]]
 ) -> list[ExteriorElement]:
     """<hbar_mu, T(elements)> for each row mu, a partition of len(elements), by
     the set-partition sum of the module docstring over bitmasks of elements."""
@@ -281,7 +265,7 @@ class Certificate:
     catalog_depth: int
     seed: int
     partitions: list[tuple[int, ...]]
-    cycles: dict[tuple[int, ...], list[CandidateCycle]]
+    cycles: dict[tuple[int, ...], list[str]]
     matrix: list[list[Scalar]]
     rank: int
     expected_rank: int
@@ -303,10 +287,7 @@ class Certificate:
             "seed": self.seed,
             "convention": EXTERIOR_CONVENTION,
             "partitions": [list(p) for p in self.partitions],
-            "cycles": {
-                fmt(parts): [c.descriptor for c in cycles]
-                for parts, cycles in self.cycles.items()
-            },
+            "cycles": {fmt(parts): cycles for parts, cycles in self.cycles.items()},
             "exterior_basis": [list(idx) for idx in exterior_basis(self.n, self.q)],
             "matrix": [
                 [f"{x.numerator}/{x.denominator}" for x in row] for row in self.matrix
@@ -361,7 +342,7 @@ def certificate(
 
     # strictly earlier partitions must pair to zero with later cycles
     violations: list[dict[str, Any]] = [
-        {"row": list(mu), "cycle_partition": list(lam), "cycle": c.descriptor}
+        {"row": list(mu), "cycle_partition": list(lam), "cycle": c}
         for i, mu in enumerate(parts_list)
         for lam in parts_list[i + 1:]
         for c, v in zip(cycles[lam], values[lam])

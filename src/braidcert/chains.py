@@ -1,17 +1,16 @@
 """Bar-complex chains of automorphism groups, and the cochain pairing.
 
 A BarChain of degree p is a finite rational combination of p-tuples of
-GroupElements; tuples containing the identity are degenerate and are
-dropped on construction.  Coefficients follow the rule of the tensor layer:
-the constructor accepts only exact rationals (TypeError otherwise) and
-stores an integral one as an int, so chains built from signs stay integral.
-Chains over a block product of braid groups need no other element type:
-their elements are the ambient GroupElements of braid words whose letters
-each stay inside one block.  The boundary is the usual inhomogeneous one
-(drop first, merge neighbours with alternating signs, drop last), matching
-the coboundary in cochains when every element in sight acts trivially on
-the coefficients; the pairing therefore refuses elements that act
-nontrivially on H.
+BraidWords, which compare as braids; tuples containing the identity are
+degenerate and are dropped on construction.  Coefficients follow the rule
+of the tensor layer: the constructor accepts only exact rationals
+(TypeError otherwise) and stores an integral one as an int, so chains built
+from signs stay integral.  Over a block product of braid groups the
+elements are ambient words whose letters each stay inside one block.  The
+boundary is the usual inhomogeneous one (drop first, merge neighbours with
+alternating signs, drop last), matching the coboundary in cochains when
+every element in sight acts trivially on the coefficients; the pairing
+therefore refuses elements that act nontrivially on H.
 
 A torus is named by p pairwise commuting elements: commuting_set checks
 them, and is_degenerate tells when the torus is zero (a repeated element or
@@ -19,9 +18,9 @@ the identity).  Its cycle, torus_cycle, is the signed sum over all orderings
 of the elements, the image of the fundamental class of a p-torus; the cycle
 property follows from the algebra and is not re-checked.  A product of tori
 on disjoint blocks of strands is the torus of the union of their elements,
-so the grammar reads every crossed cycle as that one commuting set, each
-braid embedded once by BlockEmbedding.apply, as the certificate catalog
-does.  Exterior values are paired with the set itself by
+so parse_cycle reads every crossed cycle, a certificate's catalog
+descriptors included, as that one commuting set, each braid embedded once
+by BlockEmbedding.apply.  Exterior values are paired with the set itself by
 certify.torus_pairings; torus_cycle and pair give the tensor-valued
 pairing, and with shuffle (the Eilenberg-Zilber product) and embed_chain
 they are the bar-complex reference that the tests use.
@@ -41,8 +40,8 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Mapping, Sequence
 
-from .braids import parse_braid
-from .cochains import BlockEmbedding, Cochain, GroupElement
+from .braids import BraidWord, parse_braid
+from .cochains import BlockEmbedding, Cochain
 from .tensors import Scalar, rational, sort_sign
 from .words import GrammarError
 
@@ -104,7 +103,7 @@ class NoncommutingError(ValueError):
         self.pair = (i, j)
 
 
-def commuting_set(elems: Sequence[GroupElement]) -> tuple[GroupElement, ...]:
+def commuting_set(elems: Sequence[BraidWord]) -> tuple[BraidWord, ...]:
     """The elements of a torus, after checking that they commute pairwise."""
     elems = tuple(elems)
     for i, j in combinations(range(len(elems)), 2):
@@ -113,13 +112,13 @@ def commuting_set(elems: Sequence[GroupElement]) -> tuple[GroupElement, ...]:
     return elems
 
 
-def is_degenerate(elems: Sequence[GroupElement]) -> bool:
+def is_degenerate(elems: Sequence[BraidWord]) -> bool:
     """Whether the torus of these elements is zero: every term holds the
     identity, or cancels the twin that swaps two equal elements."""
     return len(set(elems)) < len(elems) or any(g.is_identity for g in elems)
 
 
-def torus_cycle(elems: Sequence[GroupElement]) -> BarChain:
+def torus_cycle(elems: Sequence[BraidWord]) -> BarChain:
     """The signed sum over all orderings of pairwise commuting elements."""
     elems = commuting_set(elems)
     p = len(elems)
@@ -183,12 +182,12 @@ def pair(u: Cochain, z: BarChain):
 # cycle grammar
 
 
-def parse_cycle(text: str, n: int) -> tuple[GroupElement, ...]:
+def parse_cycle(text: str, n: int) -> tuple[BraidWord, ...]:
     """Parse the cycle grammar over braids on n strands into the commuting set
     of the torus: the braids it names in grammar order, each embedded at the
     strands of its block."""
     closing = _closing_braces(text)
-    elems: list[GroupElement] = []
+    elems: list[BraidWord] = []
     where: list[tuple[int, int]] = []  # each element's index in its torus: and text position
     todo = [(0, len(text), 0, n)]  # cycles left to parse: text span, strand offset, strands
     while todo:
@@ -202,7 +201,7 @@ def parse_cycle(text: str, n: int) -> tuple[GroupElement, ...]:
                     beta = parse_braid(piece, size)
                 except GrammarError as exc:
                     raise GrammarError(exc.message, cursor + exc.position) from None
-                elems.append(BlockEmbedding(at, size, n).apply(GroupElement(beta)))
+                elems.append(BlockEmbedding(at, size, n).apply(beta))
                 where.append((k, cursor + len(piece) - len(piece.lstrip())))
                 cursor += len(piece) + 1
         elif text.startswith("cross:", base, end):

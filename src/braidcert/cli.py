@@ -20,10 +20,10 @@ import sys
 from functools import cache
 from typing import Any, Sequence
 
-from .braids import artin_action, parse_braid, permutation
+from .braids import parse_braid
 from .certify import certificate, torus_pairings
 from .chains import is_degenerate, pair, parse_cycle, torus_cycle
-from .cochains import GroupElement, hbar_cochain, tau1
+from .cochains import hbar_cochain, tau1
 from .magnus import MagnusExpansion
 from .suites import SUITES, run_suite
 from .tensors import ExteriorElement
@@ -71,15 +71,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("tau1", help="the crossed homomorphism on a braid")
     p.add_argument("--n", type=int, required=True, help="strand count")
-    p.add_argument("braid", help="braid grammar: s<k>, A(i,j), twist(k)")
+    p.add_argument("text", metavar="braid", help="braid grammar: s<k>, A(i,j), twist(k)")
 
     p = add_parser("xi", help="the free group automorphism of a braid")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("braid")
+    p.add_argument("text", metavar="braid")
 
     p = add_parser("perm", help="underlying permutation of a braid")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("braid")
+    p.add_argument("text", metavar="braid")
 
     p = add_parser("braid-eq", help="decide equality of two braid words")
     p.add_argument("--n", type=int, required=True)
@@ -137,38 +137,27 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "tau1":
         theta = MagnusExpansion.standard(args.n, 2)
-        g = GroupElement(parse_braid(args.braid, args.n))
-        _emit(tau1(theta, g).to_json_dict())
+        _emit(tau1(theta, parse_braid(args.text, args.n)).to_json_dict())
         return 0
 
     if args.command == "xi":
-        beta = parse_braid(args.braid, args.n)
+        beta = parse_braid(args.text, args.n)
         _emit(
             {
                 "n": args.n,
-                "images": [format_word(w) for w in artin_action(beta).images],
-                "inverse_images": [
-                    format_word(w) for w in artin_action(beta.inverse()).images
-                ],
+                "images": [format_word(w) for w in beta.aut.images],
+                "inverse_images": [format_word(w) for w in beta.inverse().aut.images],
             }
         )
         return 0
 
     if args.command == "perm":
-        beta = parse_braid(args.braid, args.n)
-        perm = permutation(beta)
-        _emit(
-            {
-                "n": args.n,
-                "permutation": list(perm),
-                "pure": perm == tuple(range(1, args.n + 1)),
-            }
-        )
+        beta = parse_braid(args.text, args.n)
+        _emit({"n": args.n, "permutation": list(beta.perm), "pure": beta.acts_trivially()})
         return 0
 
     if args.command == "braid-eq":
-        left = GroupElement(parse_braid(args.left, args.n))
-        right = GroupElement(parse_braid(args.right, args.n))
+        left, right = (parse_braid(text, args.n) for text in (args.left, args.right))
         _emit({"n": args.n, "equal": left == right})
         return 0
 
@@ -179,10 +168,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"degree {args.p} needs {args.p} braid arguments, got {len(args.braids)}"
             )
-        elems = [
-            GroupElement(parse_braid(text, args.n)) for text in args.braids
-        ]
-        value = cochain(*elems)
+        value = cochain(*(parse_braid(text, args.n) for text in args.braids))
         _emit(value.to_json_dict())
         return 0
 

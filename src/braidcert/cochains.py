@@ -1,13 +1,8 @@
 """Group cochains on automorphism groups of free groups, exactly.
 
-Elements and actions.  A GroupElement is a braid word and the braid's
-underlying permutation; products, inverses and embeddings act on the words.
-Equality, hashing, commutation and is_identity read one key, the braid's
-Dynnikov coordinates (braids.dynnikov), computed in one pass over the word:
-g commutes with h when gh and hg have the same key.  The automorphism of F_n
-the braid acts by is built only when .aut is read; no decision reads it.
-tau1, and every class built from it, reads only the letters and the
-permutation.  A braid acts on H = Z^n through that permutation,
+Elements and actions.  The elements are braids.BraidWords, which compare
+as braids; tau1, and every class built from it, reads only the letters and
+the permutation.  A braid acts on H = Z^n through its permutation,
 X_i -> X_{perm[i-1]}, so its action on coefficient values is a relabelling
 of indices:
 
@@ -42,9 +37,9 @@ evaluated only on tori of pure braids, where certify.torus_pairings sums
 them over set partitions.
 
 Products of groups.  An element of a block product B_{n1} x ... x B_{nk}
-inside B_n is the ambient GroupElement of a braid word whose letters each
-stay inside one block of a layout of disjoint consecutive blocks, so every
-cochain construction applies verbatim over product groups.
+inside B_n is an ambient BraidWord whose letters each stay inside one block
+of a layout of disjoint consecutive blocks, so every cochain construction
+applies verbatim over product groups.
 projection_pullback pulls an ambient cochain back along the projection to a
 single block, re-embedded: it evaluates on the letters of that block alone.
 """
@@ -55,7 +50,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 from weakref import WeakKeyDictionary
 
-from .braids import BraidWord, _letter_action, artin_action, dynnikov, permutation
+from .braids import BraidWord, _letter_action
 from .magnus import MagnusExpansion
 from .tensors import (
     ExteriorElement,
@@ -64,61 +59,8 @@ from .tensors import (
     alt_project,
     compose_maps,
 )
-from .words import EndoMap
 
 Value = Any  # TruncatedTensor | HomTensor | ExteriorElement
-
-
-class GroupElement:
-    """A braid word and its underlying permutation, which is its action on H.
-
-    The braid word is the element's only representation: its Dynnikov
-    coordinates decide equality, and the automorphism of F_n it acts by is
-    built from the word only when .aut is read."""
-
-    __slots__ = ("braid", "perm")
-
-    def __init__(self, braid: BraidWord):
-        self.braid = braid
-        self.perm = permutation(braid)
-
-    @property
-    def aut(self) -> EndoMap:
-        return artin_action(self.braid)
-
-    @property
-    def n(self) -> int:
-        return self.braid.n
-
-    @property
-    def is_identity(self) -> bool:
-        return dynnikov(self.braid) == (0, 1) * self.n
-
-    def acts_trivially(self) -> bool:
-        return self.perm == tuple(range(1, self.n + 1))
-
-    def __mul__(self, other: GroupElement) -> GroupElement:
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        return GroupElement(self.braid * other.braid)
-
-    def inverse(self) -> GroupElement:
-        return GroupElement(self.braid.inverse())
-
-    def commutes_with(self, other: GroupElement) -> bool:
-        """Whether self * other == other * self."""
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        return dynnikov(self.braid * other.braid) == dynnikov(other.braid * self.braid)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GroupElement) and dynnikov(self.braid) == dynnikov(other.braid)
-
-    def __hash__(self) -> int:
-        return hash(dynnikov(self.braid))
-
-    def __repr__(self) -> str:
-        return f"<braid {self.braid.letters} on {self.n} strands>"
 
 
 @dataclass(frozen=True)
@@ -136,12 +78,11 @@ class BlockEmbedding:
                 f"does not fit in rank {self.ambient}"
             )
 
-    def apply(self, g: GroupElement) -> GroupElement:
+    def apply(self, g: BraidWord) -> BraidWord:
         if g.n != self.size:
             raise ValueError(f"element has rank {g.n}, block has size {self.size}")
         k = self.offset  # the same word on the block's strands
-        letters = tuple(l + k if l > 0 else l - k for l in g.braid.letters)
-        return GroupElement(BraidWord(self.ambient, letters))
+        return BraidWord(self.ambient, tuple(l + k if l > 0 else l - k for l in g.letters))
 
 
 def block_layout(sizes: Sequence[int], ambient: int) -> tuple[BlockEmbedding, ...]:
@@ -156,7 +97,7 @@ def block_layout(sizes: Sequence[int], ambient: int) -> tuple[BlockEmbedding, ..
     return tuple(out)
 
 
-def coeff_action(g: GroupElement, value: Value) -> Value:
+def coeff_action(g: BraidWord, value: Value) -> Value:
     """The coefficient action of g, dispatched on the shape of the value."""
     if isinstance(value, (TruncatedTensor, ExteriorElement)):
         return value.act(g.perm)
@@ -165,7 +106,7 @@ def coeff_action(g: GroupElement, value: Value) -> Value:
     raise TypeError(f"no action defined on {type(value).__name__}")
 
 
-def _times(prefix: tuple[int, ...] | None, g: GroupElement) -> tuple[int, ...] | None:
+def _times(prefix: tuple[int, ...] | None, g: BraidWord) -> tuple[int, ...] | None:
     """The permutation of (g_1...g_k) g from that of g_1...g_k; None is the identity."""
     if g.acts_trivially():
         return prefix
@@ -218,21 +159,21 @@ def _letter_tau1(theta: MagnusExpansion, letter: int) -> tuple[tuple, ...]:
     return table
 
 
-def tau1(theta: MagnusExpansion, g: GroupElement) -> HomTensor:
+def tau1(theta: MagnusExpansion, g: BraidWord) -> HomTensor:
     """The degree-2 failure of g to commute with theta, summed over the letters
     of g, each conjugated by the permutation before it."""
+    n = theta.n
+    if g.n != n:  # before the lookup: the cache is keyed by letters alone
+        raise ValueError("element rank does not match expansion rank")
     cache = _TAU1_CACHES.setdefault(theta, {})
-    cached = cache.get(g.braid)
+    cached = cache.get(g.letters)
     if cached is not None:
         return cached
-    n = theta.n
-    if g.n != n:
-        raise ValueError("element rank does not match expansion rank")
     terms: dict = {}
     get = terms.get
     perm = list(range(1, n + 1))
     known = _LETTER_TAU1.setdefault(theta, {})  # one lookup per call, not per letter
-    for letter in g.braid.letters:
+    for letter in g.letters:
         table = known.get(letter)
         if table is None:
             table = _letter_tau1(theta, letter)
@@ -243,7 +184,7 @@ def tau1(theta: MagnusExpansion, g: GroupElement) -> HomTensor:
         i = abs(letter)
         perm[i - 1], perm[i] = perm[i], perm[i - 1]
     result = HomTensor._trusted(n, 2, terms)
-    cache[g.braid] = result
+    cache[g.letters] = result
     return result
 
 
@@ -341,11 +282,10 @@ def projection_pullback(u: Cochain, k: int, layout: Sequence[BlockEmbedding]) ->
     """
     layout = tuple(layout)
 
-    def project(g: GroupElement) -> GroupElement:
-        kept = tuple(l for l in g.braid.letters if _block_index(l, layout) == k)
-        return GroupElement(BraidWord(g.n, kept))
+    def project(g: BraidWord) -> BraidWord:
+        return BraidWord(g.n, tuple(l for l in g.letters if _block_index(l, layout) == k))
 
-    def evaluate(*gs: GroupElement):
+    def evaluate(*gs: BraidWord):
         return u.evaluate(*(project(g) for g in gs))
 
     return Cochain(u.degree, u.n, u.zero_value, evaluate)

@@ -28,7 +28,6 @@ from typing import Any, Callable, Iterable
 from .braids import BraidWord, pure_gen_braid
 from .certify import certificate
 from .cochains import (
-    GroupElement,
     block_layout,
     coboundary,
     composite_cochain,
@@ -78,19 +77,19 @@ class SuiteReport:
         }
 
 
-def _random_braid(rng: random.Random, n: int, max_len: int) -> GroupElement:
+def _random_braid(rng: random.Random, n: int, max_len: int) -> BraidWord:
     length = rng.randrange(max_len + 1)
     letters = tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(length))
-    return GroupElement(BraidWord(n, letters))
+    return BraidWord(n, letters)
 
 
-def _random_pure(rng: random.Random, n: int, max_gens: int = 4) -> GroupElement:
+def _random_pure(rng: random.Random, n: int, max_gens: int = 4) -> BraidWord:
     beta = BraidWord.identity(n)
     for _ in range(rng.randrange(1, max_gens + 1)):
         i = rng.randint(1, n - 1)
         j = rng.randint(i + 1, n)
         beta = beta * pure_gen_braid(n, i, j) ** rng.choice([-1, 1])
-    return GroupElement(beta)
+    return beta
 
 
 def _random_custom(rng: random.Random, n: int) -> MagnusExpansion:
@@ -139,7 +138,7 @@ def run_lemmas(seed: int) -> SuiteReport:
             f"elementary-generators-n{n}",
             "tau1(s_i) = l_i (x) (X_i X_{i+1} - X_{i+1} X_i)",
             ((i,) for i in range(1, n)),
-            lambda i: tau1(theta, GroupElement(BraidWord.gen(n, i)))
+            lambda i: tau1(theta, BraidWord.gen(n, i))
             == _hom(n, {i: _bracket_hom(n, i, i + 1)}),
             lambda i: f"s_{i} at n={n}",
         ))
@@ -147,7 +146,7 @@ def run_lemmas(seed: int) -> SuiteReport:
             f"band-generators-n{n}",
             "tau1(A_ij) = (l_i - l_j) (x) (X_i X_j - X_j X_i)",
             ((i, j) for i in range(1, n) for j in range(i + 1, n + 1)),
-            lambda i, j: tau1(theta, GroupElement(pure_gen_braid(n, i, j)))
+            lambda i, j: tau1(theta, pure_gen_braid(n, i, j))
             == _hom(n, {i: _bracket_hom(n, i, j), j: -_bracket_hom(n, i, j)}),
             lambda i, j: f"A({i},{j}) at n={n}",
         ))
@@ -185,7 +184,7 @@ def run_primitivity(seed: int) -> SuiteReport:
         theta = MagnusExpansion.standard(n, 2)
         layout = block_layout((n1, n2), n)
 
-        def sample() -> GroupElement:
+        def sample() -> BraidWord:
             b1, b2 = _random_braid(rng, n1, 5), _random_braid(rng, n2, 5)
             return layout[0].apply(b1) * layout[1].apply(b2)
 

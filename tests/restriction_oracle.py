@@ -26,10 +26,9 @@ import random
 from typing import Any, Sequence
 
 from braidcert.certify import partition_cycles, partition_layout
-from braidcert.chains import pair, torus_cycle
+from braidcert.chains import pair, parse_cycle, torus_cycle
 from braidcert.cochains import (
     Cochain,
-    GroupElement,
     _times,
     hbar_cochain,
     projection_pullback,
@@ -120,8 +119,8 @@ def scalar_factor_check(
     ok = True
     for _ in range(3):
         elements = [
-            GroupElement(g.braid ** rng.choice([-2, -1, 1, 2]))
-            for g in rng.choice(cycles).elements
+            g ** rng.choice([-2, -1, 1, 2])
+            for g in parse_cycle(rng.choice(cycles), n)
         ]
         z = torus_cycle(elements)
         left = pair(lhs, z)

@@ -16,8 +16,8 @@ from itertools import product as iter_product
 
 from braidcert.braids import BraidWord, pure_gen_braid
 from braidcert.certify import certificate, partition_cycles, partitions
-from braidcert.chains import pair, torus_cycle
-from braidcert.cochains import GroupElement, hbar_cochain, tau1
+from braidcert.chains import pair, parse_cycle, torus_cycle
+from braidcert.cochains import hbar_cochain, tau1
 from braidcert.magnus import MagnusExpansion
 from braidcert.suites import run_suite
 from braidcert.tensors import HomTensor, TruncatedTensor
@@ -63,7 +63,7 @@ def test_criterion_01_elementary_generator_values():
     for n in range(2, 7):
         theta = MagnusExpansion.standard(n, 2)
         for i in range(1, n):
-            got = tau1(theta, GroupElement(BraidWord.gen(n, i)))
+            got = tau1(theta, BraidWord.gen(n, i))
             cols = [TruncatedTensor.zero(n, 2) for _ in range(n)]
             cols[i - 1] = bracket(n, i, i + 1)
             ok = ok and got == HomTensor.from_columns(n, 2, tuple(cols))
@@ -85,7 +85,7 @@ def test_criterion_02_band_generator_values():
         theta = MagnusExpansion.standard(n, 2)
         for i in range(1, n):
             for j in range(i + 1, n + 1):
-                got = tau1(theta, GroupElement(pure_gen_braid(n, i, j)))
+                got = tau1(theta, pure_gen_braid(n, i, j))
                 cols = [TruncatedTensor.zero(n, 2) for _ in range(n)]
                 cols[i - 1] = bracket(n, i, j)
                 cols[j - 1] = -bracket(n, i, j)
@@ -178,14 +178,14 @@ def test_criterion_06_blockwise_primitivity():
 def test_criterion_07_nonvanishing_pairings():
     start = time.monotonic()
     theta2 = MagnusExpansion.standard(2, 2)
-    z = torus_cycle([GroupElement(pure_gen_braid(2, 1, 2))])
+    z = torus_cycle([pure_gen_braid(2, 1, 2)])
     got = pair(hbar_cochain(theta2, 1), z)
     first = got == TruncatedTensor(2, 1, {(1,): 1, (2,): 1})
 
     theta3 = MagnusExpansion.standard(3, 2)
     candidates = partition_cycles((2,), 3, depth=2)
     values = [
-        pair(hbar_cochain(theta3, 2, exterior=True), torus_cycle(c.elements))
+        pair(hbar_cochain(theta3, 2, exterior=True), torus_cycle(parse_cycle(c, 3)))
         for c in candidates
     ]
     second = len(candidates) == 2 and any(not v.is_zero() for v in values)

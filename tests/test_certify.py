@@ -34,7 +34,7 @@ from braidcert.certify import (
     torus_pairings,
 )
 from braidcert.chains import pair, parse_cycle, torus_cycle
-from braidcert.cochains import GroupElement, tau1
+from braidcert.cochains import tau1
 from braidcert.magnus import MagnusExpansion
 from braidcert.tensors import ExteriorElement, exterior_basis, nested_traces
 import restriction_oracle
@@ -168,18 +168,33 @@ def test_exact_rank_ignores_interleaved_zero_columns():
 GRAMMAR_GRID = [(4, 2), (5, 2), (6, 3), (7, 3), (8, 3), (8, 4)]
 
 
+def embedded_catalog(parts, n, depth):
+    """Each catalog cycle's elements in the order of partition_cycles, embedded
+    here from the block catalogs along the layout of the partition."""
+    layout = [e for p, e in zip(parts, partition_layout(parts, n)) if p]
+    tuples = [certify_module._commuting_tuples(p, depth) for p in parts if p]
+    return [
+        tuple(e.apply(g) for e, combo in zip(layout, choice) for _, g in combo)
+        for choice in iter_product(*tuples)
+    ]
+
+
 def test_partition_cycles_round_trip_through_grammar():
     # the catalog lists each block's elements in block order; the shuffle of the
     # block tori is the reference for the torus of the union that both build
     checked = 0
     for n, q in GRAMMAR_GRID:
         for parts in partitions(q, n - q):
-            for cand in partition_cycles(parts, n, depth=3):
-                assert parse_cycle(cand.descriptor, n) == cand.elements
-                chain = torus_cycle(cand.elements)
+            descriptors = partition_cycles(parts, n, depth=3)
+            embedded = embedded_catalog(parts, n, 3)
+            assert len(descriptors) == len(embedded)
+            for descriptor, elements in zip(descriptors, embedded):
+                parsed = parse_cycle(descriptor, n)
+                assert [g.letters for g in parsed] == [g.letters for g in elements]
+                chain = torus_cycle(parsed)
                 assert chain.is_cycle()
                 cuts = list(accumulate(p for p in parts if p))
-                blocks = [cand.elements[a:b] for a, b in zip([0] + cuts, cuts)]
+                blocks = [parsed[a:b] for a, b in zip([0] + cuts, cuts)]
                 assert reduce(chains_module.shuffle, map(torus_cycle, blocks)) == chain
                 checked += 1
     assert checked == 48
@@ -194,8 +209,9 @@ def test_grammar_builds_the_catalog_torus_without_shuffling(monkeypatch, capsys)
     descriptors = 0
     for n, q in GRAMMAR_GRID:
         for parts in partitions(q, n - q):
-            for cand in partition_cycles(parts, n, depth=3):
-                assert parse_cycle(cand.descriptor, n) == cand.elements
+            embedded = embedded_catalog(parts, n, 3)
+            for descriptor, elements in zip(partition_cycles(parts, n, depth=3), embedded):
+                assert parse_cycle(descriptor, n) == elements
                 descriptors += 1
     assert descriptors == 48
     # the README's crossed example, byte for byte
@@ -208,8 +224,7 @@ def test_grammar_builds_the_catalog_torus_without_shuffling(monkeypatch, capsys)
 
 def test_partition_cycles_priority_order_for_pairs():
     # in a block of three strands the adjacent band generators come first
-    cands = partition_cycles((2, 0), 4, depth=3)
-    descriptors = [c.descriptor for c in cands]
+    descriptors = partition_cycles((2, 0), 4, depth=3)
     assert descriptors[0] == "cross:{3:torus:A(1,2)|twist(3)}"
     assert descriptors[1] == "cross:{3:torus:A(2,3)|twist(3)}"
 
@@ -219,8 +234,8 @@ def test_every_block_catalog_holds_a_commuting_tuple(part):
     # A(1,2), twist(3), ..., twist(part + 1) commute pairwise, so the search
     # for commuting part-tuples in a block of size part + 1 is never empty
     size = part + 1
-    nested = [GroupElement(pure_gen_braid(size, 1, 2))]
-    nested += [GroupElement(full_twist(size, k)) for k in range(3, size + 1)]
+    nested = [pure_gen_braid(size, 1, 2)]
+    nested += [full_twist(size, k) for k in range(3, size + 1)]
     assert len(nested) == part
     assert all(a.commutes_with(b) for a, b in combinations(nested, 2))
     assert certify_module._commuting_tuples(part, 1)
@@ -287,27 +302,18 @@ def test_commuting_prefix_search_reaches_part_nine_quickly():
 
 
 def test_block_catalog_search_decides_each_pair_once(monkeypatch):
-    # only the block elements count: the embedded cycle elements are plain
-    # GroupElements built afresh by BlockEmbedding.apply; the search decides
-    # one pair the combinations filter never reaches: at part 4 it extends a
-    # prefix by the block's last element, twist(5), deciding its pairs before
-    # finding no element left to complete the tuple, while the filter never
-    # forms a 4-tuple in which twist(5) is third
+    # the search decides one pair the combinations filter never reaches: at
+    # part 4 it extends a prefix by the block's last element, twist(5),
+    # deciding its pairs before finding no element left to complete the
+    # tuple, while the filter never forms a 4-tuple in which twist(5) is third
     calls = []
+    original = BraidWord.commutes_with
 
-    class Counting(GroupElement):
-        __slots__ = ()
+    def counting(self, other):
+        calls.append(frozenset((self, other)))
+        return original(self, other)
 
-        def commutes_with(self, other):
-            calls.append(frozenset((self, other)))
-            return super().commutes_with(other)
-
-    original = certify_module._block_elements
-    monkeypatch.setattr(
-        certify_module,
-        "_block_elements",
-        lambda size: [(name, Counting(g.braid)) for name, g in original(size)],
-    )
+    monkeypatch.setattr(BraidWord, "commutes_with", counting)
     certify_module._commuting_tuples.cache_clear()
     try:
         for n, q in CERT_GRID:
@@ -319,13 +325,13 @@ def test_block_catalog_search_decides_each_pair_once(monkeypatch):
 
 
 def test_catalog_candidates_commute_in_the_ambient_group():
-    # commutation is decided only inside each block; the ambient products,
-    # compared through the faithful action, are the oracle
+    # commutation is decided only inside each block; the ambient products of
+    # the embedded elements, compared as braids, are the oracle
     pairs = set()
     for n, q, depth in [(n, q, 3) for n, q in CERT_GRID] + [(10, 5, 6)]:
         for parts in partitions(q, n - q):
-            for cand in partition_cycles(parts, n, depth):
-                pairs.update(combinations(cand.elements, 2))
+            for elements in embedded_catalog(parts, n, depth):
+                pairs.update(combinations(elements, 2))
     for a, b in pairs:
         assert a * b == b * a, (a, b)
     assert len(pairs) > 100
@@ -345,9 +351,10 @@ def test_torus_pairings_match_pair_on_every_cert_grid_cycle():
         theta = MagnusExpansion.standard(n, 2)
         rows = partitions(q, n - q)
         for lam in rows:
-            for cand in partition_cycles(lam, n, depth=3):
-                assert torus_pairings(theta, cand.elements, rows) == literal_pairings(
-                    theta, cand.elements, rows
+            for descriptor in partition_cycles(lam, n, depth=3):
+                elements = parse_cycle(descriptor, n)
+                assert torus_pairings(theta, elements, rows) == literal_pairings(
+                    theta, elements, rows
                 )
                 checked += len(rows)
     # rows times cycles per size
@@ -381,11 +388,11 @@ def test_sets_meeting_two_blocks_have_zero_trace_under_a_custom_tail():
     for parts, n in [((2, 1, 0), 6), ((2, 2, 0, 0), 8), ((1, 1, 1, 0), 7)]:
         theta = random_custom(rng, n)
         block = [k for k, p in enumerate(parts) for _ in range(p)]
-        for cand in partition_cycles(parts, n, depth=2):
-            traces = nested_traces([tau1(theta, g) for g in cand.elements])
+        for descriptor in partition_cycles(parts, n, depth=2):
+            traces = nested_traces([tau1(theta, g) for g in parse_cycle(descriptor, n)])
             for mask, value in traces.items():
                 if len({block[g] for g in range(len(block)) if mask >> g & 1}) > 1:
-                    assert value.is_zero(), (cand.descriptor, mask)
+                    assert value.is_zero(), (descriptor, mask)
                     spanning += 1
                 else:
                     nonzero += not value.is_zero()
@@ -398,7 +405,7 @@ DIFFERENTIAL_ROWS = [(2, 1), (1, 2), (1, 1), (2, 2), (1, 0, 1), (3, 1), (1, 3)]
 def cli_pairing(capsys, row, elements):
     """`braidcert pair` on the torus of the elements: exit code, stdout, stderr."""
     flag = ["--p", str(row[0])] if len(row) == 1 else ["--partition", ",".join(map(str, row))]
-    cycle = "torus:" + "|".join(str(g.braid) for g in elements)
+    cycle = "torus:" + "|".join(str(g) for g in elements)
     code = cli.main(["pair", "--n", str(elements[0].n), *flag, cycle])
     out, err = capsys.readouterr()
     return code, out, err
@@ -422,11 +429,11 @@ def test_pair_command_matches_literal_pairings(capsys):
     inputs = [random_commuting_set(rng, n) for n in range(3, 8) for _ in range(6)]
     catalog = [((1, 1), 4), ((2, 1), 5), ((2, 2), 6), ((3, 1), 6), ((3, 1, 0), 7), ((1, 1, 1), 6)]
     for parts, n in catalog:
-        for cand in partition_cycles(parts, n, depth=3):
-            elems = [GroupElement(g.braid ** rng.choice([-2, -1, 1, 2])) for g in cand.elements]
+        for descriptor in partition_cycles(parts, n, depth=3):
+            elems = [g ** rng.choice([-2, -1, 1, 2]) for g in parse_cycle(descriptor, n)]
             rng.shuffle(elems)
             inputs.append(elems)
-    s1, one = GroupElement(BraidWord(3, (1,))), GroupElement(BraidWord.identity(3))
+    s1, one = BraidWord(3, (1,)), BraidWord.identity(3)
     inputs += [[s1, s1], [one, s1], [s1]]
     seen = Counter()
     for elems in inputs:
@@ -447,17 +454,18 @@ def test_torus_values_do_not_depend_on_the_order_of_the_parts():
     for parts, n in [((2, 1), 5), ((3, 1), 6), ((2, 1, 1), 7)]:
         theta = MagnusExpansion.standard(n, 2)
         rows = sorted(set(permutations(parts)))
-        for cand in partition_cycles(parts, n, depth=3):
-            values = literal_pairings(theta, cand.elements, rows)
-            assert values == [values[0]] * len(rows), cand.descriptor
-            assert torus_pairings(theta, cand.elements, rows) == values
+        for descriptor in partition_cycles(parts, n, depth=3):
+            elements = parse_cycle(descriptor, n)
+            values = literal_pairings(theta, elements, rows)
+            assert values == [values[0]] * len(rows), descriptor
+            assert torus_pairings(theta, elements, rows) == values
             nonzero += not values[0].is_zero()
     assert nonzero >= 4
 
 
 def test_torus_pairings_reject_elements_acting_on_homology():
     theta = MagnusExpansion.standard(3, 2)
-    s1 = GroupElement(BraidWord(3, (1,)))
+    s1 = BraidWord(3, (1,))
     with pytest.raises(ValueError, match="acts nontrivially on homology"):
         torus_pairings(theta, [s1], [(1, 0)])
 
@@ -487,14 +495,15 @@ standard = cache(MagnusExpansion.standard)
 
 def ambient_certificate(n, q, depth):
     """The certificate with every cycle paired at ambient rank: torus_pairings
-    on the cycle's embedded elements under one standard expansion of rank n,
-    then the same matrix, rank and triangularity table as certificate()."""
+    on the elements parse_cycle reads from each cycle's descriptor, under one
+    standard expansion of rank n, then the same matrix, rank and
+    triangularity table as certificate()."""
     theta = standard(n, 2)
     parts_list = partitions(q, n - q) if q else []
     basis = exterior_basis(n, q)
     cycles = {lam: partition_cycles(lam, n, depth) for lam in parts_list}
     values = {
-        lam: [torus_pairings(theta, c.elements, parts_list) for c in cycles[lam]]
+        lam: [torus_pairings(theta, parse_cycle(c, n), parts_list) for c in cycles[lam]]
         for lam in parts_list
     }
     column = {sum(1 << i - 1 for i in idx): k for k, idx in enumerate(basis)}
@@ -507,7 +516,7 @@ def ambient_certificate(n, q, depth):
             row += segment
     rank = exact_rank(matrix)
     violations = [
-        {"row": list(mu), "cycle_partition": list(lam), "cycle": c.descriptor}
+        {"row": list(mu), "cycle_partition": list(lam), "cycle": c}
         for i, mu in enumerate(parts_list)
         for lam in parts_list[i + 1:]
         for c, v in zip(cycles[lam], values[lam])
@@ -578,7 +587,7 @@ def test_cert_grid_builds_each_block_table_once(monkeypatch):
     original = certify_module.torus_pairings
 
     def counting(theta, elements, rows):
-        calls.append((theta.n, tuple(g.braid for g in elements)))
+        calls.append((theta.n, tuple(elements)))
         return original(theta, elements, rows)
 
     monkeypatch.setattr(certify_module, "torus_pairings", counting)
@@ -715,7 +724,7 @@ def test_scalar_factor_sees_the_repeat_factor_two():
     assert any(not left.is_zero() for left, _ in witnesses)
     # dropping the factor must break the identity on some witness
     from braidcert.braids import pure_gen_braid
-    from braidcert.cochains import GroupElement, hbar_cochain, projection_pullback
+    from braidcert.cochains import hbar_cochain, projection_pullback
     from restriction_oracle import cup
     from braidcert.certify import partition_layout as layout_of
     from braidcert.chains import pair, torus_cycle
@@ -726,8 +735,8 @@ def test_scalar_factor_sees_the_repeat_factor_two():
         projection_pullback(hbar_cochain(theta, 1, exterior=True), 0, layout),
         projection_pullback(hbar_cochain(theta, 1, exterior=True), 1, layout),
     )
-    a = GroupElement(pure_gen_braid(4, 1, 2))  # A(1,2) in the first block
-    b = GroupElement(pure_gen_braid(4, 3, 4))  # A(3,4) in the second block
+    a = pure_gen_braid(4, 1, 2)  # A(1,2) in the first block
+    b = pure_gen_braid(4, 3, 4)  # A(3,4) in the second block
     z = torus_cycle([a, b])
     assert pair(lhs, z) == 2 * pair(rhs, z)
     assert pair(lhs, z) != pair(rhs, z)

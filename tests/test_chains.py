@@ -27,7 +27,6 @@ from braidcert.chains import (
 from braidcert.cochains import (
     BlockEmbedding,
     Cochain,
-    GroupElement,
     hbar_cochain,
     hp_cochain,
     tau1_cochain,
@@ -40,21 +39,21 @@ from braidcert.words import GrammarError
 F = Fraction
 
 
-def band(n: int, i: int, j: int) -> GroupElement:
-    return GroupElement(pure_gen_braid(n, i, j))
+def band(n: int, i: int, j: int) -> BraidWord:
+    return pure_gen_braid(n, i, j)
 
 
-def twist(n: int, k: int) -> GroupElement:
-    return GroupElement(full_twist(n, k))
+def twist(n: int, k: int) -> BraidWord:
+    return full_twist(n, k)
 
 
-def random_pure(rng: random.Random, n: int, max_gens: int = 3) -> GroupElement:
+def random_pure(rng: random.Random, n: int, max_gens: int = 3) -> BraidWord:
     beta = BraidWord.identity(n)
     for _ in range(rng.randrange(max_gens + 1)):
         i = rng.randint(1, n - 1)
         j = rng.randint(i + 1, n)
         beta = beta * pure_gen_braid(n, i, j) ** rng.choice([-1, 1])
-    return GroupElement(beta)
+    return beta
 
 
 # chain basics
@@ -70,7 +69,7 @@ def test_boundary_of_a_pair():
 
 def test_degenerate_tuples_are_dropped():
     g = band(3, 1, 2)
-    e = GroupElement(BraidWord.identity(3))
+    e = BraidWord.identity(3)
     assert BarChain(2, {(g, e): F(1)}).is_zero()
     assert BarChain(2, {(g, g.inverse()): F(1)}).boundary() == BarChain(
         1, {(g,): F(1), (g.inverse(),): F(1)}
@@ -176,7 +175,7 @@ def test_shuffle_of_tori_is_torus_of_union():
     assert shuffle(torus_cycle([a]), torus_cycle([b, c])) == torus_cycle([a, b, c])
 
 
-def random_commuting_set(rng: random.Random, n: int) -> list[GroupElement]:
+def random_commuting_set(rng: random.Random, n: int) -> list[BraidWord]:
     """Pairwise commuting elements on n >= 2 strands.
 
     The strands are cut into consecutive blocks; each block of two or more
@@ -190,7 +189,7 @@ def random_commuting_set(rng: random.Random, n: int) -> list[GroupElement]:
         i = rng.randint(1, size - 1)
         j = rng.randint(i + 1, size)
         for beta in (pure_gen_braid(size, i, j) ** rng.choice([1, 2]), full_twist(size, size)):
-            g = BlockEmbedding(offset, size, n).apply(GroupElement(beta))
+            g = BlockEmbedding(offset, size, n).apply(beta)
             pool += [g, g.inverse()]
         offset += size
     pool = list(dict.fromkeys(pool))  # on two strands the band may be the twist
@@ -199,7 +198,7 @@ def random_commuting_set(rng: random.Random, n: int) -> list[GroupElement]:
     if extra == "repeat":
         elems.append(rng.choice(elems))
     elif extra == "identity":
-        elems.append(GroupElement(BraidWord.identity(n)))
+        elems.append(BraidWord.identity(n))
     rng.shuffle(elems)
     return elems
 
@@ -220,7 +219,7 @@ def test_degenerate_torus_is_zero_without_enumerating_orderings(monkeypatch):
     # a repeat cancels against its transposed twin and the identity is dropped,
     # as the shuffle reference computes term by term
     a, b = band(4, 1, 2), twist(4, 3)
-    one = GroupElement(BraidWord.identity(4))
+    one = BraidWord.identity(4)
     expected = [shuffle(torus_cycle([a]), torus_cycle([a, b])),
                 shuffle(torus_cycle([one]), torus_cycle([b]))]
     monkeypatch.setattr(chains_module, "permutations", None)
@@ -258,11 +257,11 @@ def test_commutes_with_agrees_with_products_on_random_pairs():
         elems = random_commuting_set(rng, n)
         letters = tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(4))
         pool = elems + [g.inverse() for g in elems] + [
-            GroupElement(BraidWord.identity(n)),
+            BraidWord.identity(n),
             band(n, 1, 2),
             band(n, 1, 3),
             random_pure(rng, n),
-            GroupElement(BraidWord(n, letters)),
+            BraidWord(n, letters),
         ]
         for i, a in enumerate(pool):
             for b in pool[i:]:
@@ -322,7 +321,7 @@ def test_pairing_kills_cocycles_on_boundaries():
 
 def test_pairing_refuses_nontrivial_action():
     theta = MagnusExpansion.standard(2, 2)
-    z = BarChain(1, {(GroupElement(BraidWord.gen(2, 1)),): F(1)})
+    z = BarChain(1, {(BraidWord.gen(2, 1),): F(1)})
     with pytest.raises(ValueError):
         pair(hbar_cochain(theta, 1), z)
 
@@ -377,7 +376,7 @@ def test_parse_three_level_cross_is_torus_of_union():
 ])
 def test_parse_cross_with_degenerate_torus_is_torus_of_union(text, union):
     elems = parse_cycle(text, 4)
-    assert elems == tuple(GroupElement(beta) for beta in union)
+    assert elems == tuple(union)
     assert is_degenerate(elems)
     assert torus_cycle(elems) == BarChain(len(union))
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import braidcert.braids as braids
 import braidcert.chains as chains
 import braidcert.cli as cli
 import braidcert.suites as suites
@@ -309,6 +310,18 @@ def test_pair_tensor_form(capsys):
     data = json.loads(out)
     assert {"idx": [1], "c": "1/1"} in data["terms"]
     assert {"idx": [2], "c": "1/1"} in data["terms"]
+
+
+def test_tensor_pair_keys_each_torus_element_once(capsys, monkeypatch):
+    # five distinct elements: one key each, and two per commutation check of
+    # the ten pairs; the 5! orderings and the chain's dict reuse cached keys
+    calls = []
+    original = braids.dynnikov
+    monkeypatch.setattr(braids, "dynnikov", lambda beta: calls.append(beta) or original(beta))
+    cycle = "torus:A(1,2)|twist(3)|twist(4)|twist(5)|twist(6)"
+    code, out, err = run_cli(capsys, "pair", "--n", "6", "--p", "5", "--form", "tensor", cycle)
+    assert (code, err) == (0, "") and json.loads(out)["terms"]
+    assert len(calls) <= 45
 
 
 def test_independence_writes_out_file(capsys, tmp_path):

@@ -29,7 +29,6 @@ from braidcert.chains import parse_cycle
 from braidcert.cochains import (
     BlockEmbedding,
     Cochain,
-    GroupElement,
     block_layout,
     coboundary,
     coeff_action,
@@ -55,19 +54,19 @@ from restriction_oracle import cup, hbar_partition_cochain, unit_cochain
 F = Fraction
 
 
-def random_braid_element(rng: random.Random, n: int, max_len: int) -> GroupElement:
+def random_braid_element(rng: random.Random, n: int, max_len: int) -> BraidWord:
     length = rng.randrange(max_len + 1)
     letters = tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(length))
-    return GroupElement(BraidWord(n, letters))
+    return BraidWord(n, letters)
 
 
-def random_pure_element(rng: random.Random, n: int, max_gens: int = 4) -> GroupElement:
+def random_pure_element(rng: random.Random, n: int, max_gens: int = 4) -> BraidWord:
     beta = BraidWord.identity(n)
     for _ in range(rng.randrange(max_gens + 1)):
         i = rng.randint(1, n - 1)
         j = rng.randint(i + 1, n)
         beta = beta * pure_gen_braid(n, i, j) ** rng.choice([-1, 1])
-    return GroupElement(beta)
+    return beta
 
 
 def random_custom(rng: random.Random, n: int, cap: int = 2) -> MagnusExpansion:
@@ -94,7 +93,7 @@ def test_tau1_on_elementary_generators():
     for n in range(2, 7):
         theta = MagnusExpansion.standard(n, 2)
         for i in range(1, n):
-            got = tau1(theta, GroupElement(BraidWord.gen(n, i)))
+            got = tau1(theta, BraidWord.gen(n, i))
             cols = [TruncatedTensor.zero(n, 2) for _ in range(n)]
             cols[i - 1] = bracket_column(n, i, i + 1)
             assert got == HomTensor.from_columns(n, 2, tuple(cols))
@@ -107,7 +106,7 @@ def test_tau1_on_band_generators():
         theta = MagnusExpansion.standard(n, 2)
         for i in range(1, n):
             for j in range(i + 1, n + 1):
-                got = tau1(theta, GroupElement(pure_gen_braid(n, i, j)))
+                got = tau1(theta, pure_gen_braid(n, i, j))
                 cols = [TruncatedTensor.zero(n, 2) for _ in range(n)]
                 cols[i - 1] = bracket_column(n, i, j)
                 cols[j - 1] = -bracket_column(n, i, j)
@@ -116,12 +115,12 @@ def test_tau1_on_band_generators():
 
 def test_tau1_vanishes_on_identity():
     theta = MagnusExpansion.standard(3, 2)
-    assert tau1(theta, GroupElement(BraidWord.identity(3))).is_zero()
+    assert tau1(theta, BraidWord.identity(3)).is_zero()
 
 
 def test_hbar1_of_first_band_generator_is_full_weight():
     theta = MagnusExpansion.standard(2, 2)
-    g = GroupElement(pure_gen_braid(2, 1, 2))
+    g = pure_gen_braid(2, 1, 2)
     got = hbar_cochain(theta, 1)(g)
     assert got == TruncatedTensor(2, 1, {(1,): 1, (2,): 1})
 
@@ -129,7 +128,7 @@ def test_hbar1_of_first_band_generator_is_full_weight():
 def test_hbar1_of_elementary_generator():
     # leading-index contraction leaves only the X_{i+1} term
     theta = MagnusExpansion.standard(3, 2)
-    got = hbar_cochain(theta, 1)(GroupElement(BraidWord.gen(3, 1)))
+    got = hbar_cochain(theta, 1)(BraidWord.gen(3, 1))
     assert got == TruncatedTensor(3, 1, {(2,): 1})
 
 
@@ -137,7 +136,7 @@ def test_cochain_degree_guard():
     theta = MagnusExpansion.standard(2, 2)
     u = hp_cochain(theta, 2)
     with pytest.raises(ValueError):
-        u(GroupElement(BraidWord.identity(2)))
+        u(BraidWord.identity(2))
 
 
 # the crossed homomorphism law and coboundaries
@@ -194,7 +193,7 @@ def test_coboundary_squares_to_zero():
 def test_normalisation_kills_degenerate_tuples():
     rng = random.Random(45)
     theta = MagnusExpansion.standard(3, 2)
-    e = GroupElement(BraidWord.identity(3))
+    e = BraidWord.identity(3)
     for p in (1, 2, 3):
         u = hp_cochain(theta, p)
         for slot in range(p):
@@ -295,18 +294,18 @@ def test_hbar_partition_ignores_zero_parts():
 # matrix actions against the composed-element oracle
 
 
-def random_non_pure_element(rng: random.Random, n: int, max_len: int) -> GroupElement:
+def random_non_pure_element(rng: random.Random, n: int, max_len: int) -> BraidWord:
     while True:
         g = random_braid_element(rng, n, max_len)
-        if permutation(g.braid) != tuple(range(1, n + 1)):
+        if permutation(g) != tuple(range(1, n + 1)):
             return g
 
 
-def product_of(gs) -> GroupElement:
+def product_of(gs) -> BraidWord:
     return reduce(lambda a, b: a * b, gs)
 
 
-def oracle_tau1(theta: MagnusExpansion, g: GroupElement) -> HomTensor:
+def oracle_tau1(theta: MagnusExpansion, g: BraidWord) -> HomTensor:
     """tau1 by its defining formula  theta_2(x_j) - g.theta_2(g^-1 x_j)  on the
     images under g^-1, which grow exponentially with the braid's length."""
     n = theta.n
@@ -388,14 +387,14 @@ def test_tau1_on_alternating_powers_matches_word_path_oracle():
     rng = random.Random(57)
     for theta in (MagnusExpansion.standard(3, 2), random_custom(rng, 3)):
         for k in range(7):
-            g = GroupElement(BraidWord(3, (1, -2) * k))
+            g = BraidWord(3, (1, -2) * k)
             assert tau1(theta, g) == oracle_tau1(theta, g)
 
 
 def test_tau1_of_identity_matches_word_path_oracle():
     rng = random.Random(58)
     for theta in (MagnusExpansion.standard(4, 2), random_custom(rng, 4)):
-        e = GroupElement(BraidWord.identity(4))
+        e = BraidWord.identity(4)
         assert tau1(theta, e) == oracle_tau1(theta, e) == HomTensor.zero(4, 2)
 
 
@@ -405,12 +404,12 @@ def test_tau1_is_a_function_of_the_braid_not_the_word():
     for _ in range(10):
         n = rng.randint(3, 5)
         tails = random_custom(rng, n).gen_values
-        beta = random_non_pure_element(rng, n, 8).braid.letters
+        beta = random_non_pure_element(rng, n, 8).letters
         i = rng.randint(1, n - 2)
         relator = (i, i + 1, i, -(i + 1), -i, -(i + 1))
         at = rng.randint(0, len(beta))
         spellings = (beta, beta[:at] + relator + beta[at:])
-        elems = [GroupElement(BraidWord(n, w)) for w in spellings]
+        elems = [BraidWord(n, w) for w in spellings]
         assert elems[0] == elems[1]
         for make in (
             lambda: MagnusExpansion.standard(n, 2),
@@ -428,14 +427,14 @@ def test_tau1_evaluates_theta_on_short_words_once_per_letter(monkeypatch):
         seen.append(word)
         return value(self, word)
 
-    g = GroupElement(BraidWord(3, (1, -2) * 9))
+    g = BraidWord(3, (1, -2) * 9)
     expected = oracle_tau1(MagnusExpansion.standard(3, 2), g)
     monkeypatch.setattr(MagnusExpansion, "value", recording)
     theta = MagnusExpansion.standard(3, 2)
     assert tau1(theta, g) == expected
     assert seen and max(len(w.letters) for w in seen) <= 3
     seen.clear()
-    tau1(theta, GroupElement(BraidWord(3, (-2, 1, 1, -2, -2))))
+    tau1(theta, BraidWord(3, (-2, 1, 1, -2, -2)))
     assert seen == []
 
 
@@ -514,9 +513,18 @@ def test_tau1_rank_guard_comes_before_any_letter_value(monkeypatch):
         raise AssertionError("a letter value was read")
 
     monkeypatch.setattr(cochains, "_letter_tau1", unreachable)
-    g = GroupElement(BraidWord(3, (1, -2)))
+    g = BraidWord(3, (1, -2))
     with pytest.raises(ValueError, match="element rank does not match expansion rank"):
         tau1(MagnusExpansion.standard(4, 2), g)
+
+
+def test_tau1_rank_guard_holds_for_the_letters_of_a_cached_value():
+    # the cache is keyed by letters alone, so a 4-strand word spelled like a
+    # cached 3-strand word must still be refused
+    theta3 = MagnusExpansion.standard(3, 2)
+    tau1(theta3, BraidWord(3, (1, 2)))
+    with pytest.raises(ValueError, match="element rank does not match expansion rank"):
+        tau1(theta3, BraidWord(4, (1, 2)))
 
 
 # expansions may differ, the cocycle may not (on pure braids)
@@ -539,7 +547,7 @@ def test_tau1_does_depend_on_expansion_off_pure_braids():
     custom = MagnusExpansion.custom(
         n, 2, [TruncatedTensor(n, 2, {(1, 1): 1}), TruncatedTensor.zero(n, 2)]
     )
-    g = GroupElement(BraidWord.gen(2, 1))
+    g = BraidWord.gen(2, 1)
     assert tau1(custom, g) != tau1(std, g)
 
 
@@ -550,17 +558,17 @@ def layout_2_2():
     return block_layout((2, 2), 4)
 
 
-def random_product_element(rng: random.Random, layout) -> GroupElement:
+def random_product_element(rng: random.Random, layout) -> BraidWord:
     """A random pure braid per block, their letters shuffled into one ambient word."""
     words = [
-        list(e.apply(random_pure_element(rng, e.size)).braid.letters)
+        list(e.apply(random_pure_element(rng, e.size)).letters)
         for e in layout
         if e.size > 1
     ]
     letters = []
     while any(words):
         letters.append(rng.choice([w for w in words if w]).pop(0))
-    return GroupElement(BraidWord(layout[0].ambient, tuple(letters)))
+    return BraidWord(layout[0].ambient, tuple(letters))
 
 
 def projection(k: int, layout):
@@ -597,9 +605,9 @@ def test_projection_rejects_a_letter_crossing_blocks():
     proj = projection(0, layout)
     for letters in ((2,), (1, -2), (3, 2)):
         with pytest.raises(ValueError):
-            proj(GroupElement(BraidWord(4, letters)))
+            proj(BraidWord(4, letters))
     with pytest.raises(ValueError):
-        projection(1, block_layout((1, 3, 2), 6))(GroupElement(BraidWord.gen(6, 1)))
+        projection(1, block_layout((1, 3, 2), 6))(BraidWord.gen(6, 1))
 
 
 def test_block_restrict_is_additive_over_projections():
@@ -632,14 +640,14 @@ def test_mixed_block_composites_vanish_identically():
 
 
 def test_group_element_equality_ignores_spelling():
-    a = GroupElement(BraidWord(3, (1, 2, 1)))
-    b = GroupElement(BraidWord(3, (2, 1, 2)))
+    a = BraidWord(3, (1, 2, 1))
+    b = BraidWord(3, (2, 1, 2))
     assert a == b and hash(a) == hash(b)
 
 
 def test_full_twist_acts_trivially_on_homology():
     for n in (2, 3, 4):
-        g = GroupElement(full_twist(n, n))
+        g = full_twist(n, n)
         assert g.acts_trivially() and not g.is_identity
 
 
@@ -668,35 +676,34 @@ def test_element_equality_matches_the_eager_automorphism_path():
     outcomes = set()
     for _ in range(300):
         n = rng.randint(2, 7)
-        a = random_braid_element(rng, n, 5).braid
+        a = random_braid_element(rng, n, 5)
         b = rng.choice([
             respelled(rng, a),
             respelled(rng, respelled(rng, a.inverse())).inverse(),
-            random_braid_element(rng, n, 5).braid,
-            random_braid_element(rng, rng.randint(2, 7), 5).braid,
+            random_braid_element(rng, n, 5),
+            random_braid_element(rng, rng.randint(2, 7), 5),
         ])
-        x, y = GroupElement(a), GroupElement(b)
         equal = artin_action(a).images == artin_action(b).images
-        assert (x == y) == equal
+        assert (a == b) == equal
         if equal:
-            assert hash(x) == hash(y)
+            assert hash(a) == hash(b)
         outcomes.add((equal, a.n == b.n))
         identity = EndoMap.identity(a.n)
-        assert x.inverse().aut.compose(artin_action(a)) == identity
-        assert artin_action(a).compose(x.inverse().aut) == identity
+        assert a.inverse().aut.compose(artin_action(a)) == identity
+        assert artin_action(a).compose(a.inverse().aut) == identity
         if a.n == b.n:
-            assert (x * y).aut == artin_action(a).compose(artin_action(b))
+            assert (a * b).aut == artin_action(a).compose(artin_action(b))
         else:
-            with pytest.raises(ValueError, match="rank mismatch"):
-                x * y
+            with pytest.raises(ValueError, match="strand count mismatch"):
+                a * b
     assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def test_commutes_with_matches_composed_automorphisms_on_bands_and_twists():
     pairs = 0
     for n in range(3, 8):
-        elems = [GroupElement(pure_gen_braid(n, i, j)) for i in range(1, n) for j in range(i + 1, n + 1)]
-        elems += [GroupElement(full_twist(n, k)) for k in range(2, n + 1)]
+        elems = [pure_gen_braid(n, i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+        elems += [full_twist(n, k) for k in range(2, n + 1)]
         maps = [g.aut for g in elems]
         for g, f in zip(elems, maps):
             for h, k in zip(elems, maps):
@@ -710,9 +717,8 @@ def test_is_identity_matches_the_identity_automorphism():
     seen = set()
     for _ in range(200):
         n = rng.randint(2, 7)
-        w = random_braid_element(rng, n, 6).braid
-        beta = rng.choice([w, respelled(rng, w * w.inverse()), respelled(rng, BraidWord.identity(n))])
-        g = GroupElement(beta)
+        w = random_braid_element(rng, n, 6)
+        g = rng.choice([w, respelled(rng, w * w.inverse()), respelled(rng, BraidWord.identity(n))])
         expected = g.aut == EndoMap.identity(n)
         assert g.is_identity == expected
         seen.add(expected)
@@ -733,7 +739,7 @@ def test_only_xi_builds_automorphisms(monkeypatch, capsys):
     compose = EndoMap.compose
     monkeypatch.setattr(EndoMap, "compose", lambda f, g: built.append(g) or compose(f, g))
     rng = random.Random(61)
-    g = GroupElement(BraidWord(4, tuple(rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(30))))
+    g = BraidWord(4, tuple(rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(30)))
     tau1(MagnusExpansion.standard(4, 2), g)
     for suite in ("lemmas", "cocycle", "primitivity", "expansion-independence"):
         assert run_suite(suite).passed

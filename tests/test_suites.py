@@ -63,6 +63,6 @@ def test_failing_cocycle_row_counts_the_cases_it_checked(monkeypatch):
     assert row.name == "tau1-cocycle-n2"
     assert (row.cases, row.passed) == (3, False)
     assert row.witness == f"({g!r}, {h!r})"
-    assert [tuple(x.braid for x in gs) for gs in seen] == [
-        tuple(x.braid for x in gs) for gs in draws
+    assert [tuple(x.letters for x in gs) for gs in seen] == [
+        tuple(x.letters for x in gs) for gs in draws
     ]
