@@ -15,20 +15,22 @@ Every element of S is pure, so hbar_mu sees no coefficient action and
 with |U_j| = mu_j of B(U_1) ^ ... ^ B(U_k), signed by the permutation that
 lists U_1, U_2, ... each in base order.  B(U), the projected contraction of
 the signed sum over orderings of U of the nested tau1 values, is the trace
-of a product of exterior-valued matrices (tensors.nested_traces), and
-torus_pairings sums these.  The certificate sums by block: B(U) vanishes
-once U meets two blocks, and regrouping the parts by block changes the
-listing and wedge signs alike, so with S_b the elements, p_b the part of block b
+of a product of exterior-valued matrices (tensors.nested_traces).  Swapping
+two adjacent parts flips the wedge sign and the listing sign alike, by
+(-1)^(|U_j| |U_j+1|), so every ordering of one unordered set partition gives
+the same term, and
 
-    <hbar_mu, T(S)> = sum over nu of c(nu) V_1[nu_1] ^ ... ^ V_k[nu_k]
+    <hbar_mu, T(S)> = prod_p mult_mu(p)! * sum over the unordered set
+                      partitions of S into parts of sizes mu,
 
-over the splittings nu of the nonzero parts of mu into decreasing tuples,
-|nu_b| = p_b, where c(nu) = prod_p mult_mu(p)! / prod_b prod_p mult_nu_b(p)!
-counts their interleavings.  The table V_b[nu] = <hbar_nu, T(S_b)> is built
-once per process at rank p_b + 1, then shifted by the block's offset, as
-tau1 of an embedded element is shifted; the blocks wedge with no sign.  The
-pairings of every hbar_mu with every candidate cycle, on every coordinate of
-Lambda^q H, form an exact rational matrix whose rank is computed fraction-free.
+each listed from the part that holds the lowest element not yet listed.
+_partition_sums evaluates this from the nonzero B(U) alone, every row at once.
+B(U) vanishes once U meets two blocks, so the certificate passes only block
+traces: those of each catalog tuple are computed once per process at rank
+p_b + 1, then moved to the block's elements and shifted by its strand offset,
+as tau1 of an embedded element is shifted.  The pairings of every hbar_mu
+with every candidate cycle, on every coordinate of Lambda^q H, form an exact
+rational matrix whose rank is computed fraction-free.
 
 The verdict is "pass" exactly when the rank equals the number of
 partitions: the rows are then linearly independent as cochains, hence as
@@ -39,9 +41,10 @@ group is an injective homomorphism, and elements on disjoint blocks commute.
 A rank deficit only means this catalog of cycles cannot separate the rows,
 so the verdict degrades to "inconclusive-catalog", never to a refutation.
 
-The certificate also records a triangularity table: hbar_mu pairs to zero
-with the cycles of every later partition lambda, which mu cannot refine, so
-the pass criterion is a matter of nonzero diagonal blocks.
+The certificate also records a triangularity table: each part of a nonzero
+term lies in one block, so hbar_mu pairs to zero with the cycles of every
+later partition lambda, which mu cannot refine, and the pass criterion is a
+matter of nonzero diagonal blocks.
 
 All exterior coordinates use the projection without 1/q! normalisation;
 certificates say so in their JSON output.
@@ -137,86 +140,68 @@ def partition_cycles(parts: Sequence[int], n: int, depth: int) -> list[str]:
     return ["cross:" + "".join(choice) for choice in product(*per_block)]
 
 
-def torus_pairings(
-    theta: MagnusExpansion, elements: Sequence[BraidWord], rows: Sequence[Sequence[int]]
+def _partition_sums(
+    n: int, q: int, blocks: Sequence[tuple[int, ExteriorElement]], rows: Sequence[Sequence[int]]
 ) -> list[ExteriorElement]:
-    """<hbar_mu, T(elements)> for each row mu, a partition of len(elements), by
-    the set-partition sum of the module docstring over bitmasks of elements."""
-    for g in elements:
-        if not g.acts_trivially():
-            raise ValueError("chain support acts nontrivially on homology")
-    n, q, full = theta.n, len(elements), (1 << len(elements)) - 1
-    sized: dict[int, list[tuple[int, ExteriorElement]]] = {}  # the nonzero B(U) by |U|
-    for mask, value in nested_traces([tau1(theta, g) for g in elements]).items():
-        if not value.is_zero():
-            sized.setdefault(mask.bit_count(), []).append((mask, value))
+    """<hbar_mu, T(S)> for each row mu, from the nonzero B(U) of the q elements
+    of S as (mask of U, B(U)) pairs, by the unordered set-partition sum of the
+    module docstring; a row whose parts do not sum to q pairs to zero."""
+    by_low: dict[int, list[tuple[int, int, ExteriorElement]]] = {}  # by lowest element
+    for mask, value in blocks:
+        by_low.setdefault(mask & -mask, []).append((mask, value.q, value))
+
+    @cache
+    def sums(free: int, sizes: tuple[int, ...]) -> ExteriorElement | None:
+        # the partitions of free into parts of the sorted sizes, each part listed
+        # as it takes the lowest element still free; None for no nonzero term
+        if not free:
+            return None if sizes else ExteriorElement.unit(n)
+        total: dict[int, Scalar] = {}
+        for mask, size, value in by_low.get(free & -free, ()):
+            if mask & ~free or size not in sizes:
+                continue
+            rest, k = free ^ mask, sizes.index(size)
+            if (inner := sums(rest, sizes[:k] + sizes[k + 1:])) is None:
+                continue
+            # one inversion per element of the part above an element listed after it
+            odd = (_odd_above(mask) & rest).bit_count() & 1
+            for m, c in (value.wedge(inner) if rest else value).terms.items():
+                total[m] = total.get(m, 0) + (-c if odd else c)
+        if not total:
+            return None
+        found = ExteriorElement._trusted(n, free.bit_count(), total)
+        return found if found.terms else None
+
     out = []
     for mu in rows:
-        parts = [m for m in mu if m]
-        # the first part's sums are its blocks themselves, with no wedge or sign
-        layer = dict(sized.get(parts[0], ())) if parts else {0: ExteriorElement.unit(n)}
-        for m in parts[1:]:
-            grown: dict[int, ExteriorElement] = {}
-            for used, value in layer.items():
-                # one inversion per used element listed before a smaller one
-                odd_above = _odd_above(used)
-                for mask, block in sized.get(m, ()):
-                    if used & mask:
-                        continue
-                    term = value.wedge(block)
-                    if (odd_above & mask).bit_count() & 1:
-                        term = -term
-                    key = used | mask
-                    grown[key] = grown[key] + term if key in grown else term
-            layer = grown
-        out.append(layer.get(full, ExteriorElement.zero(n, q)))
+        parts = sorted(m for m in mu if m)
+        value = sums((1 << q) - 1, tuple(parts))
+        repeats = math.prod(math.factorial(parts.count(p)) for p in set(parts))
+        out.append(ExteriorElement._trusted(n, q, {}) if value is None else repeats * value)
     return out
 
 
+def torus_pairings(
+    theta: MagnusExpansion, elements: Sequence[BraidWord], rows: Sequence[Sequence[int]]
+) -> list[ExteriorElement]:
+    """<hbar_mu, T(elements)> for each row mu, a partition of len(elements)."""
+    for g in elements:
+        if not g.acts_trivially():
+            raise ValueError("chain support acts nontrivially on homology")
+    traces = nested_traces([tau1(theta, g) for g in elements])
+    blocks = [(mask, value) for mask, value in traces.items() if not value.is_zero()]
+    return _partition_sums(theta.n, len(elements), blocks, rows)
+
+
 @cache
-def _block_tables(part: int, depth: int) -> tuple[dict[tuple[int, ...], ExteriorElement], ...]:
-    """V[nu] = <hbar_nu, T(S)> at rank part + 1 for each catalog tuple S and partition nu."""
-    rows = [tuple(m for m in nu if m) for nu in partitions(part, part)]
+def _block_traces(part: int, depth: int) -> tuple[list[tuple[int, ExteriorElement]], ...]:
+    """The nonzero B(U), as (mask of U, B(U)), at rank part + 1 for each catalog tuple."""
     theta = MagnusExpansion.standard(part + 1, 2)
     return tuple(
-        dict(zip(rows, torus_pairings(theta, [g for _, g in combo], rows)))
+        [(mask, v) for mask, v in nested_traces([tau1(theta, g) for _, g in combo]).items()
+         if not v.is_zero()]
         for combo in _commuting_tuples(part, depth)
     )
-
-
-@cache
-def _splittings(sums: tuple[int, ...], mu: tuple[int, ...]) -> tuple[tuple[int, tuple], ...]:
-    """Each (c(nu), nu) dealing the nonzero parts of mu into decreasing nu_b, |nu_b| = sums[b]."""
-    parts = sorted((m for m in mu if m), reverse=True)
-    repeats = lambda t: math.prod(math.factorial(t.count(p)) for p in set(t))
-    choices = [[tuple(m for m in nu if m) for nu in partitions(s, s)] for s in sums]
-    return tuple(
-        (repeats(parts) // math.prod(map(repeats, nus)), nus)
-        for nus in product(*choices)
-        if sorted((m for nu in nus for m in nu), reverse=True) == parts
-    )
-
-
-def _block_pairings(
-    parts: Sequence[int], n: int, tables: Sequence[Sequence[dict]], rows: Sequence[Sequence[int]]
-) -> list[list[ExteriorElement]]:
-    """<hbar_mu, T(S)> for each S in product(*tables), one block tuple per nonzero
-    part along partition_layout(parts, n), and each row mu, by the splitting sum."""
-    sums = tuple(p for p in parts if p)
-    offsets = [e.offset for p, e in zip(parts, partition_layout(parts, n)) if p]
-
-    def pairing(choice: Sequence[dict], mu: Sequence[int]) -> ExteriorElement:
-        terms: dict[int, Scalar] = {}
-        for count, nus in _splittings(sums, tuple(mu)):
-            wedge = {0: count}
-            for offset, table, nu in zip(offsets, choice, nus):
-                shifted = [(mask << offset, c) for mask, c in table[nu].terms.items()]
-                wedge = {m | k: x * y for m, x in wedge.items() for k, y in shifted}
-            for m, x in wedge.items():
-                terms[m] = terms.get(m, 0) + x
-        return ExteriorElement._trusted(n, sum(sums), terms)
-
-    return [[pairing(choice, mu) for mu in rows] for choice in product(*tables)]
 
 
 # exact rank
@@ -320,12 +305,23 @@ def certificate(
     basis = exterior_basis(n, q)
     cycles = {parts: partition_cycles(parts, n, catalog_depth) for parts in parts_list}
     # values[lam][c][i]: the pairing of row parts_list[i] with cycle c of lam
-    values = {
-        lam: _block_pairings(
-            lam, n, [_block_tables(p, catalog_depth) for p in lam if p], parts_list
-        )
-        for lam in parts_list
-    }
+    values = {}
+    for lam in parts_list:
+        # each block tuple's traces, moved to the block's elements and strands
+        shifted, first = [], 0
+        for p, e in zip(lam, partition_layout(lam, n)):
+            if p:
+                shifted.append([
+                    [(mask << first, ExteriorElement._trusted(
+                        n, v.q, {m << e.offset: c for m, c in v.terms.items()}))
+                     for mask, v in traces]
+                    for traces in _block_traces(p, catalog_depth)
+                ])
+                first += p
+        values[lam] = [
+            _partition_sums(n, q, [b for traces in choice for b in traces], parts_list)
+            for choice in product(*shifted)
+        ]
     # exterior coordinates are keyed by bitmask, bit i-1 for X_i
     column = {sum(1 << i - 1 for i in idx): k for k, idx in enumerate(basis)}
     matrix: list[list[Scalar]] = [[] for _ in parts_list]

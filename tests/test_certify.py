@@ -3,12 +3,13 @@
 Rank computations are cross-checked against a plain rational Gaussian
 elimination oracle; partition enumeration against brute force over tuples;
 the set-partition pairing against the literal bar-complex pair on the
-torus cycle.
+torus cycle, and the unordered set-partition sum against the ordered one.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from collections import Counter
@@ -23,7 +24,7 @@ from braidcert import certify as certify_module
 from braidcert import chains as chains_module
 from braidcert import cli
 from braidcert import tensors as tensors_module
-from braidcert.braids import BraidWord, full_twist, pure_gen_braid
+from braidcert.braids import BraidWord, full_twist, parse_braid, pure_gen_braid
 from braidcert.certify import (
     Certificate,
     certificate,
@@ -46,6 +47,7 @@ F = Fraction
 
 CERT_GRID = [(5, 2), (6, 3), (7, 3), (8, 3), (8, 4)]
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "cert-grid"
+standard = cache(MagnusExpansion.standard)
 
 
 # partitions
@@ -470,6 +472,96 @@ def test_torus_pairings_reject_elements_acting_on_homology():
         torus_pairings(theta, [s1], [(1, 0)])
 
 
+def test_rows_that_do_not_fit_the_torus_pair_to_zero():
+    # a row's nonzero parts must sum to the number of elements; an empty torus
+    # pairs with the empty row to the unit
+    theta = MagnusExpansion.standard(3, 2)
+    values = torus_pairings(theta, tower(2), [(1,), (3,), (2, 2), (), (1, 1, 1), (2,), (1, 1)])
+    assert values[:5] == [ExteriorElement.zero(3, 2)] * 5
+    assert not values[5].is_zero() and not values[6].is_zero()
+    assert torus_pairings(theta, [], [(), (1,)]) == [
+        ExteriorElement.unit(3),
+        ExteriorElement.zero(3, 0),
+    ]
+
+
+# the unordered set-partition sum against the ordered one
+
+
+def ordered_pairings(theta, elements, rows):
+    """<hbar_mu, T(elements)> by the ordered set-partition sum: a layer per
+    part of mu, each holding the signed wedge sums of the parts so far by the
+    mask of the elements they use, each new part wedged on the right."""
+    n, q, full = theta.n, len(elements), (1 << len(elements)) - 1
+    sized = {}  # the nonzero B(U) by |U|
+    for mask, value in nested_traces([tau1(theta, g) for g in elements]).items():
+        if not value.is_zero():
+            sized.setdefault(mask.bit_count(), []).append((mask, value))
+    out = []
+    for mu in rows:
+        parts = [m for m in mu if m]
+        layer = dict(sized.get(parts[0], ())) if parts else {0: ExteriorElement.unit(n)}
+        for m in parts[1:]:
+            grown = {}
+            for used, value in layer.items():
+                # one inversion per used element listed before a smaller one
+                odd_above = tensors_module._odd_above(used)
+                for mask, block in sized.get(m, ()):
+                    if used & mask:
+                        continue
+                    term = value.wedge(block)
+                    if (odd_above & mask).bit_count() & 1:
+                        term = -term
+                    grown[used | mask] = grown[used | mask] + term if used | mask in grown else term
+            layer = grown
+        out.append(layer.get(full, ExteriorElement.zero(n, q)))
+    return out
+
+
+def tower(p):
+    """The nested torus A(1,2), twist(3), ..., twist(p + 1) at rank p + 1."""
+    names = ["A(1,2)"] + [f"twist({k})" for k in range(3, p + 2)]
+    return [parse_braid(name, p + 1) for name in names]
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+def test_torus_pairings_match_the_ordered_sum_on_the_tower(p):
+    theta = standard(p + 1, 2)
+    rows = partitions(p, p) + [tuple(reversed(nu)) for nu in partitions(p, p)]
+    got = torus_pairings(theta, tower(p), rows)
+    assert got == ordered_pairings(theta, tower(p), rows)
+    assert all(not v.is_zero() for v in got)
+
+
+def test_torus_pairings_match_the_ordered_sum_on_every_catalog_tuple():
+    checked = nonzero = 0
+    for p in range(1, 7):
+        theta = standard(p + 1, 2)
+        rows = partitions(p, p)
+        for combo in certify_module._commuting_tuples(p, 6):
+            elements = [g for _, g in combo]
+            got = torus_pairings(theta, elements, rows)
+            assert got == ordered_pairings(theta, elements, rows), [name for name, _ in combo]
+            checked += len(rows)
+            nonzero += sum(not v.is_zero() for v in got)
+    # 1, 3, 5, 6, 6 and 6 tuples of 1, 2, 3, 5, 7 and 11 rows
+    assert checked == 1 + 3 * 2 + 5 * 3 + 6 * 5 + 6 * 7 + 6 * 11 and nonzero >= 30
+
+
+@pytest.mark.parametrize("p", range(2, 8))
+def test_tower_pairs_to_the_closed_form(p):
+    # <hbar_p, T_p> = p! (X_1 + X_2) ^ X_3 ^ ... ^ X_(p+1), every row is a
+    # multiple of it, and the row of all ones is (p!)^2 times it
+    n, rows = p + 1, partitions(p, p)
+    values = dict(zip(rows, torus_pairings(standard(n, 2), tower(p), rows)))
+    rest = tuple(range(3, n + 1))
+    form = ExteriorElement(n, p, {(1, *rest): 1, (2, *rest): 1})
+    assert values[rows[0]] == math.factorial(p) * form
+    assert values[(1,) * p] == math.factorial(p) ** 2 * form
+    for nu, v in values.items():
+        assert v == v.coefficient((1, *rest)) * form, nu
+
+
 def test_certificate_builds_no_bar_chain(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("the certificate path builds no bar chain")
@@ -488,9 +580,6 @@ def test_certificate_builds_no_bar_chain(monkeypatch, capsys):
 
 
 # block-factored pairings against the ambient set-partition sum
-
-
-standard = cache(MagnusExpansion.standard)
 
 
 def ambient_certificate(n, q, depth):
@@ -552,10 +641,11 @@ def random_layout(rng, q):
 
 
 def test_block_pairings_match_ambient_pairings_on_random_layouts():
-    # each block carries a random catalog tuple of depth 6; every partition of q
-    # is a row, and the assembled values must equal the ambient set-partition sum
+    # each block carries a random catalog tuple of depth 6; the union of the
+    # block traces, each moved to its block's elements and strands, must pair
+    # every partition of q as the ambient set-partition sum does
     rng = random.Random(78)
-    rows_checked = nonzero = repeated = unsorted = 0
+    rows_checked = nonzero = repeated = unsorted = zeros = 0
     for _ in range(60):
         q = rng.randint(1, 6)
         parts = random_layout(rng, q)
@@ -568,34 +658,40 @@ def test_block_pairings_match_ambient_pairings_on_random_layouts():
         elements = [
             e.apply(g) for p, e, k in picks for _, g in certify_module._commuting_tuples(p, 6)[k]
         ]
-        tables = [[certify_module._block_tables(p, 6)[k]] for p, _, k in picks]
+        union, first = [], 0
+        for p, e, k in picks:
+            for mask, v in certify_module._block_traces(p, 6)[k]:
+                shifted = {tuple(e.offset + a for a in idx): c for idx, c in v.sorted_terms()}
+                union.append((mask << first, ExteriorElement(n, v.q, shifted)))
+            first += p
         rows = partitions(q, q)
-        got = certify_module._block_pairings(parts, n, tables, rows)
-        assert got == [torus_pairings(standard(n, 2), elements, rows)], parts
+        got = certify_module._partition_sums(n, q, union, rows)
+        assert got == torus_pairings(standard(n, 2), elements, rows), parts
         rows_checked += len(rows)
-        nonzero += sum(not v.is_zero() for v in got[0])
+        nonzero += sum(not v.is_zero() for v in got)
         blocks = [p for p in parts if p]
         repeated += len(set(blocks)) < len(blocks)
         unsorted += blocks != sorted(blocks, reverse=True)
+        zeros += 0 in parts
     assert rows_checked >= 250 and nonzero >= 100 and repeated >= 15 and unsorted >= 8
+    assert zeros >= 20
 
 
 def test_cert_grid_builds_each_block_table_once(monkeypatch):
-    # parts 1, 2, 3 and 4 hold 1, 3, 3 and 3 catalog tuples at depth 3; every
-    # other use of a table, 47 of them over the five certificates, is a lookup
-    calls = []
-    original = certify_module.torus_pairings
+    # parts 1, 2, 3 and 4 hold 1, 3, 3 and 3 catalog tuples at depth 3; each
+    # tuple's block traces are computed once, and every other use is a lookup
+    ranks = []
+    original = certify_module.nested_traces
 
-    def counting(theta, elements, rows):
-        calls.append((theta.n, tuple(elements)))
-        return original(theta, elements, rows)
+    def counting(maps):
+        ranks.append(maps[0].n)
+        return original(maps)
 
-    monkeypatch.setattr(certify_module, "torus_pairings", counting)
-    certify_module._block_tables.cache_clear()
+    monkeypatch.setattr(certify_module, "nested_traces", counting)
+    certify_module._block_traces.cache_clear()
     for n, q in CERT_GRID:
         assert certificate(n, q).passed
-    assert len(calls) == len(set(calls)) == 10
-    assert sorted(Counter(n for n, _ in calls).items()) == [(2, 1), (3, 3), (4, 3), (5, 3)]
+    assert sorted(Counter(ranks).items()) == [(2, 1), (3, 3), (4, 3), (5, 3)]
 
 
 def test_certificate_pairs_only_at_block_rank(monkeypatch):
@@ -613,7 +709,7 @@ def test_certificate_pairs_only_at_block_rank(monkeypatch):
 
     monkeypatch.setattr(certify_module, "tau1", tau1_at)
     monkeypatch.setattr(certify_module, "nested_traces", traces_at)
-    certify_module._block_tables.cache_clear()
+    certify_module._block_traces.cache_clear()
     assert certificate(8, 4).passed
     assert {key for key in ranks} == {(f, n) for f in ("tau1", "traces") for n in (2, 3, 4, 5)}
 
@@ -632,7 +728,8 @@ def test_diagonal_entry_is_the_repeat_factor_times_the_block_wedge():
             wedge = ExteriorElement.unit(n)
             for p, e in zip(lam, partition_layout(lam, n)):
                 if p:
-                    v = certify_module._block_tables(p, 3)[0][(p,)]
+                    combo = certify_module._commuting_tuples(p, 3)[0]
+                    v = torus_pairings(standard(p + 1, 2), [g for _, g in combo], [(p,)])[0]
                     shifted = {tuple(e.offset + a for a in idx): c for idx, c in v.sorted_terms()}
                     wedge = wedge.wedge(ExteriorElement(n, p, shifted))
             expected = multiplicity_factor(lam) * wedge

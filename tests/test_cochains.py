@@ -745,7 +745,7 @@ def test_only_xi_builds_automorphisms(monkeypatch, capsys):
         assert run_suite(suite).passed
         assert built == [], suite
     certify._commuting_tuples.cache_clear()
-    certify._block_tables.cache_clear()
+    certify._block_traces.cache_clear()
     assert certify.certificate(8, 4).passed
     assert parse_cycle("cross:{3:torus:A(1,2)|twist(3)}{2:torus:A(1,2)}", 5)
     for argv in (

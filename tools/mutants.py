@@ -1,0 +1,117 @@
+"""Run the mutant catalog: each mutant must make one of its named tests fail.
+
+    python3 tools/mutants.py
+
+Run from anywhere; the repository is the parent of this file's directory.  For
+each entry of MUTANTS the script copies ``src/`` to a temporary directory,
+replaces the entry's old text by its new text in the named file, and runs the
+entry's pytest node ids, one after another, against the copy.  A mutant is
+killed when a test fails.
+
+Exit codes: 0 when every mutant is killed, 1 when any survives (each survivor
+is named), 2 when an entry is stale: its old text does not occur exactly once
+in its file, or its tests could not be run.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root, under src/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids expected to kill it
+
+
+MUTANTS = [
+    Mutant(
+        "partition sum drops the repeat factor prod_p mult_mu(p)!",
+        "src/braidcert/certify.py",
+        "repeats * value",
+        "value",
+        ("tests/test_certify.py::test_tower_pairs_to_the_closed_form",
+         "tests/test_certify.py::test_torus_pairings_match_the_ordered_sum_on_the_tower"),
+    ),
+    Mutant(
+        "partition sum drops the listing sign",
+        "src/braidcert/certify.py",
+        "(-c if odd else c)",
+        "c",
+        ("tests/test_certify.py::test_torus_pairings_match_the_ordered_sum_on_every_catalog_tuple",
+         "tests/test_certify.py::test_torus_pairings_match_the_ordered_sum_on_the_tower"),
+    ),
+    Mutant(
+        "partition sum lists any part first, not the one holding the lowest free element",
+        "src/braidcert/certify.py",
+        "by_low.get(free & -free, ())",
+        "(b for part in by_low.values() for b in part)",
+        ("tests/test_certify.py::test_torus_pairings_match_the_ordered_sum_on_the_tower",),
+    ),
+]
+
+
+def stale(mutant: Mutant) -> str | None:
+    """Why the entry cannot be applied, or None."""
+    path = ROOT / mutant.file
+    if not mutant.file.startswith("src/") or not path.is_file():
+        return f"no file {mutant.file} under src/"
+    count = path.read_text(encoding="utf-8").count(mutant.old)
+    return None if count == 1 else f"old text occurs {count} times in {mutant.file}"
+
+
+def run(mutant: Mutant) -> bool:
+    """Apply the mutant to a copy of src/ and run its tests; True if one fails."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        shutil.copytree(ROOT / "src", Path(tmp) / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        target = Path(tmp) / mutant.file
+        text = target.read_text(encoding="utf-8")
+        target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"), PYTHONDONTWRITEBYTECODE="1")
+        for node in mutant.tests:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", node],
+                cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            )
+            if proc.returncode == 1:
+                return True
+            if proc.returncode != 0:
+                raise RuntimeError(f"{node} could not run (pytest exit {proc.returncode})")
+    return False
+
+
+def main() -> int:
+    for mutant in MUTANTS:
+        if (why := stale(mutant)) is not None:
+            print(f"stale: {mutant.name}: {why}")
+            return 2
+    survivors = []
+    for mutant in MUTANTS:
+        try:
+            killed = run(mutant)
+        except RuntimeError as exc:
+            print(f"stale: {mutant.name}: {exc}")
+            return 2
+        print(f"{'killed' if killed else 'SURVIVED'}: {mutant.name}", flush=True)
+        if not killed:
+            survivors.append(mutant.name)
+    if survivors:
+        print("surviving mutants: " + "; ".join(survivors))
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
