@@ -28,9 +28,10 @@ _partition_sums evaluates this from the nonzero B(U) alone, every row at once.
 B(U) vanishes once U meets two blocks, so the certificate passes only block
 traces: those of each catalog tuple are computed once per process at rank
 p_b + 1, then moved to the block's elements and shifted by its strand offset,
-as tau1 of an embedded element is shifted.  The pairings of every hbar_mu
-with every candidate cycle, on every coordinate of Lambda^q H, form an exact
-rational matrix whose rank is computed fraction-free.
+as tau1 of an embedded element is shifted.  The certificate keeps the
+pairing of every hbar_mu with every candidate cycle, an element of Lambda^q H;
+their rank is computed fraction-free on the coordinates where some pairing is
+nonzero, and only the JSON form lays them out as a dense rational matrix.
 
 The verdict is "pass" exactly when the rank equals the number of
 partitions: the rows are then linearly independent as cochains, hence as
@@ -208,22 +209,17 @@ def _block_traces(part: int, depth: int) -> tuple[list[tuple[int, ExteriorElemen
 
 
 def exact_rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Row rank over Q by fraction-free (Bareiss) elimination on the nonzero columns."""
+    """Row rank over Q by fraction-free (Bareiss) elimination; zero columns get no pivot."""
     matrix: list[list[int]] = []
-    for row in zip(*(col for col in zip(*rows) if any(col))):
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+    for row in rows:
+        lcm = math.lcm(*(x.denominator for x in row))
         matrix.append([int(x * lcm) for x in row])
     if not matrix or not matrix[0]:
         return 0
     n_rows, n_cols = len(matrix), len(matrix[0])
-    rank = 0
-    prev = 1
+    rank, prev = 0, 1
     for col in range(n_cols):
-        pivot = next(
-            (r for r in range(rank, n_rows) if matrix[r][col] != 0), None
-        )
+        pivot = next((r for r in range(rank, n_rows) if matrix[r][col]), None)
         if pivot is None:
             continue
         matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
@@ -251,7 +247,7 @@ class Certificate:
     seed: int
     partitions: list[tuple[int, ...]]
     cycles: dict[tuple[int, ...], list[str]]
-    matrix: list[list[Scalar]]
+    pairings: list[list[ExteriorElement]]  # [row][cycle], the cycles of each partition in turn
     rank: int
     expected_rank: int
     verdict: str
@@ -262,9 +258,16 @@ class Certificate:
         return self.verdict == "pass"
 
     def to_json_dict(self) -> dict[str, Any]:
-        def fmt(parts: tuple[int, ...]) -> str:
-            return ",".join(str(p) for p in parts)
-
+        # the dense matrix: each row, cycle by cycle, on the exterior basis
+        basis = exterior_basis(self.n, self.q)
+        column = {ExteriorElement._key(idx): k for k, idx in enumerate(basis)}
+        matrix: list[list[str]] = [[] for _ in self.pairings]
+        for dense, row in zip(matrix, self.pairings):
+            for v in row:
+                segment = ["0/1"] * len(basis)
+                for mask, x in v.terms.items():
+                    segment[column[mask]] = f"{x.numerator}/{x.denominator}"
+                dense += segment
         return {
             "n": self.n,
             "q": self.q,
@@ -272,11 +275,9 @@ class Certificate:
             "seed": self.seed,
             "convention": EXTERIOR_CONVENTION,
             "partitions": [list(p) for p in self.partitions],
-            "cycles": {fmt(parts): cycles for parts, cycles in self.cycles.items()},
-            "exterior_basis": [list(idx) for idx in exterior_basis(self.n, self.q)],
-            "matrix": [
-                [f"{x.numerator}/{x.denominator}" for x in row] for row in self.matrix
-            ],
+            "cycles": {",".join(map(str, lam)): cycles for lam, cycles in self.cycles.items()},
+            "exterior_basis": [list(idx) for idx in basis],
+            "matrix": matrix,
             "rank": self.rank,
             "expected_rank": self.expected_rank,
             "verdict": self.verdict,
@@ -302,10 +303,9 @@ def certificate(
     if catalog_depth < 1:
         raise ValueError(f"catalog depth must be at least 1, got {catalog_depth}")
     parts_list = partitions(q, n - q) if q else []
-    basis = exterior_basis(n, q)
     cycles = {parts: partition_cycles(parts, n, catalog_depth) for parts in parts_list}
-    # values[lam][c][i]: the pairing of row parts_list[i] with cycle c of lam
-    values = {}
+    # pairings[i][c]: the pairing of row parts_list[i] with cycle c, in cycles' order
+    pairings: list[list[ExteriorElement]] = [[] for _ in parts_list]
     for lam in parts_list:
         # each block tuple's traces, moved to the block's elements and strands
         shifted, first = [], 0
@@ -318,31 +318,24 @@ def certificate(
                     for traces in _block_traces(p, catalog_depth)
                 ])
                 first += p
-        values[lam] = [
-            _partition_sums(n, q, [b for traces in choice for b in traces], parts_list)
-            for choice in product(*shifted)
-        ]
-    # exterior coordinates are keyed by bitmask, bit i-1 for X_i
-    column = {sum(1 << i - 1 for i in idx): k for k, idx in enumerate(basis)}
-    matrix: list[list[Scalar]] = [[] for _ in parts_list]
-    for i, row in enumerate(matrix):
-        for v in (v for lam in parts_list for v in values[lam]):
-            segment: list[Scalar] = [0] * len(basis)
-            for mask, c in v[i].terms.items():
-                segment[column[mask]] = c
-            row += segment
+        for choice in product(*shifted):
+            values = _partition_sums(n, q, [b for traces in choice for b in traces], parts_list)
+            for row, v in zip(pairings, values):
+                row.append(v)
 
-    rank = exact_rank(matrix)
+    # the rank on the (cycle, exterior coordinate) columns where some row is nonzero
+    columns = sorted({(c, m) for row in pairings for c, v in enumerate(row) for m in v.terms})
+    rank = exact_rank([[row[c].terms.get(m, 0) for c, m in columns] for row in pairings])
     expected = len(parts_list)
     verdict = "pass" if rank == expected else "inconclusive-catalog"
 
     # strictly earlier partitions must pair to zero with later cycles
+    owners = [(k, c) for k, lam in enumerate(parts_list) for c in cycles[lam]]
     violations: list[dict[str, Any]] = [
-        {"row": list(mu), "cycle_partition": list(lam), "cycle": c}
+        {"row": list(mu), "cycle_partition": list(parts_list[k]), "cycle": c}
         for i, mu in enumerate(parts_list)
-        for lam in parts_list[i + 1:]
-        for c, v in zip(cycles[lam], values[lam])
-        if not v[i].is_zero()
+        for (k, c), v in zip(owners, pairings[i])
+        if k > i and not v.is_zero()
     ]
 
     return Certificate(
@@ -352,7 +345,7 @@ def certificate(
         seed=seed,
         partitions=parts_list,
         cycles=cycles,
-        matrix=matrix,
+        pairings=pairings,
         rank=rank,
         expected_rank=expected,
         verdict=verdict,

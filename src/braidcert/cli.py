@@ -18,7 +18,8 @@ import json
 import os
 import sys
 from functools import cache
-from typing import Any, Sequence
+from itertools import chain, islice
+from typing import Any, Sequence, TextIO
 
 from .braids import parse_braid
 from .certify import certificate, torus_pairings
@@ -32,8 +33,13 @@ from .words import format_word, parse_word
 DEGREE_ENV = "BRAIDCERT_DEGREE"
 
 
-def _emit(payload: dict[str, Any]) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+def _emit(payload: dict[str, Any], copy: TextIO | None = None) -> None:
+    """Stream indented JSON to stdout, and to copy if given, 4096 encoder chunks at a time."""
+    chunks = chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"])
+    while batch := "".join(islice(chunks, 4096)):
+        sys.stdout.write(batch)
+        if copy:
+            copy.write(batch)
 
 
 def _default_degree() -> int:
@@ -208,12 +214,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             cert = certificate(
                 args.n, args.q, catalog_depth=args.catalog_depth, seed=args.seed
             )
-            text = json.dumps(cert.to_json_dict(), indent=2) + "\n"
             if fh:
                 fh.seek(0)
                 fh.truncate()
-                fh.write(text)
-        sys.stdout.write(text)
+            _emit(cert.to_json_dict(), fh)
         if not cert.passed:
             print(
                 f"rank deficit: {cert.rank} of {cert.expected_rank}", file=sys.stderr

@@ -585,8 +585,9 @@ def test_certificate_builds_no_bar_chain(monkeypatch, capsys):
 def ambient_certificate(n, q, depth):
     """The certificate with every cycle paired at ambient rank: torus_pairings
     on the elements parse_cycle reads from each cycle's descriptor, under one
-    standard expansion of rank n, then the same matrix, rank and
-    triangularity table as certificate()."""
+    standard expansion of rank n, with its rank and triangularity table taken
+    from a dense matrix laid out here, one segment of exterior coordinates per
+    cycle, zero columns included; returned with that matrix."""
     theta = standard(n, 2)
     parts_list = partitions(q, n - q) if q else []
     basis = exterior_basis(n, q)
@@ -612,9 +613,11 @@ def ambient_certificate(n, q, depth):
         if not v[i].is_zero()
     ]
     verdict = "pass" if rank == len(parts_list) else "inconclusive-catalog"
-    return Certificate(
-        n, q, depth, 0, parts_list, cycles, matrix, rank, len(parts_list), verdict, violations
+    pairings = [[v[i] for lam in parts_list for v in values[lam]] for i in range(len(parts_list))]
+    cert = Certificate(
+        n, q, depth, 0, parts_list, cycles, pairings, rank, len(parts_list), verdict, violations
     )
+    return cert, matrix
 
 
 AMBIENT_CONFIGS = [
@@ -625,8 +628,10 @@ AMBIENT_CONFIGS = [
 
 @pytest.mark.parametrize("n, q, depth", AMBIENT_CONFIGS)
 def test_block_tables_give_the_ambient_certificate(n, q, depth):
-    expected = ambient_certificate(n, q, depth).to_json_dict()
-    assert certificate(n, q, depth).to_json_dict() == expected
+    ambient, matrix = ambient_certificate(n, q, depth)
+    got = certificate(n, q, depth).to_json_dict()
+    assert got == ambient.to_json_dict()
+    assert got["matrix"] == [[f"{x.numerator}/{x.denominator}" for x in row] for row in matrix]
 
 
 def random_layout(rng, q):
@@ -722,7 +727,8 @@ def test_diagonal_entry_is_the_repeat_factor_times_the_block_wedge():
     nonzero = 0
     for n, q in [(6, 3), (8, 4), (9, 4)]:
         cert = certificate(n, q)
-        width = len(exterior_basis(n, q))
+        basis = exterior_basis(n, q)
+        matrix = cert.to_json_dict()["matrix"]
         firsts = list(accumulate((len(cert.cycles[lam]) for lam in cert.partitions), initial=0))
         for i, lam in enumerate(cert.partitions):
             wedge = ExteriorElement.unit(n)
@@ -734,8 +740,10 @@ def test_diagonal_entry_is_the_repeat_factor_times_the_block_wedge():
                     wedge = wedge.wedge(ExteriorElement(n, p, shifted))
             expected = multiplicity_factor(lam) * wedge
             nonzero += not expected.is_zero()
-            segment = cert.matrix[i][firsts[i] * width:(firsts[i] + 1) * width]
-            assert segment == [expected.coefficient(idx) for idx in exterior_basis(n, q)], lam
+            assert cert.pairings[i][firsts[i]] == expected, lam
+            segment = matrix[i][firsts[i] * len(basis):(firsts[i] + 1) * len(basis)]
+            assert segment == [f"{x.numerator}/{x.denominator}"
+                               for x in map(expected.coefficient, basis)], lam
             factors[multiplicity_factor(lam)] += 1
     assert set(factors) == {1, 2, 6, 24} and nonzero >= 8
 
@@ -798,7 +806,9 @@ def test_certificate_matrix_row_shape():
     cert = certificate(4, 2)
     n_cycles = sum(len(c) for c in cert.cycles.values())
     n_basis = 6  # increasing pairs in four letters
-    assert all(len(row) == n_cycles * n_basis for row in cert.matrix)
+    assert len(cert.pairings) == len(cert.partitions) == 2
+    assert all(len(row) == n_cycles for row in cert.pairings)
+    assert all(len(row) == n_cycles * n_basis for row in cert.to_json_dict()["matrix"])
 
 
 # the restriction scalar

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ import braidcert.braids as braids
 import braidcert.chains as chains
 import braidcert.cli as cli
 import braidcert.suites as suites
+from braidcert.certify import certificate
 from braidcert.cli import main
 from braidcert.words import EndoMap
 
@@ -379,6 +381,40 @@ def test_independence_overwrites_longer_out_file(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out_path.read_text()) == json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "n, q, depth", [(1, 0, 3), (3, 3, 3), (4, 2, 3), (8, 4, 3), (10, 5, 6)]
+)
+def test_independence_streams_the_json_dumps_bytes(capsys, tmp_path, n, q, depth):
+    # (1, 0) and (3, 3) have no partition rows, so an empty matrix
+    out_path = tmp_path / "cert.json"
+    code, out, _ = run_cli(
+        capsys, "independence", "--n", str(n), "--q", str(q),
+        "--catalog-depth", str(depth), "--out", str(out_path),
+    )
+    assert code == 0
+    assert out == json.dumps(certificate(n, q, depth).to_json_dict(), indent=2) + "\n"
+    assert out_path.read_bytes() == out.encode("utf-8")
+
+
+class _Discard:
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def test_independence_output_stays_within_a_memory_budget(capsys, monkeypatch):
+    # a dense matrix of scalars printed as one joined text peaks near 9 MB;
+    # rows of exterior elements and streamed batches peak near 1.4 MB
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    tracemalloc.start()
+    try:
+        code = main(["independence", "--n", "10", "--q", "5"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1  # depth 3 separates 6 of the 7 rows
+    assert peak < 4_000_000
 
 
 def test_independence_on_a_thousand_strands_passes(capsys):

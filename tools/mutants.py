@@ -58,6 +58,64 @@ MUTANTS = [
         "(b for part in by_low.values() for b in part)",
         ("tests/test_certify.py::test_torus_pairings_match_the_ordered_sum_on_the_tower",),
     ),
+    Mutant(
+        "certificate JSON prints a zero coordinate as 0, not 0/1",
+        "src/braidcert/certify.py",
+        'segment = ["0/1"] * len(basis)',
+        'segment = ["0"] * len(basis)',
+        ("tests/test_golden.py::test_output_matches_golden_bytes",
+         "tests/test_certify.py::test_block_tables_give_the_ambient_certificate"),
+    ),
+    Mutant(
+        "certificate rank takes its columns from the first row only",
+        "src/braidcert/certify.py",
+        "for row in pairings for c, v in enumerate(row)",
+        "for row in pairings[:1] for c, v in enumerate(row)",
+        ("tests/test_certify.py::test_block_tables_give_the_ambient_certificate",),
+    ),
+    Mutant(
+        "triangularity table also reads the diagonal cycles",
+        "src/braidcert/certify.py",
+        "if k > i and not v.is_zero()",
+        "if k >= i and not v.is_zero()",
+        ("tests/test_certify.py::test_certificate_small_cases_pass",
+         "tests/test_certify.py::test_block_tables_give_the_ambient_certificate"),
+    ),
+    Mutant(
+        "letter table drops the relabelling by the transposition",
+        "src/braidcert/cochains.py",
+        "key = (swap[idx[0] - 1], swap[idx[1] - 1])",
+        "key = (idx[0] - 1, idx[1] - 1)",
+        ("tests/test_cochains.py::test_letter_tables_match_the_tensor_oracle",),
+    ),
+    Mutant(
+        "letter table adds the pulled-back term instead of subtracting it",
+        "src/braidcert/cochains.py",
+        "col[key] = col.get(key, 0) - c",
+        "col[key] = col.get(key, 0) + c",
+        ("tests/test_cochains.py::test_letter_tables_match_the_tensor_oracle",),
+    ),
+    Mutant(
+        "tau1 relabels the argument index one place off",
+        "src/braidcert/cochains.py",
+        "key = (perm[j], perm[a], perm[b])",
+        "key = (perm[j - 1], perm[a], perm[b])",
+        ("tests/test_cochains.py::test_tau1_matches_word_path_oracle_at_cap_three",),
+    ),
+    Mutant(
+        "letter table relabels by the transposition one strand up",
+        "src/braidcert/cochains.py",
+        "swap[i - 1], swap[i] = i, i - 1",
+        "swap[i], swap[i + 1] = i + 1, i",
+        ("tests/test_cochains.py::test_letter_tables_match_the_tensor_oracle",),
+    ),
+    Mutant(
+        "substitution stops cancelling at the seam after one letter",
+        "src/braidcert/words.py",
+        "while out and k < len(image) and out[-1] == -image[k]:",
+        "if out and k < len(image) and out[-1] == -image[k]:",
+        ("tests/test_words.py::test_substitution_matches_reducing_the_raw_concatenation",),
+    ),
 ]
 
 
