@@ -15,14 +15,6 @@ from .certify import (
     partition_cycles,
     partitions,
 )
-from .chains import (
-    BarChain,
-    embed_chain,
-    pair,
-    parse_cycle,
-    shuffle,
-    torus_cycle,
-)
 from .cochains import (
     BlockEmbedding,
     Cochain,
@@ -55,3 +47,14 @@ from .words import (
 )
 
 __version__ = "0.1.0"
+
+# the bar complex, which only `braidcert pair` uses, loads on first use
+_CHAINS = ("BarChain", "embed_chain", "pair", "parse_cycle", "shuffle", "torus_cycle")
+
+
+def __getattr__(name: str) -> object:
+    if name in _CHAINS:
+        from . import chains
+
+        return getattr(chains, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -42,28 +42,29 @@ Text grammar: whitespace-separated tokens ``s<k>``, ``s<k>^-1``, ``A(i,j)``,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Iterable
 
+from ._value import FrozenValue
 from .words import EndoMap, FreeWord, GrammarError
 
 
-@dataclass(frozen=True, eq=False)
-class BraidWord:
+class BraidWord(FrozenValue):
     """A word in the elementary braid generators of B_n, compared as a braid."""
 
+    _FIELDS = ("n", "letters")
     n: int
     letters: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
-        if self.n < 1:
-            raise ValueError(f"strand count must be positive, got {self.n}")
-        for letter in self.letters:
-            if letter == 0 or abs(letter) > self.n - 1:
-                raise ValueError(
-                    f"letter {letter} out of range for {self.n} strands"
-                )
+    def __init__(self, n: int, letters: Iterable[int]) -> None:
+        letters = tuple(letters)
+        if n < 1:
+            raise ValueError(f"strand count must be positive, got {n}")
+        for letter in letters:
+            if letter == 0 or abs(letter) > n - 1:
+                raise ValueError(f"letter {letter} out of range for {n} strands")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def identity(cls, n: int) -> BraidWord:

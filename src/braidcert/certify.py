@@ -54,11 +54,11 @@ certificates say so in their JSON output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from itertools import islice, product
 from typing import Any, Iterator, Sequence
 
+from ._value import Value
 from .braids import BraidWord, parse_braid
 from .cochains import BlockEmbedding, block_layout, tau1
 from .magnus import MagnusExpansion
@@ -239,19 +239,37 @@ def exact_rank(rows: Sequence[Sequence[Scalar]]) -> int:
 # certificates
 
 
-@dataclass
-class Certificate:
-    n: int
-    q: int
-    catalog_depth: int
-    seed: int
-    partitions: list[tuple[int, ...]]
-    cycles: dict[tuple[int, ...], list[str]]
-    pairings: list[list[ExteriorElement]]  # [row][cycle], the cycles of each partition in turn
-    rank: int
-    expected_rank: int
-    verdict: str
-    triangular_violations: list[dict[str, Any]]
+class Certificate(Value):
+    _FIELDS = (
+        "n", "q", "catalog_depth", "seed", "partitions", "cycles", "pairings",
+        "rank", "expected_rank", "verdict", "triangular_violations",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        q: int,
+        catalog_depth: int,
+        seed: int,
+        partitions: list[tuple[int, ...]],
+        cycles: dict[tuple[int, ...], list[str]],
+        pairings: list[list[ExteriorElement]],
+        rank: int,
+        expected_rank: int,
+        verdict: str,
+        triangular_violations: list[dict[str, Any]],
+    ) -> None:
+        self.n = n
+        self.q = q
+        self.catalog_depth = catalog_depth
+        self.seed = seed
+        self.partitions = partitions
+        self.cycles = cycles
+        self.pairings = pairings  # [row][cycle], the cycles of each partition in turn
+        self.rank = rank
+        self.expected_rank = expected_rank
+        self.verdict = verdict
+        self.triangular_violations = triangular_violations
 
     @property
     def passed(self) -> bool:

@@ -36,35 +36,36 @@ blocks are placed on consecutive strands starting at strand 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Mapping, Sequence
 
+from ._value import FrozenValue
 from .braids import BraidWord, parse_braid
 from .cochains import BlockEmbedding, Cochain
 from .tensors import Scalar, rational, sort_sign
 from .words import GrammarError
 
 
-@dataclass(frozen=True)
-class BarChain:
+class BarChain(FrozenValue):
     """A formal combination of p-tuples, degenerate tuples already dropped."""
 
+    _FIELDS = ("degree", "terms")
     degree: int
-    terms: Mapping[tuple, Scalar] = field(default_factory=dict)
+    terms: Mapping[tuple, Scalar]
 
-    def __post_init__(self) -> None:
-        if self.degree < 0:
+    def __init__(self, degree: int, terms: Mapping[tuple, Scalar] | None = None) -> None:
+        if degree < 0:
             raise ValueError("degree must be nonnegative")
         clean: dict[tuple, Scalar] = {}
-        for tup, c in self.terms.items():
+        for tup, c in (terms or {}).items():
             tup = tuple(tup)
-            if len(tup) != self.degree:
-                raise ValueError(f"tuple {tup} has wrong length for degree {self.degree}")
+            if len(tup) != degree:
+                raise ValueError(f"tuple {tup} has wrong length for degree {degree}")
             c = rational(c)
             if not c or any(g.is_identity for g in tup):
                 continue
             clean[tup] = c
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
 
     def is_zero(self) -> bool:

@@ -23,7 +23,6 @@ from typing import Any, Sequence, TextIO
 
 from .braids import parse_braid
 from .certify import certificate, torus_pairings
-from .chains import is_degenerate, pair, parse_cycle, torus_cycle
 from .cochains import hbar_cochain, tau1
 from .magnus import MagnusExpansion
 from .suites import SUITES, run_suite
@@ -179,6 +178,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "pair":
+        from .chains import is_degenerate, pair, parse_cycle, torus_cycle
+
         theta = MagnusExpansion.standard(args.n, 2)
         if args.partition is None:
             if args.p < 1:

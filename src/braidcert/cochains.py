@@ -46,10 +46,10 @@ single block, re-embedded: it evaluates on the letters of that block alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 from weakref import WeakKeyDictionary
 
+from ._value import FrozenValue
 from .braids import BraidWord, _letter_action
 from .magnus import MagnusExpansion
 from .tensors import (
@@ -63,20 +63,22 @@ from .tensors import (
 Value = Any  # TruncatedTensor | HomTensor | ExteriorElement
 
 
-@dataclass(frozen=True)
-class BlockEmbedding:
+class BlockEmbedding(FrozenValue):
     """Strands/generators offset+1, ..., offset+size inside ambient rank."""
 
+    _FIELDS = ("offset", "size", "ambient")
     offset: int
     size: int
     ambient: int
 
-    def __post_init__(self) -> None:
-        if self.offset < 0 or self.size < 1 or self.offset + self.size > self.ambient:
+    def __init__(self, offset: int, size: int, ambient: int) -> None:
+        if offset < 0 or size < 1 or offset + size > ambient:
             raise ValueError(
-                f"block of size {self.size} at offset {self.offset} "
-                f"does not fit in rank {self.ambient}"
+                f"block of size {size} at offset {offset} does not fit in rank {ambient}"
             )
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "ambient", ambient)
 
     def apply(self, g: BraidWord) -> BraidWord:
         if g.n != self.size:
@@ -116,14 +118,22 @@ def _times(prefix: tuple[int, ...] | None, g: BraidWord) -> tuple[int, ...] | No
     return None if perm == tuple(range(1, g.n + 1)) else perm
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(FrozenValue):
     """A lazy cochain: degree, ambient rank, zero of the value type, evaluator."""
 
+    _FIELDS = ("degree", "n", "zero_value", "evaluate")
     degree: int
     n: int
     zero_value: Callable[[], Value]
     evaluate: Callable[..., Value]
+
+    def __init__(
+        self, degree: int, n: int, zero_value: Callable[[], Value], evaluate: Callable[..., Value]
+    ) -> None:
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "zero_value", zero_value)
+        object.__setattr__(self, "evaluate", evaluate)
 
     def __call__(self, *elems) -> Value:
         if len(elems) != self.degree:

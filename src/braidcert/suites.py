@@ -21,10 +21,10 @@ the failing case (None when the row passes).  The suites cover:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Any, Callable, Iterable
 
+from ._value import Value
 from .braids import BraidWord, pure_gen_braid
 from .certify import certificate
 from .cochains import (
@@ -40,13 +40,17 @@ from .magnus import MagnusExpansion
 from .tensors import HomTensor, TruncatedTensor
 
 
-@dataclass
-class SuiteRow:
-    name: str
-    identity: str
-    cases: int
-    passed: bool
-    witness: str | None = None
+class SuiteRow(Value):
+    _FIELDS = ("name", "identity", "cases", "passed", "witness")
+
+    def __init__(
+        self, name: str, identity: str, cases: int, passed: bool, witness: str | None = None
+    ) -> None:
+        self.name = name
+        self.identity = identity
+        self.cases = cases
+        self.passed = passed
+        self.witness = witness
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -58,11 +62,13 @@ class SuiteRow:
         }
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    seed: int
-    rows: list[SuiteRow] = field(default_factory=list)
+class SuiteReport(Value):
+    _FIELDS = ("suite", "seed", "rows")
+
+    def __init__(self, suite: str, seed: int, rows: list[SuiteRow] | None = None) -> None:
+        self.suite = suite
+        self.seed = seed
+        self.rows = [] if rows is None else rows
 
     @property
     def passed(self) -> bool:

@@ -48,11 +48,12 @@ of a wedge, an action, a projection or a sort, is an inversion parity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from numbers import Rational
 from typing import Any, ClassVar, Iterable, Mapping, Sequence, TypeVar
+
+from ._value import FrozenValue
 
 Index = tuple[int, ...]
 Scalar = Fraction | int
@@ -112,23 +113,25 @@ def _indices(mask: int) -> Index:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-class _Sparse:
-    """The core of the three shapes, each a frozen dataclass with the fields
+class _Sparse(FrozenValue):
+    """The core of the three shapes, each an immutable value with the fields
     (n, <grade>, terms); _GRADE names the grade field and _check_shape is the
-    shape's rule for one index tuple."""
+    shape's rule for one index tuple.  The constructor checks every term,
+    drops zero coefficients and makes each one exact."""
 
     _GRADE: ClassVar[str]
     n: int
     terms: Mapping[Index, Scalar]
 
-    def __post_init__(self) -> None:
-        n, grade = self.n, self._grade
+    def __init__(self, n: int, grade: int, terms: Mapping[Index, Scalar] | None = None) -> None:
         if n < 1:
             raise ValueError(f"rank must be positive, got {n}")
         if grade < 0:
             raise ValueError(f"{self._GRADE} must be nonnegative, got {grade}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, self._GRADE, grade)  # read by _check_shape
         clean: dict[Index, Scalar] = {}
-        for idx, c in self.terms.items():
+        for idx, c in (terms or {}).items():
             idx = tuple(idx)
             self._check_shape(idx)
             if any(not 1 <= i <= n for i in idx):
@@ -197,14 +200,14 @@ class _Sparse:
         ]
 
 
-@dataclass(frozen=True)
 class TruncatedTensor(_Sparse):
     """An element of T(H)/T_{>cap} for H = Q^n."""
 
     _GRADE = "cap"
+    _FIELDS = ("n", "cap", "terms")
     n: int
     cap: int
-    terms: Mapping[Index, Scalar] = field(default_factory=dict)
+    terms: Mapping[Index, Scalar]
 
     def _check_shape(self, idx: Index) -> None:
         if len(idx) > self.cap:
@@ -262,15 +265,15 @@ class TruncatedTensor(_Sparse):
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
 class HomTensor(_Sparse):
     """A linear map H -> H^(x)m: the term (j, i_1, ..., i_m) is the coefficient
     of X_{i_1}...X_{i_m} in the image of X_j."""
 
     _GRADE = "out_degree"
+    _FIELDS = ("n", "out_degree", "terms")
     n: int
     out_degree: int
-    terms: Mapping[Index, Scalar] = field(default_factory=dict)
+    terms: Mapping[Index, Scalar]
 
     def _check_shape(self, idx: Index) -> None:
         if len(idx) != self.out_degree + 1:
@@ -350,14 +353,14 @@ def compose_maps(factors: Sequence[HomTensor]) -> HomTensor:
     return current
 
 
-@dataclass(frozen=True)
 class ExteriorElement(_Sparse):
     """An element of Lambda^q H, coefficients keyed by bitmask, bit i-1 for X_i."""
 
     _GRADE = "q"
+    _FIELDS = ("n", "q", "terms")
     n: int
     q: int
-    terms: Mapping[int, Scalar] = field(default_factory=dict)
+    terms: Mapping[int, Scalar]
 
     def _check_shape(self, idx: Index) -> None:
         if len(idx) != self.q:

@@ -18,8 +18,9 @@ The text grammar for words is whitespace-separated tokens ``x<k>`` and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from ._value import FrozenValue
 
 class GrammarError(ValueError):
     """Raised on malformed input; carries the bare message and the offending position."""
@@ -41,23 +42,25 @@ def _reduced_concat(a: Sequence[int], b: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FreeWord:
+class FreeWord(FrozenValue):
     """A freely reduced word in F_n."""
 
+    _FIELDS = ("n", "letters")
     n: int
     letters: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
-        if self.n < 1:
-            raise ValueError(f"rank must be positive, got {self.n}")
-        for letter in self.letters:
-            if letter == 0 or abs(letter) > self.n:
-                raise ValueError(f"letter {letter} out of range for rank {self.n}")
-        for a, b in zip(self.letters, self.letters[1:]):
+    def __init__(self, n: int, letters: Iterable[int]) -> None:
+        letters = tuple(letters)
+        if n < 1:
+            raise ValueError(f"rank must be positive, got {n}")
+        for letter in letters:
+            if letter == 0 or abs(letter) > n:
+                raise ValueError(f"letter {letter} out of range for rank {n}")
+        for a, b in zip(letters, letters[1:]):
             if a == -b:
                 raise ValueError("word is not freely reduced; use FreeWord.reduce")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def _trusted(cls, n: int, letters: tuple[int, ...]) -> FreeWord:
@@ -105,20 +108,22 @@ class FreeWord:
         return format_word(self)
 
 
-@dataclass(frozen=True)
-class EndoMap:
+class EndoMap(FrozenValue):
     """An endomorphism of F_n given by generator images."""
 
+    _FIELDS = ("n", "images")
     n: int
     images: tuple[FreeWord, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(self.images))
-        if len(self.images) != self.n:
-            raise ValueError(f"expected {self.n} generator images, got {len(self.images)}")
-        for w in self.images:
-            if w.n != self.n:
+    def __init__(self, n: int, images: Iterable[FreeWord]) -> None:
+        images = tuple(images)
+        if len(images) != n:
+            raise ValueError(f"expected {n} generator images, got {len(images)}")
+        for w in images:
+            if w.n != n:
                 raise ValueError("generator image has wrong rank")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "images", images)
 
     @classmethod
     def identity(cls, n: int) -> EndoMap:

@@ -245,9 +245,9 @@ def test_exterior_pair_builds_no_bar_chain(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("exterior values build no bar chain")
 
-    for module in (chains, cli):
-        monkeypatch.setattr(module, "torus_cycle", refuse)
-        monkeypatch.setattr(module, "pair", refuse)
+    # the pair command imports these from chains when it runs
+    monkeypatch.setattr(chains, "torus_cycle", refuse)
+    monkeypatch.setattr(chains, "pair", refuse)
     monkeypatch.setattr(chains.BarChain, "__init__", refuse)
     exterior = [(["pair", *argv], (code, out, err)) for argv, code, out, err in PINNED_PAIRS]
     exterior += [

@@ -110,6 +110,27 @@ MUTANTS = [
         ("tests/test_cochains.py::test_letter_tables_match_the_tensor_oracle",),
     ),
     Mutant(
+        "catalog search checks a new element against all but the first chosen one",
+        "src/braidcert/certify.py",
+        "if all(commutes(i, j) for i in chosen):",
+        "if all(commutes(i, j) for i in chosen[1:]):",
+        ("tests/test_certify.py::test_commuting_prefix_search_matches_the_combinations_filter",),
+    ),
+    Mutant(
+        "frozen values accept assignment",
+        "src/braidcert/_value.py",
+        'raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")',
+        "object.__setattr__(self, name, value)",
+        ("tests/test_values.py::test_frozen_values_refuse_assignment_and_deletion",),
+    ),
+    Mutant(
+        "value equality compares only the first field",
+        "src/braidcert/_value.py",
+        "return self._field_values(self) == self._field_values(other)",
+        "return self._field_values(self)[0] == self._field_values(other)[0]",
+        ("tests/test_values.py::test_values_compare_by_type_and_fields",),
+    ),
+    Mutant(
         "substitution stops cancelling at the seam after one letter",
         "src/braidcert/words.py",
         "while out and k < len(image) and out[-1] == -image[k]:",
