@@ -134,14 +134,25 @@ def _letter_action(n: int, letter: int) -> EndoMap:
     return EndoMap(n, images)
 
 
+IMAGE_BUDGET = 10**6  # letters over all generator images of one artin_action
+
+
+class ImageBudgetError(ValueError):
+    """The generator images of an automorphism outgrew IMAGE_BUDGET."""
+
+
 def artin_action(beta: BraidWord) -> EndoMap:
     """The automorphism of F_n given by beta, letters composing left to right.
 
     Only the forward map is built: the inverse automorphism is the action of
-    beta.inverse()."""
+    beta.inverse().  The images are measured after each letter, and past
+    IMAGE_BUDGET letters in all an ImageBudgetError stops the composition."""
     result = EndoMap.identity(beta.n)
-    for letter in beta.letters:
+    for k, letter in enumerate(beta.letters, 1):
         result = result.compose(_letter_action(beta.n, letter))
+        if sum(len(w.letters) for w in result.images) > IMAGE_BUDGET:
+            raise ImageBudgetError(f"the generator images exceed the budget of {IMAGE_BUDGET:,}"
+                                   f" letters after letter {k} of {len(beta.letters)}")
     return result
 
 

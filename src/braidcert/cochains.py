@@ -22,8 +22,11 @@ materialised.  The basic constructions:
   respect the degree-2 part of a Magnus expansion theta: its value on the
   basis vector X_j is defined as  theta_2(x_j) - g.theta_2(g^-1 x_j),  but
   computed letter by letter through tau1(gh) = tau1(g) + g.tau1(h), at a
-  cost linear in the braid's length; each letter's value is a flat list of
-  (j, a, b, c) terms, built once per expansion from degree-2 coefficients;
+  cost linear in the braid's length.  Since tau1(s_i^-1) = -s_i.tau1(s_i),
+  every letter contributes +-P.tau1(s_i) for a prefix permutation P: a first
+  pass counts these per (i, P), a second adds the value of s_i once per
+  nonzero count, a flat list of (j, a, b, c) terms built once per expansion
+  from degree-2 coefficients;
 * coboundary, with the usual twisted alternating-sum formula;
 * composite_cochain, the cup of Hom-valued 1-cochains followed by nesting
   the values through the first tensor slot (the first factor outermost);
@@ -170,8 +173,15 @@ def _letter_tau1(theta: MagnusExpansion, letter: int) -> tuple[tuple, ...]:
 
 
 def tau1(theta: MagnusExpansion, g: BraidWord) -> HomTensor:
-    """The degree-2 failure of g to commute with theta, summed over the letters
-    of g, each conjugated by the permutation before it."""
+    """The degree-2 failure of g to commute with theta, in two passes.
+
+    The letter sum is  sum_k P_k . tau1(letter_k),  P_k the permutation of
+    the letters before letter k.  Since tau1(s_i s_i^-1) = 0, the inverse
+    letter has  tau1(s_i^-1) = -s_i . tau1(s_i),  so it contributes
+    -Q . tau1(s_i), Q the permutation after it.  Pass 1 counts these signed
+    contributions per (i, permutation), so that conjugating letters and free
+    cancellations drop out; pass 2 adds the table of s_i once per nonzero
+    count, relabelled by its permutation and scaled by the count."""
     n = theta.n
     if g.n != n:  # before the lookup: the cache is keyed by letters alone
         raise ValueError("element rank does not match expansion rank")
@@ -179,20 +189,28 @@ def tau1(theta: MagnusExpansion, g: BraidWord) -> HomTensor:
     cached = cache.get(g.letters)
     if cached is not None:
         return cached
+    counts: dict = {}
+    perm = tuple(range(1, n + 1))
+    for letter in g.letters:
+        i = abs(letter)
+        after = perm[:i - 1] + (perm[i], perm[i - 1]) + perm[i + 1:]
+        if letter > 0:
+            counts[i, perm] = counts.get((i, perm), 0) + 1
+        else:
+            counts[i, after] = counts.get((i, after), 0) - 1
+        perm = after
     terms: dict = {}
     get = terms.get
-    perm = list(range(1, n + 1))
-    known = _LETTER_TAU1.setdefault(theta, {})  # one lookup per call, not per letter
-    for letter in g.letters:
-        table = known.get(letter)
-        if table is None:
-            table = _letter_tau1(theta, letter)
-        for j, a, b, c in table:
-            # relabel every index, the argument's included
-            key = (perm[j], perm[a], perm[b])
-            terms[key] = get(key, 0) + c
-        i = abs(letter)
-        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    known = _LETTER_TAU1.setdefault(theta, {})  # one lookup per call, not per entry
+    for (i, perm), m in counts.items():
+        if m:
+            table = known.get(i)
+            if table is None:
+                table = _letter_tau1(theta, i)
+            for j, a, b, c in table:
+                # relabel every index, the argument's included
+                key = (perm[j], perm[a], perm[b])
+                terms[key] = get(key, 0) + m * c
     result = HomTensor._trusted(n, 2, terms)
     cache[g.letters] = result
     return result

@@ -78,6 +78,18 @@ def test_xi_lists_generator_images(capsys):
     assert data["inverse_images"] == ["x1 x2 x1^-1", "x1"]
 
 
+def test_xi_stops_at_the_image_budget_with_exit_2(capsys):
+    # (s1 s2^-1)^12 has 785,663 image letters, and each period multiplies
+    # them by ~2.6, so the 13th crosses the budget while its images are built
+    below = braids.artin_action(braids.parse_braid("s1 s2^-1 " * 12, 3))
+    assert sum(len(w.letters) for w in below.images) <= braids.IMAGE_BUDGET
+    code, out, err = run_cli(capsys, "xi", "--n", "3", "s1 s2^-1 " * 13)
+    assert (code, out) == (2, "")
+    assert f"budget of {braids.IMAGE_BUDGET:,} letters" in err
+    with pytest.raises(braids.ImageBudgetError):
+        braids.artin_action(braids.parse_braid("s1 s2^-1 " * 13, 3))
+
+
 def test_perm_reports_purity(capsys):
     code, out, _ = run_cli(capsys, "perm", "--n", "3", "A(1,3)")
     assert code == 0

@@ -103,6 +103,30 @@ MUTANTS = [
         ("tests/test_cochains.py::test_tau1_matches_word_path_oracle_at_cap_three",),
     ),
     Mutant(
+        "tau1 counts an inverse letter +1 instead of -1",
+        "src/braidcert/cochains.py",
+        "counts[i, after] = counts.get((i, after), 0) - 1",
+        "counts[i, after] = counts.get((i, after), 0) + 1",
+        ("tests/test_cochains.py::test_tau1_matches_word_path_oracle",
+         "tests/test_cochains.py::test_tau1_on_band_products_matches_both_oracles"),
+    ),
+    Mutant(
+        "tau1 counts an inverse letter at the permutation before its swap, not after",
+        "src/braidcert/cochains.py",
+        "counts[i, after] = counts.get((i, after), 0) - 1",
+        "counts[i, perm] = counts.get((i, perm), 0) - 1",
+        ("tests/test_cochains.py::test_tau1_matches_word_path_oracle",
+         "tests/test_cochains.py::test_tau1_on_band_products_matches_both_oracles"),
+    ),
+    Mutant(
+        "tau1 adds a generator table once, whatever its count",
+        "src/braidcert/cochains.py",
+        "terms[key] = get(key, 0) + m * c",
+        "terms[key] = get(key, 0) + c",
+        ("tests/test_cochains.py::test_tau1_matches_word_path_oracle",
+         "tests/test_cochains.py::test_tau1_through_free_cancellations_matches_both_oracles"),
+    ),
+    Mutant(
         "letter table relabels by the transposition one strand up",
         "src/braidcert/cochains.py",
         "swap[i - 1], swap[i] = i, i - 1",
