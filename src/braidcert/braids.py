@@ -46,7 +46,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable
 
 from ._value import FrozenValue
-from .words import EndoMap, FreeWord, GrammarError
+from .words import EndoMap, FreeWord, GrammarError, _Tokens
 
 
 class BraidWord(FrozenValue):
@@ -215,8 +215,9 @@ _BRAID_TOKEN = re.compile(
 
 
 def parse_braid(text: str, n: int) -> BraidWord:
-    """Parse the braid grammar into a word in the elementary generators."""
-    result = BraidWord.identity(n)
+    """Parse the braid grammar into a word in the elementary generators, built once."""
+    BraidWord.identity(n)  # refuses a bad strand count before any token
+    letters: list[int] = []
     for match in re.finditer(r"\S+", text):
         token = match.group(0)
         m = _BRAID_TOKEN.match(token)
@@ -234,9 +235,12 @@ def parse_braid(text: str, n: int) -> BraidWord:
             raise GrammarError(str(exc), match.start()) from None
         if inverted:
             piece = piece.inverse()
-        result = result * piece
-    return result
+        letters.extend(piece.letters)
+    return BraidWord(n, letters)
+
+
+_BRAID_TOKENS = _Tokens("s")
 
 
 def format_braid(beta: BraidWord) -> str:
-    return " ".join(f"s{l}" if l > 0 else f"s{-l}^-1" for l in beta.letters)
+    return " ".join(map(_BRAID_TOKENS.__getitem__, beta.letters))

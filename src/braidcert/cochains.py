@@ -20,13 +20,12 @@ materialised.  The basic constructions:
 
 * tau1(theta, g), the crossed homomorphism measuring the failure of g to
   respect the degree-2 part of a Magnus expansion theta: its value on the
-  basis vector X_j is defined as  theta_2(x_j) - g.theta_2(g^-1 x_j),  but
-  computed letter by letter through tau1(gh) = tau1(g) + g.tau1(h), at a
-  cost linear in the braid's length.  Since tau1(s_i^-1) = -s_i.tau1(s_i),
-  every letter contributes +-P.tau1(s_i) for a prefix permutation P: a first
-  pass counts these per (i, P), a second adds the value of s_i once per
-  nonzero count, a flat list of (j, a, b, c) terms built once per expansion
-  from degree-2 coefficients;
+  basis vector X_j is defined as  theta_2(x_j) - g.theta_2(g^-1 x_j).  A
+  change of expansion changes it by a coboundary (Kawazumi, "Cohomological
+  aspects of Magnus expansions"): it is the standard expansion's value, a
+  sum of two terms per letter relabelled by a prefix permutation, plus
+  T - g.T for the map T of theta's degree-2 tails, at a cost linear in the
+  braid's length and with no word value of theta;
 * coboundary, with the usual twisted alternating-sum formula;
 * composite_cochain, the cup of Hom-valued 1-cochains followed by nesting
   the values through the first tensor slot (the first factor outermost);
@@ -53,7 +52,7 @@ from typing import Any, Callable, Sequence
 from weakref import WeakKeyDictionary
 
 from ._value import FrozenValue
-from .braids import BraidWord, _letter_action
+from .braids import BraidWord
 from .magnus import MagnusExpansion
 from .tensors import (
     ExteriorElement,
@@ -145,43 +144,35 @@ class Cochain(FrozenValue):
 
 
 _TAU1_CACHES: WeakKeyDictionary = WeakKeyDictionary()
-_LETTER_TAU1: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _letter_tau1(theta: MagnusExpansion, letter: int) -> tuple[tuple, ...]:
-    """tau1(s_letter) as 0-based (j, a, b, c) terms, stored in _LETTER_TAU1,
-    by the defining formula on the generator images under the inverse letter,
-    which have at most 3 letters: column j is theta_2(x_j) minus theta_2 of
-    the image of x_j, relabelled by the transposition (i, i+1)."""
-    n = theta.n
-    i = abs(letter)
-    swap = list(range(n))
-    swap[i - 1], swap[i] = i, i - 1
-    inv = _letter_action(n, -letter)
-    table = []
-    for j in range(n):
-        col = {(idx[0] - 1, idx[1] - 1): c
-               for idx, c in theta.gen_values[j].terms.items() if len(idx) == 2}
-        for idx, c in theta.value(inv.images[j]).terms.items():
-            if len(idx) == 2:
-                key = (swap[idx[0] - 1], swap[idx[1] - 1])
-                col[key] = col.get(key, 0) - c
-        table.extend((j, a, b, c) for (a, b), c in col.items() if c)
-    table = tuple(table)
-    _LETTER_TAU1.setdefault(theta, {})[letter] = table
-    return table
 
 
 def tau1(theta: MagnusExpansion, g: BraidWord) -> HomTensor:
-    """The degree-2 failure of g to commute with theta, in two passes.
+    """The degree-2 failure of g to commute with theta: the standard
+    expansion's value, a letter sum, plus the coboundary of theta's tails.
 
-    The letter sum is  sum_k P_k . tau1(letter_k),  P_k the permutation of
-    the letters before letter k.  Since tau1(s_i s_i^-1) = 0, the inverse
-    letter has  tau1(s_i^-1) = -s_i . tau1(s_i),  so it contributes
-    -Q . tau1(s_i), Q the permutation after it.  Pass 1 counts these signed
-    contributions per (i, permutation), so that conjugating letters and free
-    cancellations drop out; pass 2 adds the table of s_i once per nonzero
-    count, relabelled by its permutation and scaled by the count."""
+    Let T = theta.tails, X_k -> T_k the degree-2 part of theta(x_k), and
+    P = g.perm.  The degree-2 part of theta(x_k^-1) is X_k^2 - T_k, and the
+    degree-1 parts are the standard expansion's, so every letter x_k^+-1 of
+    a word w adds +-T_k to the standard degree-2 part:
+    theta_2(w) = std_2(w) + T(ab w), ab w the class of w in H, on which g^-1
+    acts as P^-1.  In the defining formula this gives
+
+        theta_2(x_j) - g.theta_2(g^-1 x_j)
+            = tau1_std(g)(X_j) + T(X_j) - P T(P^-1 X_j),
+
+    that is  tau1(g) = tau1_std(g) + T - T.conjugate(P),  and the tail term
+    vanishes on pure g.  At g = s_i, std_2(x_j) = 0, and s_i^-1 sends x_i to
+    x_i x_{i+1} x_i^-1 and every other generator to a generator; the std_2
+    of that image, X_i X_{i+1} - X_{i+1} X_i, is negated by s_i, so
+    tau1_std(s_i) = l_i (x) (X_i X_{i+1} - X_{i+1} X_i), l_i dual to X_i.
+
+    As a crossed homomorphism, tau1(gh) = tau1(g) + g.tau1(h), tau1_std(g)
+    is the sum of P_k.tau1_std(letter_k), P_k the permutation before letter
+    k, and tau1(s_i^-1) = -s_i.tau1(s_i).  Relabelled by P, tau1_std(s_i) is
+    l_a (x) (X_a X_b - X_b X_a) for the strands (a, b) = (P[i-1], P[i]).  So
+    pass 1 counts +1 at (a, b) for s_i and -1 at (b, a) for s_i^-1, the pair
+    after its swap, and conjugating letters and free cancellations drop out;
+    pass 2 adds two terms per nonzero count, then the tails' coboundary."""
     n = theta.n
     if g.n != n:  # before the lookup: the cache is keyed by letters alone
         raise ValueError("element rank does not match expansion rank")
@@ -190,27 +181,26 @@ def tau1(theta: MagnusExpansion, g: BraidWord) -> HomTensor:
     if cached is not None:
         return cached
     counts: dict = {}
-    perm = tuple(range(1, n + 1))
+    perm = list(range(1, n + 1))
     for letter in g.letters:
         i = abs(letter)
-        after = perm[:i - 1] + (perm[i], perm[i - 1]) + perm[i + 1:]
+        a, b = perm[i - 1], perm[i]
         if letter > 0:
-            counts[i, perm] = counts.get((i, perm), 0) + 1
+            counts[a, b] = counts.get((a, b), 0) + 1
         else:
-            counts[i, after] = counts.get((i, after), 0) - 1
-        perm = after
+            counts[b, a] = counts.get((b, a), 0) - 1
+        perm[i - 1], perm[i] = b, a
     terms: dict = {}
     get = terms.get
-    known = _LETTER_TAU1.setdefault(theta, {})  # one lookup per call, not per entry
-    for (i, perm), m in counts.items():
+    for (a, b), m in counts.items():
         if m:
-            table = known.get(i)
-            if table is None:
-                table = _letter_tau1(theta, i)
-            for j, a, b, c in table:
-                # relabel every index, the argument's included
-                key = (perm[j], perm[a], perm[b])
-                terms[key] = get(key, 0) + m * c
+            terms[a, a, b] = get((a, a, b), 0) + m
+            terms[a, b, a] = get((a, b, a), 0) - m
+    if perm != sorted(perm):  # g is not pure
+        for (j, a, b), c in theta.tails.terms.items():
+            terms[j, a, b] = get((j, a, b), 0) + c
+            key = (perm[j - 1], perm[a - 1], perm[b - 1])
+            terms[key] = get(key, 0) - c
     result = HomTensor._trusted(n, 2, terms)
     cache[g.letters] = result
     return result

@@ -2,20 +2,21 @@
 
 An expansion is a homomorphism theta from F_n into the group of units
 1 + (higher terms) of T(H)/T_{>cap} with theta(x_i) = 1 + X_i + (degree >= 2).
-It is determined by the generator values; the value of the inverse letter is
-the truncated geometric series, computed once at construction.  It needs no
-check: for 1 + u with u of degree >= 1, u^(cap+1) vanishes under the cap, so
-the series is an exact two-sided inverse.
+It is determined by the generator values; the value of an inverse letter is
+the truncated geometric series, computed on the first word that needs one.
+It needs no check: for 1 + u with u of degree >= 1, u^(cap+1) vanishes under
+the cap, so the series is an exact two-sided inverse.
 
 The standard expansion takes theta(x_i) = 1 + X_i exactly, so that
 theta(x_i^-1) = 1 - X_i + X_i^2 - ...  Custom expansions add an arbitrary
 tail of degree >= 2 to each generator; the first two graded pieces (the unit
-and the abelianisation) are forced and validated.
+and the abelianisation) are forced and validated.  cochains.tau1 reads only
+.tails, the map X_i -> theta_2(x_i), which is zero for the standard one.
 
-Word values are memoised per expansion instance: letters multiply on the
-right, so the running state never grows beyond the dimension of the truncated
-algebra regardless of word length.  Each step multiplies by a letter value,
-and the product visits only the pairs of terms that fit under the cap.
+Letters multiply on the right, so the running state never grows beyond the
+dimension of the truncated algebra, which grows as n^cap; its terms are
+counted after each letter, and past TERM_BUDGET a TermBudgetError stops the
+product.  Each step visits only the pairs of terms that fit under the cap.
 
 Coefficients follow the tensor layer: the standard expansion has integer
 values, so every word value (and everything derived from it downstream) has
@@ -24,10 +25,17 @@ int coefficients; a custom tail with denominators brings in Fractions.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
-from .tensors import TruncatedTensor
+from .tensors import HomTensor, TruncatedTensor
 from .words import FreeWord
+
+TERM_BUDGET = 10**5  # terms of the running value of one word
+
+
+class TermBudgetError(ValueError):
+    """The value of a word outgrew TERM_BUDGET terms."""
 
 
 def series_inverse(v: TruncatedTensor) -> TruncatedTensor:
@@ -47,7 +55,7 @@ def series_inverse(v: TruncatedTensor) -> TruncatedTensor:
 
 
 class MagnusExpansion:
-    """A group homomorphism F_n -> 1 + T_1, cached on reduced words."""
+    """A group homomorphism F_n -> 1 + T_1, given by the generator values."""
 
     def __init__(self, n: int, cap: int, gen_values: Sequence[TruncatedTensor]):
         if n < 1:
@@ -67,8 +75,11 @@ class MagnusExpansion:
         self.n = n
         self.cap = cap
         self.gen_values = tuple(gen_values)
-        self.gen_inverses = tuple(series_inverse(v) for v in self.gen_values)
-        self._cache: dict[tuple[int, ...], TruncatedTensor] = {}
+        self.tails = HomTensor.from_columns(n, 2, [v.component(2) for v in self.gen_values])
+
+    @cached_property
+    def gen_inverses(self) -> tuple[TruncatedTensor, ...]:
+        return tuple(series_inverse(v) for v in self.gen_values)
 
     @classmethod
     def standard(cls, n: int, cap: int) -> MagnusExpansion:
@@ -97,18 +108,17 @@ class MagnusExpansion:
     def value(self, word: FreeWord) -> TruncatedTensor:
         if word.n != self.n:
             raise ValueError("word rank does not match expansion rank")
-        cached = self._cache.get(word.letters)
-        if cached is not None:
-            return cached
         result = TruncatedTensor.one(self.n, self.cap)
-        for letter in word.letters:
+        for k, letter in enumerate(word.letters, 1):
             factor = (
                 self.gen_values[letter - 1]
                 if letter > 0
                 else self.gen_inverses[-letter - 1]
             )
             result = result * factor
-        self._cache[word.letters] = result
+            if len(result.terms) > TERM_BUDGET:
+                raise TermBudgetError(f"the value exceeds the budget of {TERM_BUDGET:,} terms"
+                                      f" after letter {k} of {len(word.letters)}")
         return result
 
     def __repr__(self) -> str:

@@ -174,5 +174,20 @@ def parse_word(text: str, n: int) -> FreeWord:
     return FreeWord.reduce(n, letters)
 
 
+class _Tokens(dict):
+    """Letter -> token, <name><k> or <name><k>^-1, each made on first use; a
+    token does not depend on the rank, so one table serves every rank."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __missing__(self, letter: int) -> str:
+        token = self[letter] = f"{self.name}{letter}" if letter > 0 else f"{self.name}{-letter}^-1"
+        return token
+
+
+_WORD_TOKENS = _Tokens("x")
+
+
 def format_word(w: FreeWord) -> str:
-    return " ".join(f"x{l}" if l > 0 else f"x{-l}^-1" for l in w.letters)
+    return " ".join(map(_WORD_TOKENS.__getitem__, w.letters))

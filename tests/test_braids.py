@@ -9,6 +9,7 @@ embeddings against free group embeddings).
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -276,6 +277,45 @@ def test_format_round_trips():
     for _ in range(20):
         beta = random_braid(rng, 4, 8)
         assert parse_braid(format_braid(beta), 4).letters == beta.letters
+
+
+def random_tokens(rng: random.Random, n: int, count: int) -> list[str]:
+    """count tokens of every kind of the braid grammar, each maybe inverted."""
+    tokens = []
+    for _ in range(count):
+        i = rng.randint(1, n - 1)
+        token = rng.choice([f"s{i}", f"A({i},{rng.randint(i + 1, n)})", f"twist({i + 1})"])
+        tokens.append(token + rng.choice(["", "^-1"]))
+    return tokens
+
+
+def test_parse_matches_the_piecewise_product():
+    rng = random.Random(37)
+    for _ in range(30):
+        n = rng.randint(2, 12)
+        tokens = random_tokens(rng, n, rng.randint(0, 12))
+        product = BraidWord.identity(n)
+        for token in tokens:
+            product = product * parse_braid(token, n)
+        assert parse_braid(" ".join(tokens), n).letters == product.letters
+
+
+def test_parse_is_linear_in_the_token_count():
+    # a product per token re-checks the whole word each time: 4,000 tokens
+    # took 376 ms that way, and 20,000 would take ~25 times as long
+    tokens = random_tokens(random.Random(38), 5, 20_000)
+    start = time.perf_counter()
+    beta = parse_braid("\n".join(tokens), 5)
+    assert time.perf_counter() - start < 1
+    assert len(beta.letters) == sum(len(parse_braid(token, 5).letters) for token in tokens)
+
+
+def test_format_matches_the_token_oracle_at_every_rank():
+    rng = random.Random(39)
+    for n in (2, 3, 9, 10, 11, 25, 120):
+        beta = random_braid(rng, n, 40)
+        expected = " ".join(f"s{l}" if l > 0 else f"s{-l}^-1" for l in beta.letters)
+        assert format_braid(beta) == str(beta) == expected
 
 
 # the inverse automorphism is the action of the inverse word

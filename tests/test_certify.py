@@ -562,6 +562,51 @@ def test_tower_pairs_to_the_closed_form(p):
         assert v == v.coefficient((1, *rest)) * form, nu
 
 
+def one_ordering_traces(maps):
+    """The terms of Tr N'(U) for every nonempty U, keyed by mask, where
+    N'(U) = |U| M_min(U) N'(U - min U): the recurrence of nested_traces with
+    the one transition at the lowest position of U, so that
+    Tr N'(U) = |U|! Tr(M_u1 ... M_uk) over U in ascending order."""
+    n = maps[0].n
+    nested = {0: {a: [(a, 0, 1)] for a in range(1, n + 1)}}
+    out = {}
+    for mask in range(1, 1 << len(maps)):
+        g = (mask & -mask).bit_length() - 1
+        size = mask.bit_count()
+        acc = Counter()
+        for (b, a, c), x in maps[g].terms.items():
+            bit = 1 << c - 1
+            for j, rest, y in nested[mask ^ 1 << g].get(b, ()):
+                if not rest & bit:
+                    odd = (rest & bit - 1).bit_count() % 2
+                    acc[a, j, rest | bit] += size * (-x * y if odd else x * y)
+        rows, trace = {}, Counter()
+        for (a, j, rest), c in acc.items():
+            if c:
+                rows.setdefault(a, []).append((j, rest, c))
+                if a == j:
+                    trace[rest] += c
+        nested[mask] = rows
+        out[mask] = {rest: c for rest, c in trace.items() if c}
+    return out
+
+
+def test_one_ordering_gives_every_nested_trace():
+    # ROADMAP 13's collapse, a conjecture pinned here and not used by src/:
+    # B(U) = |U|! Tr(M_u1 ... M_uk), one ordering instead of all |U|! of them.
+    # tau1 of a pure braid does not depend on the expansion, so the standard
+    # one stands for all; the tower up to p = 6 is also taken shuffled
+    rng = random.Random(67)
+    tori = [tower(p) for p in range(1, 8)] + [rng.sample(tower(p), p) for p in range(1, 7)]
+    for p in range(1, 7):
+        tori += [[g for _, g in combo] for combo in certify_module._commuting_tuples(p, 6)]
+    for elements in tori:
+        maps = [tau1(standard(elements[0].n, 2), g) for g in elements]
+        full = nested_traces(maps)
+        assert {mask: v.terms for mask, v in full.items()} == one_ordering_traces(maps)
+    assert len(tori) == 13 + 1 + 3 + 5 + 6 + 6 + 6
+
+
 def test_certificate_builds_no_bar_chain(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("the certificate path builds no bar chain")

@@ -15,10 +15,11 @@ import pytest
 import braidcert.braids as braids
 import braidcert.chains as chains
 import braidcert.cli as cli
+import braidcert.magnus as magnus
 import braidcert.suites as suites
 from braidcert.certify import certificate
 from braidcert.cli import main
-from braidcert.words import EndoMap
+from braidcert.words import EndoMap, parse_word
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -88,6 +89,21 @@ def test_xi_stops_at_the_image_budget_with_exit_2(capsys):
     assert f"budget of {braids.IMAGE_BUDGET:,} letters" in err
     with pytest.raises(braids.ImageBudgetError):
         braids.artin_action(braids.parse_braid("s1 s2^-1 " * 13, 3))
+
+
+def test_expand_stops_at_the_term_budget_with_exit_2(capsys):
+    # the inverse letters multiply the terms of the running value, so
+    # (x1^-1 x2^-1 x3^-1)^4 at degree 12 crosses the budget at letter 9
+    word = "x1^-1 x2^-1 x3^-1 " * 4
+    below = magnus.MagnusExpansion.standard(3, 10).value(parse_word(word, 3))
+    assert len(below.terms) <= magnus.TERM_BUDGET
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "expand", "--n", "3", "--degree", "12", word)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert f"budget of {magnus.TERM_BUDGET:,} terms after letter 9 of 12" in err
+    with pytest.raises(magnus.TermBudgetError):
+        magnus.MagnusExpansion.standard(3, 12).value(parse_word(word, 3))
 
 
 def test_perm_reports_purity(capsys):

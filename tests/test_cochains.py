@@ -23,7 +23,7 @@ import pytest
 
 import braidcert
 import braidcert.cli as cli
-from braidcert import braids, certify, cochains
+from braidcert import braids, certify, cochains, magnus
 from braidcert.braids import BraidWord, artin_action, full_twist, permutation, pure_gen_braid
 from braidcert.chains import parse_cycle
 from braidcert.cochains import (
@@ -419,22 +419,18 @@ def test_tau1_is_a_function_of_the_braid_not_the_word():
             assert first == second
 
 
-def test_tau1_evaluates_theta_on_short_words_once_per_letter(monkeypatch):
+def test_tau1_evaluates_no_word_value_of_theta(monkeypatch):
+    # tau1 reads only theta.tails: no word value, no series inverse
+    rng = random.Random(61)
+    g = BraidWord(3, (1, -2) * 5)
+    expansions = (MagnusExpansion.standard(3, 2), random_custom(rng, 3, cap=3))
+    expected = [oracle_tau1(theta, g) for theta in expansions]
     seen = []
-    value = MagnusExpansion.value
-
-    def recording(self, word):
-        seen.append(word)
-        return value(self, word)
-
-    g = BraidWord(3, (1, -2) * 9)
-    expected = oracle_tau1(MagnusExpansion.standard(3, 2), g)
-    monkeypatch.setattr(MagnusExpansion, "value", recording)
-    theta = MagnusExpansion.standard(3, 2)
-    assert tau1(theta, g) == expected
-    assert seen and max(len(w.letters) for w in seen) <= 3
-    seen.clear()
-    tau1(theta, BraidWord(3, (-2, 1, 1, -2, -2)))
+    monkeypatch.setattr(MagnusExpansion, "value", lambda self, word: seen.append(word))
+    monkeypatch.setattr(magnus, "series_inverse", lambda v: seen.append(v))
+    for theta, value in zip(expansions, expected):
+        assert tau1(theta, g) == value
+        tau1(theta, BraidWord(3, (-2, 1, 1, -2, -2)))
     assert seen == []
 
 
@@ -453,7 +449,7 @@ def oracle_letter_tau1(theta: MagnusExpansion, letter: int) -> HomTensor:
 
 
 def test_letter_tables_match_the_tensor_oracle():
-    # flat 0-based (j, a, b, c) terms, each key once, no zero coefficient
+    # tau1 of each single letter, inverse letters included, is its table
     rng = random.Random(60)
     for n in range(2, 7):
         expansions = (
@@ -464,11 +460,7 @@ def test_letter_tables_match_the_tensor_oracle():
         )
         for theta in expansions:
             for letter in (l for i in range(1, n) for l in (i, -i)):
-                table = cochains._letter_tau1(theta, letter)
-                terms = {(j + 1, a + 1, b + 1): c for j, a, b, c in table}
-                assert len(terms) == len(table) and all(terms.values())
-                assert HomTensor(n, 2, terms) == oracle_letter_tau1(theta, letter)
-                assert cochains._LETTER_TAU1[theta][letter] is table
+                assert tau1(theta, BraidWord(n, (letter,))) == oracle_letter_tau1(theta, letter)
 
 
 def test_tau1_matches_word_path_oracle_at_cap_three():
@@ -480,10 +472,6 @@ def test_tau1_matches_word_path_oracle_at_cap_three():
         assert tau1(theta, g) == oracle_tau1(theta, g)
 
 
-def as_map(n: int, table) -> HomTensor:
-    return HomTensor(n, 2, {(j + 1, a + 1, b + 1): c for j, a, b, c in table})
-
-
 def oracle_letter_sum(theta: MagnusExpansion, g: BraidWord) -> HomTensor:
     """tau1 as the plain letter sum: every letter's own table, an inverse
     letter's included, relabelled by the permutation of the letters before it."""
@@ -491,7 +479,7 @@ def oracle_letter_sum(theta: MagnusExpansion, g: BraidWord) -> HomTensor:
     total = HomTensor.zero(n, 2)
     perm = list(range(1, n + 1))
     for letter in g.letters:
-        total = total + as_map(n, cochains._letter_tau1(theta, letter)).conjugate(tuple(perm))
+        total = total + oracle_letter_tau1(theta, letter).conjugate(tuple(perm))
         i = abs(letter)
         perm[i - 1], perm[i] = perm[i], perm[i - 1]
     return total
@@ -504,16 +492,16 @@ def random_theta(rng: random.Random, n: int, k: int) -> MagnusExpansion:
 
 
 def test_inverse_letter_table_is_minus_the_swapped_generator_table():
-    # tau1(s_i^-1) = -s_i . tau1(s_i): the identity that lets tau1 build
-    # only the tables of the positive generators
+    # tau1(s_i^-1) = -s_i . tau1(s_i): the identity that lets tau1 count
+    # only the positive generators
     rng = random.Random(63)
     for n in range(2, 7):
         for k in range(4):
             theta = random_theta(rng, n, k)
             for i in range(1, n):
                 swap = permutation(BraidWord.gen(n, i))
-                inverse = as_map(n, cochains._letter_tau1(theta, -i))
-                assert inverse == -as_map(n, cochains._letter_tau1(theta, i)).conjugate(swap)
+                inverse = oracle_letter_tau1(theta, -i)
+                assert inverse == -oracle_letter_tau1(theta, i).conjugate(swap)
 
 
 def test_tau1_on_band_products_matches_both_oracles():
@@ -544,39 +532,45 @@ def test_tau1_through_free_cancellations_matches_both_oracles():
         assert value == tau1(theta, BraidWord(n, left + right))
 
 
-LETTER_TABLE_COUNT = """
+MAGNUS_CALL_COUNT = """
 import collections, sys
-from braidcert import cochains
+from braidcert import magnus
 from braidcert.cli import main
 
-built = collections.Counter()
-build = cochains._letter_tau1
+calls = collections.Counter()
+value, inverse = magnus.MagnusExpansion.value, magnus.series_inverse
 
-def counting(theta, letter):
-    built[theta, letter] += 1
-    return build(theta, letter)
+def counting_value(self, word):
+    calls["value"] += 1
+    return value(self, word)
 
-cochains._letter_tau1 = counting
+def counting_inverse(v):
+    calls["series_inverse"] += 1
+    return inverse(v)
+
+magnus.MagnusExpansion.value = counting_value
+magnus.series_inverse = counting_inverse
 main(["check", "--suite", "expansion-independence", "--seed", "0"])
-print(sum(built.values()), max(built.values()), file=sys.stderr)
+print(calls["value"], calls["series_inverse"], file=sys.stderr)
 """
 
 
-def test_expansion_independence_builds_each_letter_table_once():
-    # a fresh process, so that no table is cached before the suite runs
+def test_expansion_independence_evaluates_no_magnus_value():
+    # a fresh process, so that the counts see the suite alone
     src = str(Path(braidcert.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run(
-        [sys.executable, "-c", LETTER_TABLE_COUNT], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", MAGNUS_CALL_COUNT], capture_output=True, text=True, env=env, check=True
     )
-    assert run.stderr.split() == ["60", "1"]
+    assert run.stderr.split() == ["0", "0"]
 
 
 def test_tau1_rank_guard_comes_before_any_letter_value(monkeypatch):
-    def unreachable(theta, letter):
-        raise AssertionError("a letter value was read")
+    class Unreachable:
+        def setdefault(self, *args):
+            raise AssertionError("the cache was read")
 
-    monkeypatch.setattr(cochains, "_letter_tau1", unreachable)
+    monkeypatch.setattr(cochains, "_TAU1_CACHES", Unreachable())
     g = BraidWord(3, (1, -2))
     with pytest.raises(ValueError, match="element rank does not match expansion rank"):
         tau1(MagnusExpansion.standard(4, 2), g)
@@ -602,6 +596,39 @@ def test_tau1_is_expansion_independent_on_pure_braids():
         custom = random_custom(rng, n)
         g = random_pure_element(rng, n)
         assert tau1(custom, g) == tau1(std, g)
+
+
+def random_tails(rng: random.Random, n: int, cap: int) -> list[TruncatedTensor]:
+    """Fraction tails with terms of every degree from 2 to cap."""
+    return [
+        TruncatedTensor(n, cap, {
+            idx: F(rng.randint(-3, 3), rng.randint(1, 3))
+            for m in range(2, cap + 1)
+            for idx in iter_product(range(1, n + 1), repeat=m)
+            if rng.random() < 0.3
+        })
+        for _ in range(n)
+    ]
+
+
+def test_tau1_changes_with_the_expansion_by_the_tail_coboundary():
+    # tau1_theta(g) - tau1_std(g) = T - g.T, T the map X_j -> theta_2(x_j),
+    # on the defining formula, for pure and non-pure g
+    rng = random.Random(66)
+    moved = 0
+    for k in range(32):
+        n, cap = rng.randint(2, 5), 2 + k % 2
+        theta = MagnusExpansion.custom(n, cap, random_tails(rng, n, cap))
+        std = MagnusExpansion.standard(n, cap)
+        tails = HomTensor.from_columns(n, 2, [
+            theta.value(FreeWord.generator(n, j)).component(2) for j in range(1, n + 1)
+        ])
+        g = random_pure_element(rng, n, 3) if k % 4 < 2 else random_non_pure_element(rng, n, 8)
+        change = tails - tails.conjugate(g.perm)
+        assert oracle_tau1(theta, g) - oracle_tau1(std, g) == change
+        assert tau1(theta, g) == oracle_tau1(theta, g)
+        moved += not change.is_zero()
+    assert moved >= 12  # most non-pure g move the tails
 
 
 def test_tau1_does_depend_on_expansion_off_pure_braids():

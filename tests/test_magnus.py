@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import pytest
 
+from braidcert import magnus
 from braidcert.magnus import MagnusExpansion, series_inverse
-from braidcert.tensors import TruncatedTensor
+from braidcert.tensors import HomTensor, TruncatedTensor
 from braidcert.words import FreeWord
 
 F = Fraction
@@ -84,6 +85,28 @@ def test_rejects_tail_with_low_degree_terms():
 def test_rejects_cap_below_two():
     with pytest.raises(ValueError):
         MagnusExpansion.standard(2, 1)
+
+
+def test_tails_are_the_degree_two_parts_of_the_generator_values():
+    rng = random.Random(25)
+    assert MagnusExpansion.standard(3, 3).tails == HomTensor.zero(3, 2)
+    for cap in (2, 3, 4):
+        theta = random_custom(rng, 3, cap)
+        columns = [theta.value(FreeWord.generator(3, j)).component(2) for j in (1, 2, 3)]
+        assert theta.tails == HomTensor.from_columns(3, 2, columns)
+
+
+def test_inverses_are_built_on_the_first_inverse_letter(monkeypatch):
+    calls = []
+    inverse = magnus.series_inverse
+    monkeypatch.setattr(magnus, "series_inverse", lambda v: calls.append(v) or inverse(v))
+    theta = MagnusExpansion.standard(3, 3)
+    theta.value(FreeWord.reduce(3, (1, 2, 3, 1)))
+    assert calls == []
+    assert theta.value(FreeWord.reduce(3, (1, -2))) == theta.value(
+        FreeWord.generator(3, 1)) * inverse(theta.gen_values[1])
+    theta.value(FreeWord.reduce(3, (-3, -1)))
+    assert calls == list(theta.gen_values)
 
 
 def test_series_inverse_requires_unit_constant_term():

@@ -81,6 +81,15 @@ def test_parse_word_round_trip():
     assert format_word(w) == "x1 x2^-1 x1"
 
 
+def test_format_word_matches_the_token_oracle_at_every_rank():
+    rng = random.Random(14)
+    for n in (1, 2, 9, 10, 11, 25, 120):
+        w = random_word(rng, n, 60)
+        expected = " ".join(f"x{l}" if l > 0 else f"x{-l}^-1" for l in w.letters)
+        assert format_word(w) == str(w) == expected
+        assert parse_word(expected, n) == w
+
+
 def test_parse_word_empty_is_identity():
     assert parse_word("", 3).is_identity
     assert parse_word("   ", 3).is_identity

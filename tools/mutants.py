@@ -82,56 +82,71 @@ MUTANTS = [
          "tests/test_certify.py::test_block_tables_give_the_ambient_certificate"),
     ),
     Mutant(
-        "letter table drops the relabelling by the transposition",
-        "src/braidcert/cochains.py",
-        "key = (swap[idx[0] - 1], swap[idx[1] - 1])",
-        "key = (idx[0] - 1, idx[1] - 1)",
-        ("tests/test_cochains.py::test_letter_tables_match_the_tensor_oracle",),
-    ),
-    Mutant(
-        "letter table adds the pulled-back term instead of subtracting it",
-        "src/braidcert/cochains.py",
-        "col[key] = col.get(key, 0) - c",
-        "col[key] = col.get(key, 0) + c",
-        ("tests/test_cochains.py::test_letter_tables_match_the_tensor_oracle",),
-    ),
-    Mutant(
-        "tau1 relabels the argument index one place off",
-        "src/braidcert/cochains.py",
-        "key = (perm[j], perm[a], perm[b])",
-        "key = (perm[j - 1], perm[a], perm[b])",
-        ("tests/test_cochains.py::test_tau1_matches_word_path_oracle_at_cap_three",),
-    ),
-    Mutant(
         "tau1 counts an inverse letter +1 instead of -1",
         "src/braidcert/cochains.py",
-        "counts[i, after] = counts.get((i, after), 0) - 1",
-        "counts[i, after] = counts.get((i, after), 0) + 1",
+        "counts[b, a] = counts.get((b, a), 0) - 1",
+        "counts[b, a] = counts.get((b, a), 0) + 1",
         ("tests/test_cochains.py::test_tau1_matches_word_path_oracle",
          "tests/test_cochains.py::test_tau1_on_band_products_matches_both_oracles"),
     ),
     Mutant(
-        "tau1 counts an inverse letter at the permutation before its swap, not after",
+        "tau1 counts an inverse letter at its strands before the swap, not after",
         "src/braidcert/cochains.py",
-        "counts[i, after] = counts.get((i, after), 0) - 1",
-        "counts[i, perm] = counts.get((i, perm), 0) - 1",
+        "counts[b, a] = counts.get((b, a), 0) - 1",
+        "counts[a, b] = counts.get((a, b), 0) - 1",
         ("tests/test_cochains.py::test_tau1_matches_word_path_oracle",
          "tests/test_cochains.py::test_tau1_on_band_products_matches_both_oracles"),
     ),
     Mutant(
-        "tau1 adds a generator table once, whatever its count",
+        "tau1 adds a generator's two terms once, whatever its count",
         "src/braidcert/cochains.py",
-        "terms[key] = get(key, 0) + m * c",
-        "terms[key] = get(key, 0) + c",
+        """            terms[a, a, b] = get((a, a, b), 0) + m
+            terms[a, b, a] = get((a, b, a), 0) - m""",
+        """            terms[a, a, b] = get((a, a, b), 0) + (1 if m > 0 else -1)
+            terms[a, b, a] = get((a, b, a), 0) - (1 if m > 0 else -1)""",
         ("tests/test_cochains.py::test_tau1_matches_word_path_oracle",
          "tests/test_cochains.py::test_tau1_through_free_cancellations_matches_both_oracles"),
     ),
     Mutant(
-        "letter table relabels by the transposition one strand up",
+        "tau1's two-term key is one strand off",
         "src/braidcert/cochains.py",
-        "swap[i - 1], swap[i] = i, i - 1",
-        "swap[i], swap[i + 1] = i + 1, i",
-        ("tests/test_cochains.py::test_letter_tables_match_the_tensor_oracle",),
+        "a, b = perm[i - 1], perm[i]",
+        "a, b = perm[i - 1], perm[i - 2]",
+        ("tests/test_cochains.py::test_tau1_matches_word_path_oracle",),
+    ),
+    Mutant(
+        "tau1's tail coboundary has its sign flipped",
+        "src/braidcert/cochains.py",
+        """            terms[j, a, b] = get((j, a, b), 0) + c
+            key = (perm[j - 1], perm[a - 1], perm[b - 1])
+            terms[key] = get(key, 0) - c""",
+        """            terms[j, a, b] = get((j, a, b), 0) - c
+            key = (perm[j - 1], perm[a - 1], perm[b - 1])
+            terms[key] = get(key, 0) + c""",
+        ("tests/test_cochains.py::test_tau1_changes_with_the_expansion_by_the_tail_coboundary",
+         "tests/test_cochains.py::test_tau1_matches_word_path_oracle"),
+    ),
+    Mutant(
+        "tau1 relabels the tail by the inverse permutation",
+        "src/braidcert/cochains.py",
+        "key = (perm[j - 1], perm[a - 1], perm[b - 1])",
+        "key = tuple(perm.index(x) + 1 for x in (j, a, b))",
+        ("tests/test_cochains.py::test_tau1_changes_with_the_expansion_by_the_tail_coboundary",),
+    ),
+    Mutant(
+        "tau1 leaves the argument index of the tail unrelabelled",
+        "src/braidcert/cochains.py",
+        "key = (perm[j - 1], perm[a - 1], perm[b - 1])",
+        "key = (j, perm[a - 1], perm[b - 1])",
+        ("tests/test_cochains.py::test_tau1_matches_word_path_oracle_at_cap_three",
+         "tests/test_cochains.py::test_tau1_changes_with_the_expansion_by_the_tail_coboundary"),
+    ),
+    Mutant(
+        "expansion tails are read at degree 3, not 2",
+        "src/braidcert/magnus.py",
+        "[v.component(2) for v in self.gen_values]",
+        "[v.component(3) for v in self.gen_values]",
+        ("tests/test_magnus.py::test_tails_are_the_degree_two_parts_of_the_generator_values",),
     ),
     Mutant(
         "catalog search checks a new element against all but the first chosen one",
