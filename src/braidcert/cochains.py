@@ -25,7 +25,8 @@ materialised.  The basic constructions:
   aspects of Magnus expansions"): it is the standard expansion's value, a
   sum of two terms per letter relabelled by a prefix permutation, plus
   T - g.T for the map T of theta's degree-2 tails, at a cost linear in the
-  braid's length and with no word value of theta;
+  braid's length and with no word value of theta.  It is a pure function of
+  theta.n, theta.tails and the letters, and keeps nothing between calls;
 * coboundary, with the usual twisted alternating-sum formula;
 * composite_cochain, the cup of Hom-valued 1-cochains followed by nesting
   the values through the first tensor slot (the first factor outermost);
@@ -49,7 +50,6 @@ single block, re-embedded: it evaluates on the letters of that block alone.
 from __future__ import annotations
 
 from typing import Any, Callable, Sequence
-from weakref import WeakKeyDictionary
 
 from ._value import FrozenValue
 from .braids import BraidWord
@@ -143,12 +143,11 @@ class Cochain(FrozenValue):
         return self.evaluate(*elems)
 
 
-_TAU1_CACHES: WeakKeyDictionary = WeakKeyDictionary()
-
-
 def tau1(theta: MagnusExpansion, g: BraidWord) -> HomTensor:
     """The degree-2 failure of g to commute with theta: the standard
     expansion's value, a letter sum, plus the coboundary of theta's tails.
+    It reads only theta.n and theta.tails, after the rank check, and keeps
+    no state: a caller that repeats its arguments caches above it.
 
     Let T = theta.tails, X_k -> T_k the degree-2 part of theta(x_k), and
     P = g.perm.  The degree-2 part of theta(x_k^-1) is X_k^2 - T_k, and the
@@ -174,12 +173,8 @@ def tau1(theta: MagnusExpansion, g: BraidWord) -> HomTensor:
     after its swap, and conjugating letters and free cancellations drop out;
     pass 2 adds two terms per nonzero count, then the tails' coboundary."""
     n = theta.n
-    if g.n != n:  # before the lookup: the cache is keyed by letters alone
+    if g.n != n:
         raise ValueError("element rank does not match expansion rank")
-    cache = _TAU1_CACHES.setdefault(theta, {})
-    cached = cache.get(g.letters)
-    if cached is not None:
-        return cached
     counts: dict = {}
     perm = list(range(1, n + 1))
     for letter in g.letters:
@@ -201,9 +196,7 @@ def tau1(theta: MagnusExpansion, g: BraidWord) -> HomTensor:
             terms[j, a, b] = get((j, a, b), 0) + c
             key = (perm[j - 1], perm[a - 1], perm[b - 1])
             terms[key] = get(key, 0) - c
-    result = HomTensor._trusted(n, 2, terms)
-    cache[g.letters] = result
-    return result
+    return HomTensor._trusted(n, 2, terms)
 
 
 def tau1_cochain(theta: MagnusExpansion) -> Cochain:

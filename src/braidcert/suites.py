@@ -107,7 +107,7 @@ def _random_custom(rng: random.Random, n: int) -> MagnusExpansion:
             if rng.random() < 0.4
         }
         tails.append(TruncatedTensor(n, 2, terms))
-    return MagnusExpansion.custom(n, 2, tails)
+    return MagnusExpansion(n, 2, tails)
 
 
 def _bracket_hom(n: int, i: int, j: int) -> TruncatedTensor:

@@ -230,8 +230,10 @@ class TruncatedTensor(_Sparse):
     def __mul__(self, other: TruncatedTensor) -> TruncatedTensor:
         self._require_like(other)
         cap = self.cap
-        # fits[k]: the terms of other of degree <= k, so pairs above the cap are never visited
-        by_degree: list[list[tuple[Index, Scalar]]] = [[] for _ in range(cap + 1)]
+        # fits[k]: the terms of other of degree <= k, so pairs above the cap are never
+        # visited; built up to other's top degree, so the cap alone costs no work
+        top = max(map(len, other.terms), default=0)
+        by_degree: list[list[tuple[Index, Scalar]]] = [[] for _ in range(top + 1)]
         for item in other.terms.items():
             by_degree[len(item[0])].append(item)
         fits = []
@@ -239,6 +241,7 @@ class TruncatedTensor(_Sparse):
         for terms in by_degree:
             running = running + terms
             fits.append(running)
+        fits += [running] * (cap - top)
         out: dict[Index, Scalar] = {}
         get = out.get
         for i1, c1 in self.terms.items():

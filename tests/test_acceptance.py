@@ -46,7 +46,7 @@ def random_custom(rng: random.Random, n: int, cap: int) -> MagnusExpansion:
             if rng.random() < 0.3
         }
         tails.append(TruncatedTensor(n, cap, terms))
-    return MagnusExpansion.custom(n, cap, tails)
+    return MagnusExpansion(n, cap, tails)
 
 
 def random_word(rng: random.Random, n: int, max_len: int) -> FreeWord:

@@ -92,18 +92,28 @@ def test_xi_stops_at_the_image_budget_with_exit_2(capsys):
 
 
 def test_expand_stops_at_the_term_budget_with_exit_2(capsys):
-    # the inverse letters multiply the terms of the running value, so
+    # the inverse letters multiply the index letters of the running value, so
     # (x1^-1 x2^-1 x3^-1)^4 at degree 12 crosses the budget at letter 9
     word = "x1^-1 x2^-1 x3^-1 " * 4
     below = magnus.MagnusExpansion.standard(3, 10).value(parse_word(word, 3))
-    assert len(below.terms) <= magnus.TERM_BUDGET
+    assert sum(map(len, below.terms)) <= magnus.TERM_BUDGET
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "expand", "--n", "3", "--degree", "12", word)
     assert time.perf_counter() - start < 5
     assert (code, out) == (2, "")
-    assert f"budget of {magnus.TERM_BUDGET:,} terms after letter 9 of 12" in err
+    assert f"budget of {magnus.TERM_BUDGET:,} index letters after letter 9 of 12" in err
     with pytest.raises(magnus.TermBudgetError):
         magnus.MagnusExpansion.standard(3, 12).value(parse_word(word, 3))
+
+
+def test_expand_stops_a_long_series_inverse_with_exit_2(capsys):
+    # x1^-1 has only degree + 1 terms, but its index letters grow as the
+    # square of the degree: the series stops while it builds its powers
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "expand", "--n", "1", "--degree", "2000", "x1^-1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert f"budget of {magnus.TERM_BUDGET:,} index letters at power 1414 of 2000" in err
 
 
 def test_perm_reports_purity(capsys):

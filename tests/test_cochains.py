@@ -17,13 +17,14 @@ from itertools import product as iter_product
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import braidcert
 import braidcert.cli as cli
-from braidcert import braids, certify, cochains, magnus
+from braidcert import braids, certify, magnus
 from braidcert.braids import BraidWord, artin_action, full_twist, permutation, pure_gen_braid
 from braidcert.chains import parse_cycle
 from braidcert.cochains import (
@@ -69,7 +70,7 @@ def random_pure_element(rng: random.Random, n: int, max_gens: int = 4) -> BraidW
     return beta
 
 
-def random_custom(rng: random.Random, n: int, cap: int = 2) -> MagnusExpansion:
+def random_degree_two_tails(rng: random.Random, n: int, cap: int = 2) -> list[TruncatedTensor]:
     tails = []
     for _ in range(n):
         terms = {
@@ -78,7 +79,11 @@ def random_custom(rng: random.Random, n: int, cap: int = 2) -> MagnusExpansion:
             if rng.random() < 0.4
         }
         tails.append(TruncatedTensor(n, cap, terms))
-    return MagnusExpansion.custom(n, cap, tails)
+    return tails
+
+
+def random_custom(rng: random.Random, n: int, cap: int = 2) -> MagnusExpansion:
+    return MagnusExpansion(n, cap, random_degree_two_tails(rng, n, cap))
 
 
 def bracket_column(n: int, i: int, j: int) -> TruncatedTensor:
@@ -399,11 +404,10 @@ def test_tau1_of_identity_matches_word_path_oracle():
 
 
 def test_tau1_is_a_function_of_the_braid_not_the_word():
-    # fresh expansions each time, so no cached value is shared between spellings
     rng = random.Random(59)
     for _ in range(10):
         n = rng.randint(3, 5)
-        tails = random_custom(rng, n).gen_values
+        tails = random_degree_two_tails(rng, n)
         beta = random_non_pure_element(rng, n, 8).letters
         i = rng.randint(1, n - 2)
         relator = (i, i + 1, i, -(i + 1), -i, -(i + 1))
@@ -411,11 +415,8 @@ def test_tau1_is_a_function_of_the_braid_not_the_word():
         spellings = (beta, beta[:at] + relator + beta[at:])
         elems = [BraidWord(n, w) for w in spellings]
         assert elems[0] == elems[1]
-        for make in (
-            lambda: MagnusExpansion.standard(n, 2),
-            lambda: MagnusExpansion(n, 2, tails),
-        ):
-            first, second = (tau1(make(), g) for g in elems)
+        for theta in (MagnusExpansion.standard(n, 2), MagnusExpansion(n, 2, tails)):
+            first, second = (tau1(theta, g) for g in elems)
             assert first == second
 
 
@@ -566,23 +567,33 @@ def test_expansion_independence_evaluates_no_magnus_value():
 
 
 def test_tau1_rank_guard_comes_before_any_letter_value(monkeypatch):
-    class Unreachable:
-        def setdefault(self, *args):
-            raise AssertionError("the cache was read")
+    # both spellings are non-pure, so tau1 would read the tails if it got that far
+    def unreachable(theta):
+        raise AssertionError("theta.tails was read")
 
-    monkeypatch.setattr(cochains, "_TAU1_CACHES", Unreachable())
-    g = BraidWord(3, (1, -2))
-    with pytest.raises(ValueError, match="element rank does not match expansion rank"):
-        tau1(MagnusExpansion.standard(4, 2), g)
+    theta3, theta4 = MagnusExpansion.standard(3, 2), MagnusExpansion.standard(4, 2)
+    monkeypatch.setattr(MagnusExpansion, "tails", property(unreachable), raising=False)
+    for theta, g in ((theta4, BraidWord(3, (1, -2))), (theta3, BraidWord(4, (1, 2)))):
+        with pytest.raises(ValueError, match="element rank does not match expansion rank"):
+            tau1(theta, g)
 
 
-def test_tau1_rank_guard_holds_for_the_letters_of_a_cached_value():
-    # the cache is keyed by letters alone, so a 4-strand word spelled like a
-    # cached 3-strand word must still be refused
-    theta3 = MagnusExpansion.standard(3, 2)
-    tau1(theta3, BraidWord(3, (1, 2)))
-    with pytest.raises(ValueError, match="element rank does not match expansion rank"):
-        tau1(theta3, BraidWord(4, (1, 2)))
+def test_tau1_keeps_nothing_per_word():
+    rng = random.Random(67)
+    theta = random_custom(rng, 4)
+    words = set()
+    while len(words) < 5000:
+        words.add(tuple(rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(12)))
+    elements = [BraidWord(4, w) for w in sorted(words)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for g in elements:
+            tau1(theta, g)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 0.5 * 2**20
 
 
 # expansions may differ, the cocycle may not (on pure braids)
@@ -618,7 +629,7 @@ def test_tau1_changes_with_the_expansion_by_the_tail_coboundary():
     moved = 0
     for k in range(32):
         n, cap = rng.randint(2, 5), 2 + k % 2
-        theta = MagnusExpansion.custom(n, cap, random_tails(rng, n, cap))
+        theta = MagnusExpansion(n, cap, random_tails(rng, n, cap))
         std = MagnusExpansion.standard(n, cap)
         tails = HomTensor.from_columns(n, 2, [
             theta.value(FreeWord.generator(n, j)).component(2) for j in range(1, n + 1)
@@ -635,7 +646,7 @@ def test_tau1_does_depend_on_expansion_off_pure_braids():
     # a witness that the previous test is not vacuous
     n = 2
     std = MagnusExpansion.standard(n, 2)
-    custom = MagnusExpansion.custom(
+    custom = MagnusExpansion(
         n, 2, [TruncatedTensor(n, 2, {(1, 1): 1}), TruncatedTensor.zero(n, 2)]
     )
     g = BraidWord.gen(2, 1)

@@ -39,7 +39,7 @@ def random_tail(rng: random.Random, n: int, cap: int) -> TruncatedTensor:
 
 
 def random_custom(rng: random.Random, n: int, cap: int) -> MagnusExpansion:
-    return MagnusExpansion.custom(n, cap, [random_tail(rng, n, cap) for _ in range(n)])
+    return MagnusExpansion(n, cap, [random_tail(rng, n, cap) for _ in range(n)])
 
 
 # frozen examples
@@ -61,7 +61,7 @@ def test_custom_inverse_frozen_value():
     # theta(x1) = 1 + X1 + X2 (x) X2 at cap 2:
     # inverse = 1 - X1 + X1 (x) X1 - X2 (x) X2
     tail = TruncatedTensor(2, 2, {(2, 2): 1})
-    theta = MagnusExpansion.custom(2, 2, [tail, TruncatedTensor.zero(2, 2)])
+    theta = MagnusExpansion(2, 2, [tail, TruncatedTensor.zero(2, 2)])
     w = theta.value(FreeWord.generator(2, 1, -1))
     assert w == TruncatedTensor(2, 2, {(): 1, (1,): -1, (1, 1): 1, (2, 2): -1})
 
@@ -79,7 +79,26 @@ def test_commutator_leading_term_is_bracket():
 def test_rejects_tail_with_low_degree_terms():
     bad = TruncatedTensor(2, 2, {(1,): 1})
     with pytest.raises(ValueError):
-        MagnusExpansion.custom(2, 2, [bad, TruncatedTensor.zero(2, 2)])
+        MagnusExpansion(2, 2, [bad, TruncatedTensor.zero(2, 2)])
+
+
+@pytest.mark.parametrize("tails, message", [
+    ([TruncatedTensor.zero(2, 2)], "expected 2 tails, got 1"),
+    ([TruncatedTensor.zero(2, 3)] * 2, "tail has wrong rank or cap"),
+    ([TruncatedTensor.zero(3, 2)] * 2, "tail has wrong rank or cap"),
+])
+def test_rejects_tails_of_the_wrong_count_rank_or_cap(tails, message):
+    with pytest.raises(ValueError, match=message):
+        MagnusExpansion(2, 2, tails)
+
+
+def test_generator_values_are_one_plus_the_generator_plus_the_tail():
+    tail = TruncatedTensor(2, 3, {(2, 1): F(1, 2), (1, 1, 2): -1})
+    theta = MagnusExpansion(2, 3, [tail, TruncatedTensor.zero(2, 3)])
+    assert theta.gen_values == (
+        TruncatedTensor(2, 3, {(): 1, (1,): 1, (2, 1): F(1, 2), (1, 1, 2): -1}),
+        TruncatedTensor(2, 3, {(): 1, (2,): 1}),
+    )
 
 
 def test_rejects_cap_below_two():
@@ -107,6 +126,15 @@ def test_inverses_are_built_on_the_first_inverse_letter(monkeypatch):
         FreeWord.generator(3, 1)) * inverse(theta.gen_values[1])
     theta.value(FreeWord.reduce(3, (-3, -1)))
     assert calls == list(theta.gen_values)
+
+
+def test_series_inverse_stops_at_the_budget():
+    # the powers of 1 + X1 have 1, 2, ..., k index letters: 998,991 in all
+    # up to k = 1413, and 1,000,405 at k = 1414
+    below = series_inverse(TruncatedTensor(1, 1413, {(): 1, (1,): 1}))
+    assert sum(map(len, below.terms)) == 998_991 <= magnus.TERM_BUDGET
+    with pytest.raises(magnus.TermBudgetError, match="index letters at power 1414 of 2000"):
+        series_inverse(TruncatedTensor(1, 2000, {(): 1, (1,): 1}))
 
 
 def test_series_inverse_requires_unit_constant_term():

@@ -286,7 +286,7 @@ def test_magnus_value_matches_oracle():
             theta = MagnusExpansion.standard(n, cap)
         else:
             # integer tails, then tails with denominators
-            theta = MagnusExpansion.custom(n, cap, [
+            theta = MagnusExpansion(n, cap, [
                 TruncatedTensor(n, cap, random_terms(rng, n, range(2, cap + 1), rng.randint(0, 4), kind == 1))
                 for _ in range(n)
             ])

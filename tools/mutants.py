@@ -144,9 +144,24 @@ MUTANTS = [
     Mutant(
         "expansion tails are read at degree 3, not 2",
         "src/braidcert/magnus.py",
-        "[v.component(2) for v in self.gen_values]",
-        "[v.component(3) for v in self.gen_values]",
+        "[t.component(2) for t in tails]",
+        "[t.component(3) for t in tails]",
         ("tests/test_magnus.py::test_tails_are_the_degree_two_parts_of_the_generator_values",),
+    ),
+    Mutant(
+        "a tail with a degree-1 term is accepted",
+        "src/braidcert/magnus.py",
+        "if any(len(idx) < 2 for idx in tail.terms):",
+        "if any(len(idx) < 1 for idx in tail.terms):",
+        ("tests/test_magnus.py::test_rejects_tail_with_low_degree_terms",),
+    ),
+    Mutant(
+        "the series inverse skips the budget",
+        "src/braidcert/magnus.py",
+        "        if letters > TERM_BUDGET:",
+        "        if False:",
+        ("tests/test_magnus.py::test_series_inverse_stops_at_the_budget",
+         "tests/test_cli.py::test_expand_stops_a_long_series_inverse_with_exit_2"),
     ),
     Mutant(
         "catalog search checks a new element against all but the first chosen one",
