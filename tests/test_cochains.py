@@ -578,6 +578,15 @@ def test_tau1_rank_guard_comes_before_any_letter_value(monkeypatch):
             tau1(theta, g)
 
 
+def test_tau1_rank_guard_holds_for_the_letters_of_a_cached_value():
+    # a 4-strand word spelled like a 3-strand word already evaluated must
+    # still be refused: nothing learnt from the letters may skip the guard
+    theta3 = MagnusExpansion.standard(3, 2)
+    tau1(theta3, BraidWord(3, (1, 2)))
+    with pytest.raises(ValueError, match="element rank does not match expansion rank"):
+        tau1(theta3, BraidWord(4, (1, 2)))
+
+
 def test_tau1_keeps_nothing_per_word():
     rng = random.Random(67)
     theta = random_custom(rng, 4)
