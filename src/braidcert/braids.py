@@ -16,12 +16,14 @@ The faithful action on F_n sends s_i to the automorphism
 
     x_i |-> x_{i+1},    x_{i+1} |-> x_{i+1}^-1 x_i x_{i+1},
 
-fixing the other generators, and a word acts by composing the actions of its
-letters in function order: the action of uv is (action of u) o (action of v).
-Its images grow exponentially with the word, so artin_action builds the map
-only where free words are the output (.aut); no decision reads it.  An
-automorphism is stored as this one forward map; its inverse is the action of
-the inverse word.
+fixing the other generators.  The action of uv is (action of u) o (action of
+v), so composing on the right with s_i or s_i^-1 rewrites only the images a,
+b of x_i, x_{i+1}: s_i makes them b, b^-1 a b and s_i^-1 makes them
+a b a^-1, a.  artin_action applies the letters one at a time that way,
+sharing every other image.  The images grow exponentially with the word, so
+artin_action builds the map only where free words are the output (.aut); no
+decision reads it.  An automorphism is stored as this one forward map; its
+inverse is the action of the inverse word.
 
 Distinguished pure braids:
 
@@ -42,11 +44,11 @@ Text grammar: whitespace-separated tokens ``s<k>``, ``s<k>^-1``, ``A(i,j)``,
 from __future__ import annotations
 
 import re
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable
 
 from ._value import FrozenValue
-from .words import EndoMap, FreeWord, GrammarError, _Tokens
+from .words import EndoMap, FreeWord, GrammarError, _inverse, _reduced, _Tokens
 
 
 class BraidWord(FrozenValue):
@@ -83,7 +85,7 @@ class BraidWord(FrozenValue):
         return BraidWord(self.n, self.letters + other.letters)
 
     def inverse(self) -> BraidWord:
-        return BraidWord(self.n, tuple(-l for l in reversed(self.letters)))
+        return BraidWord(self.n, _inverse(self.letters))
 
     def __pow__(self, k: int) -> BraidWord:
         base = self if k >= 0 else self.inverse()
@@ -122,18 +124,6 @@ class BraidWord(FrozenValue):
         return hash(self.key)
 
 
-@lru_cache(maxsize=None)
-def _letter_action(n: int, letter: int) -> EndoMap:
-    """The automorphism of F_n given by the single letter s_letter."""
-    i = abs(letter)
-    images = [FreeWord.generator(n, k) for k in range(1, n + 1)]
-    if letter > 0:
-        images[i - 1:i + 1] = FreeWord(n, (i + 1,)), FreeWord(n, (-(i + 1), i, i + 1))
-    else:
-        images[i - 1:i + 1] = FreeWord(n, (i, i + 1, -i)), FreeWord(n, (i,))
-    return EndoMap(n, images)
-
-
 IMAGE_BUDGET = 10**6  # letters over all generator images of one artin_action
 
 
@@ -145,15 +135,23 @@ def artin_action(beta: BraidWord) -> EndoMap:
     """The automorphism of F_n given by beta, letters composing left to right.
 
     Only the forward map is built: the inverse automorphism is the action of
-    beta.inverse().  The images are measured after each letter, and past
-    IMAGE_BUDGET letters in all an ImageBudgetError stops the composition."""
-    result = EndoMap.identity(beta.n)
+    beta.inverse().  The images' total length is kept after each letter, and
+    past IMAGE_BUDGET letters an ImageBudgetError stops the composition."""
+    n = beta.n
+    images = [(i,) for i in range(1, n + 1)]
+    total = n
     for k, letter in enumerate(beta.letters, 1):
-        result = result.compose(_letter_action(beta.n, letter))
-        if sum(len(w.letters) for w in result.images) > IMAGE_BUDGET:
+        i = abs(letter)
+        a, b = images[i - 1], images[i]
+        if letter > 0:
+            images[i - 1:i + 1] = b, _reduced((_inverse(b), a, b))
+        else:
+            images[i - 1:i + 1] = _reduced((a, b, _inverse(a))), a
+        total += len(images[i - 1]) + len(images[i]) - len(a) - len(b)
+        if total > IMAGE_BUDGET:
             raise ImageBudgetError(f"the generator images exceed the budget of {IMAGE_BUDGET:,}"
                                    f" letters after letter {k} of {len(beta.letters)}")
-    return result
+    return EndoMap(n, (FreeWord._trusted(n, w) for w in images))
 
 
 def dynnikov(beta: BraidWord) -> tuple[int, ...]:

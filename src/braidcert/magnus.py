@@ -16,12 +16,13 @@ two-sided inverse.
 
 Letters multiply on the right, so the running state never grows beyond the
 dimension of the truncated algebra, which grows as n^cap.  Each step visits
-only the pairs of terms that fit under the cap.  One budget bounds the size
-of what is built, counted in index letters (the length of a term's index,
-summed over terms): the running value is measured after each letter, and the
-powers of a series inverse as they are built; past TERM_BUDGET a
-TermBudgetError stops it.  The series sums its powers in place, so its work
-is bounded by those letters too, whatever the cap.
+only the pairs of terms that fit under the cap.  One budget bounds that work,
+counted in index letters: before each product, the pairs it will visit times
+their index length are counted from the two factors' degree counts, and past
+TERM_BUDGET a TermBudgetError stops it.  A value is checked product by
+product, a series inverse, which sums its powers in place, over all its
+products.  A product builds no more letters than it visits, so the budget
+bounds memory as well as time, whatever the cap.
 
 Coefficients follow the tensor layer: the standard expansion has integer
 values, so every word value (and everything derived from it downstream) has
@@ -30,21 +31,34 @@ int coefficients; a custom tail with denominators brings in Fractions.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 from .tensors import HomTensor, TruncatedTensor
 from .words import FreeWord
 
-TERM_BUDGET = 10**6  # index letters over the terms of one value, or of one inverse's powers
+TERM_BUDGET = 10**6  # index letters visited by one product of a value, or by a series inverse
 
 
 class TermBudgetError(ValueError):
-    """A value or a series inverse outgrew TERM_BUDGET index letters."""
+    """A value's product or a series inverse would visit over TERM_BUDGET index letters."""
 
 
-def _letters(v: TruncatedTensor) -> int:
-    return sum(map(len, v.terms))
+def _visits(a: TruncatedTensor, b: TruncatedTensor) -> int:
+    """The index letters a * b visits: the length of each pair of terms under the cap."""
+    degrees = sorted(Counter(map(len, b.terms)).items())
+    tops = [j for j, _ in degrees]
+    # b's terms of degree <= tops[k - 1]: pairs[k] of them, holding letters[k] letters
+    pairs = [0, *accumulate(cb for _, cb in degrees)]
+    letters = [0, *accumulate(j * cb for j, cb in degrees)]
+    total = 0
+    for i, ca in Counter(map(len, a.terms)).items():
+        k = bisect_right(tops, a.cap - i)
+        total += ca * (i * pairs[k] + letters[k])
+    return total
 
 
 def series_inverse(v: TruncatedTensor) -> TruncatedTensor:
@@ -57,13 +71,13 @@ def series_inverse(v: TruncatedTensor) -> TruncatedTensor:
     terms = dict(one.terms)
     letters = 0
     for k in range(1, v.cap + 1):
-        power = power * minus_u
-        if power.is_zero():
-            break
-        letters += _letters(power)
+        letters += _visits(power, minus_u)
         if letters > TERM_BUDGET:
             raise TermBudgetError(f"the series inverse exceeds the budget of {TERM_BUDGET:,}"
                                   f" index letters at power {k} of {v.cap}")
+        power = power * minus_u
+        if power.is_zero():
+            break
         for idx, c in power.terms.items():
             terms[idx] = terms.get(idx, 0) + c
     return TruncatedTensor._trusted(v.n, v.cap, terms)
@@ -105,15 +119,11 @@ class MagnusExpansion:
             raise ValueError("word rank does not match expansion rank")
         result = TruncatedTensor.one(self.n, self.cap)
         for k, letter in enumerate(word.letters, 1):
-            factor = (
-                self.gen_values[letter - 1]
-                if letter > 0
-                else self.gen_inverses[-letter - 1]
-            )
+            factor = self.gen_values[letter - 1] if letter > 0 else self.gen_inverses[-letter - 1]
+            if _visits(result, factor) > TERM_BUDGET:
+                raise TermBudgetError(f"computing the value exceeds the budget of {TERM_BUDGET:,}"
+                                      f" index letters after letter {k} of {len(word.letters)}")
             result = result * factor
-            if _letters(result) > TERM_BUDGET:
-                raise TermBudgetError(f"the value exceeds the budget of {TERM_BUDGET:,} index"
-                                      f" letters after letter {k} of {len(word.letters)}")
         return result
 
     def __repr__(self) -> str:

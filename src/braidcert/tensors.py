@@ -49,7 +49,7 @@ of a wedge, an action, a projection or a sort, is an inversion parity.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from numbers import Rational
 from typing import Any, ClassVar, Iterable, Mapping, Sequence, TypeVar
 
@@ -231,21 +231,16 @@ class TruncatedTensor(_Sparse):
         self._require_like(other)
         cap = self.cap
         # fits[k]: the terms of other of degree <= k, so pairs above the cap are never
-        # visited; built up to other's top degree, so the cap alone costs no work
+        # visited; built up to other's top degree and read clamped to it, not to the cap
         top = max(map(len, other.terms), default=0)
         by_degree: list[list[tuple[Index, Scalar]]] = [[] for _ in range(top + 1)]
         for item in other.terms.items():
             by_degree[len(item[0])].append(item)
-        fits = []
-        running: list[tuple[Index, Scalar]] = []
-        for terms in by_degree:
-            running = running + terms
-            fits.append(running)
-        fits += [running] * (cap - top)
+        fits = list(accumulate(by_degree))
         out: dict[Index, Scalar] = {}
         get = out.get
         for i1, c1 in self.terms.items():
-            for i2, c2 in fits[cap - len(i1)]:
+            for i2, c2 in fits[min(cap - len(i1), top)]:
                 idx = i1 + i2
                 out[idx] = get(idx, 0) + c1 * c2
         return TruncatedTensor._trusted(self.n, cap, out)

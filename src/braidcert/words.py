@@ -9,7 +9,8 @@ element.
 An endomorphism of F_n is determined by its images of the generators and acts
 by substitution.  Composition is written in function order: compose(f, g)
 sends w to f(g(w)).  An automorphism is stored as its EndoMap alone, with
-no inverse map beside it.
+no inverse map beside it.  Substitutions, products, powers and reductions
+all multiply out in _reduced, which cancels only across the seams.
 
 The text grammar for words is whitespace-separated tokens ``x<k>`` and
 ``x<k>^-1``, e.g. ``x1 x2^-1 x1``.  The empty string is the identity.
@@ -31,15 +32,20 @@ class GrammarError(ValueError):
         self.position = position
 
 
-def _reduced_concat(a: Sequence[int], b: Iterable[int]) -> tuple[int, ...]:
-    # a must already be reduced; cancellation can only happen at the seam.
-    out = list(a)
-    for letter in b:
-        if out and out[-1] == -letter:
+def _reduced(pieces: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """The reduced product of reduced letter tuples: letters cancel only at the seams."""
+    out: list[int] = []
+    for piece in pieces:
+        k = 0
+        while out and k < len(piece) and out[-1] == -piece[k]:
             out.pop()
-        else:
-            out.append(letter)
+            k += 1
+        out.extend(piece[k:])
     return tuple(out)
+
+
+def _inverse(letters: Sequence[int]) -> tuple[int, ...]:
+    return tuple(-l for l in reversed(letters))
 
 
 class FreeWord(FrozenValue):
@@ -51,14 +57,8 @@ class FreeWord(FrozenValue):
 
     def __init__(self, n: int, letters: Iterable[int]) -> None:
         letters = tuple(letters)
-        if n < 1:
-            raise ValueError(f"rank must be positive, got {n}")
-        for letter in letters:
-            if letter == 0 or abs(letter) > n:
-                raise ValueError(f"letter {letter} out of range for rank {n}")
-        for a, b in zip(letters, letters[1:]):
-            if a == -b:
-                raise ValueError("word is not freely reduced; use FreeWord.reduce")
+        if FreeWord.reduce(n, letters).letters != letters:
+            raise ValueError("word is not freely reduced; use FreeWord.reduce")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "letters", letters)
 
@@ -83,7 +83,14 @@ class FreeWord(FrozenValue):
 
     @classmethod
     def reduce(cls, n: int, letters: Iterable[int]) -> FreeWord:
-        return cls(n, _reduced_concat((), letters))
+        """The reduced word of a letter sequence, each letter checked against the rank."""
+        letters = tuple(letters)
+        if n < 1:
+            raise ValueError(f"rank must be positive, got {n}")
+        for letter in letters:
+            if letter == 0 or abs(letter) > n:
+                raise ValueError(f"letter {letter} out of range for rank {n}")
+        return cls._trusted(n, _reduced((l,) for l in letters))
 
     @property
     def is_identity(self) -> bool:
@@ -92,17 +99,14 @@ class FreeWord(FrozenValue):
     def __mul__(self, other: FreeWord) -> FreeWord:
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        return FreeWord(self.n, _reduced_concat(self.letters, other.letters))
+        return FreeWord._trusted(self.n, _reduced((self.letters, other.letters)))
 
     def inverse(self) -> FreeWord:
-        return FreeWord(self.n, tuple(-l for l in reversed(self.letters)))
+        return FreeWord._trusted(self.n, _inverse(self.letters))
 
     def __pow__(self, k: int) -> FreeWord:
         base = self if k >= 0 else self.inverse()
-        result = FreeWord.identity(self.n)
-        for _ in range(abs(k)):
-            result = result * base
-        return result
+        return FreeWord._trusted(self.n, _reduced((base.letters,) * abs(k)))
 
     def __str__(self) -> str:
         return format_word(self)
@@ -130,18 +134,10 @@ class EndoMap(FrozenValue):
         return cls(n, tuple(FreeWord.generator(n, i) for i in range(1, n + 1)))
 
     def __call__(self, w: FreeWord) -> FreeWord:
-        # each image is reduced, so letters cancel only across the seam
-        out: list[int] = []
-        for letter in w.letters:
-            image = self.images[abs(letter) - 1].letters
-            if letter < 0:
-                image = tuple(-l for l in reversed(image))
-            k = 0
-            while out and k < len(image) and out[-1] == -image[k]:
-                out.pop()
-                k += 1
-            out.extend(image[k:])
-        return FreeWord._trusted(self.n, tuple(out))
+        images = self.images
+        return FreeWord._trusted(self.n, _reduced(
+            images[l - 1].letters if l > 0 else _inverse(images[-l - 1].letters)
+            for l in w.letters))
 
     def compose(self, other: EndoMap) -> EndoMap:
         """Return self after other: (self.compose(other))(w) = self(other(w))."""

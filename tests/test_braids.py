@@ -15,7 +15,6 @@ import pytest
 
 from braidcert.braids import (
     BraidWord,
-    _letter_action,
     artin_action,
     dynnikov,
     format_braid,
@@ -321,11 +320,42 @@ def test_format_matches_the_token_oracle_at_every_rank():
 # the inverse automorphism is the action of the inverse word
 
 
+def oracle_letter_action(n: int, letter: int) -> EndoMap:
+    """The automorphism of F_n given by the single letter s_letter, all n images built."""
+    i = abs(letter)
+    images = [FreeWord.generator(n, k) for k in range(1, n + 1)]
+    if letter > 0:
+        images[i - 1:i + 1] = FreeWord(n, (i + 1,)), FreeWord(n, (-(i + 1), i, i + 1))
+    else:
+        images[i - 1:i + 1] = FreeWord(n, (i, i + 1, -i)), FreeWord(n, (i,))
+    return EndoMap(n, images)
+
+
+def oracle_artin_action(beta: BraidWord) -> EndoMap:
+    """The action of beta as the composite of its whole letter maps, in function order."""
+    result = EndoMap.identity(beta.n)
+    for letter in beta.letters:
+        result = result.compose(oracle_letter_action(beta.n, letter))
+    return result
+
+
 def test_letter_maps_compose_with_inverse_letter_maps_to_the_identity():
     for n in range(2, 9):
         for i in range(1, n):
-            f, g = _letter_action(n, i), _letter_action(n, -i)
+            f, g = oracle_letter_action(n, i), oracle_letter_action(n, -i)
             assert f.compose(g) == g.compose(f) == EndoMap.identity(n)
+            assert artin_action(BraidWord(n, (i,))) == f
+            assert artin_action(BraidWord(n, (-i,))) == g
+
+
+def test_action_matches_composing_whole_letter_maps():
+    # every token of the grammar, so bands and twists cancel across the seams
+    rng = random.Random(40)
+    for n in range(2, 9):
+        for _ in range(12):
+            beta = parse_braid(" ".join(random_tokens(rng, n, rng.randint(0, 5))), n)
+            for g in (beta, beta.inverse()):
+                assert artin_action(g) == oracle_artin_action(g)
 
 
 def assert_mutually_inverse(beta: BraidWord) -> None:

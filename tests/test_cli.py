@@ -19,7 +19,7 @@ import braidcert.magnus as magnus
 import braidcert.suites as suites
 from braidcert.certify import certificate
 from braidcert.cli import main
-from braidcert.words import EndoMap, parse_word
+from braidcert.words import EndoMap, FreeWord, parse_word
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -114,6 +114,45 @@ def test_expand_stops_a_long_series_inverse_with_exit_2(capsys):
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert f"budget of {magnus.TERM_BUDGET:,} index letters at power 1414 of 2000" in err
+
+
+def test_expand_refuses_a_product_past_the_budget_before_building_it(capsys):
+    # one x1^-1 at degree 1413 is admitted, but squaring its 1,414-term series
+    # would visit ~9.4 * 10^8 index letters, so the product is never started
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "expand", "--n", "1", "--degree", "1413", "x1^-1 x1^-1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert f"budget of {magnus.TERM_BUDGET:,} index letters after letter 2 of 2" in err
+
+
+def test_expand_memory_does_not_grow_with_the_degree(capsys):
+    # a product visits only the pairs of terms under the cap, and builds nothing
+    # as long as the cap, so degree 10^7 prints the same bytes as degree 2
+    _, small, _ = run_cli(capsys, "expand", "--n", "1", "--degree", "2", "x1")
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "expand", "--n", "1", "--degree", "10000000", "x1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, small) and len(out) == 141
+    assert peak < 1_000_000
+
+
+def test_xi_on_many_strands_rewrites_only_the_moved_images(capsys):
+    # each letter rewrites the two images it moves: building all 600 images for
+    # each of the 1,198 letters took seconds
+    n = 600
+    text = " ".join([f"s{i}" for i in range(1, n)] + [f"s{i}^-1" for i in range(1, n)])
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "xi", "--n", str(n), text)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    data = json.loads(out)
+    for images in (data["images"], data["inverse_images"]):
+        # every braid fixes the product x_1 x_2 ... x_n
+        assert parse_word(" ".join(images), n) == FreeWord(n, range(1, n + 1))
 
 
 def test_perm_reports_purity(capsys):

@@ -137,6 +137,39 @@ def test_series_inverse_stops_at_the_budget():
         series_inverse(TruncatedTensor(1, 2000, {(): 1, (1,): 1}))
 
 
+def random_tensor(rng: random.Random, n: int, cap: int) -> TruncatedTensor:
+    return TruncatedTensor(n, cap, {
+        tuple(rng.randint(1, n) for _ in range(rng.randint(0, cap))): rng.randint(-2, 2)
+        for _ in range(rng.randint(0, 10))
+    })
+
+
+def test_product_visits_are_the_index_letters_of_the_pairs_under_the_cap():
+    rng = random.Random(41)
+    for _ in range(60):
+        n, cap = rng.randint(1, 3), rng.randint(2, 7)
+        a, b = random_tensor(rng, n, cap), random_tensor(rng, n, cap)
+        expected = sum(len(i) + len(j) for i in a.terms for j in b.terms if len(i) + len(j) <= cap)
+        assert magnus._visits(a, b) == expected
+
+
+def test_value_counts_each_product_before_building_it(monkeypatch):
+    visits = []
+    count = magnus._visits
+    monkeypatch.setattr(magnus, "_visits", lambda a, b: visits.append(count(a, b)) or visits[-1])
+    MagnusExpansion.standard(3, 10).value(FreeWord(3, (-1, -2, -3) * 3))
+    assert max(visits) == 357_214 <= magnus.TERM_BUDGET
+    # x1^-1 at degree 1413: its series visits 1 + 2 + ... + 1413 letters, and so
+    # does its one product; squaring it would visit ~9.4 * 10^8
+    visits.clear()
+    theta = MagnusExpansion.standard(1, 1413)
+    theta.value(FreeWord(1, (-1,)))
+    assert sum(visits[:-1]) == visits[-1] == 998_991
+    with pytest.raises(magnus.TermBudgetError, match="index letters after letter 2 of 2"):
+        theta.value(FreeWord(1, (-1, -1)))
+    assert visits[-1] > 9 * 10**8
+
+
 def test_series_inverse_requires_unit_constant_term():
     with pytest.raises(ValueError):
         series_inverse(TruncatedTensor(2, 2, {(): 2}))

@@ -47,6 +47,12 @@ def test_unreduced_constructor_rejected():
         FreeWord(2, (1, -1))
 
 
+@pytest.mark.parametrize("letters", [(5,), (5, -5), (0, 0), (1, 3, -3)])
+def test_reduce_checks_every_letter_before_cancelling(letters):
+    with pytest.raises(ValueError, match="out of range for rank 2"):
+        FreeWord.reduce(2, letters)
+
+
 def test_multiply_cancels_at_seam():
     a = FreeWord(2, (1, 2))
     b = FreeWord(2, (-2, -1, 2))

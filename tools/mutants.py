@@ -187,9 +187,40 @@ MUTANTS = [
     Mutant(
         "substitution stops cancelling at the seam after one letter",
         "src/braidcert/words.py",
-        "while out and k < len(image) and out[-1] == -image[k]:",
-        "if out and k < len(image) and out[-1] == -image[k]:",
+        "while out and k < len(piece) and out[-1] == -piece[k]:",
+        "if out and k < len(piece) and out[-1] == -piece[k]:",
         ("tests/test_words.py::test_substitution_matches_reducing_the_raw_concatenation",),
+    ),
+    Mutant(
+        "s_i conjugates by a instead of b",
+        "src/braidcert/braids.py",
+        "_reduced((_inverse(b), a, b))",
+        "_reduced((_inverse(a), b, a))",
+        ("tests/test_braids.py::test_action_matches_composing_whole_letter_maps",
+         "tests/test_braids.py::test_action_of_elementary_generator"),
+    ),
+    Mutant(
+        "s_i^-1 keeps the old image i+1",
+        "src/braidcert/braids.py",
+        "_reduced((a, b, _inverse(a))), a",
+        "_reduced((a, b, _inverse(a))), b",
+        ("tests/test_braids.py::test_action_matches_composing_whole_letter_maps",
+         "tests/test_braids.py::test_action_of_inverse_generator"),
+    ),
+    Mutant(
+        "the running image total forgets the replaced images",
+        "src/braidcert/braids.py",
+        " - len(a) - len(b)",
+        "",
+        ("tests/test_cli.py::test_xi_stops_at_the_image_budget_with_exit_2",),
+    ),
+    Mutant(
+        "the product reads its fitting terms at an unclamped index",
+        "src/braidcert/tensors.py",
+        "fits[min(cap - len(i1), top)]",
+        "fits[cap - len(i1)]",
+        ("tests/test_tensors.py::test_product_concatenates_and_truncates",
+         "tests/test_cli.py::test_expand_memory_does_not_grow_with_the_degree"),
     ),
 ]
 
