@@ -48,7 +48,7 @@ from functools import cached_property
 from typing import Iterable
 
 from ._value import FrozenValue
-from .words import EndoMap, FreeWord, GrammarError, _inverse, _reduced, _Tokens
+from .words import EndoMap, FreeWord, GrammarError, _inverse, _reduced, _scan, _Tokens
 
 
 class BraidWord(FrozenValue):
@@ -216,11 +216,7 @@ def parse_braid(text: str, n: int) -> BraidWord:
     """Parse the braid grammar into a word in the elementary generators, built once."""
     BraidWord.identity(n)  # refuses a bad strand count before any token
     letters: list[int] = []
-    for match in re.finditer(r"\S+", text):
-        token = match.group(0)
-        m = _BRAID_TOKEN.match(token)
-        if m is None:
-            raise GrammarError(f"bad braid token {token!r}", match.start())
+    for m in _scan(text, _BRAID_TOKEN, "braid"):
         s_idx, a_i, a_j, tw_k, inverted = m.groups()
         try:
             if s_idx is not None:
@@ -230,7 +226,7 @@ def parse_braid(text: str, n: int) -> BraidWord:
             else:
                 piece = full_twist(n, int(tw_k))
         except ValueError as exc:
-            raise GrammarError(str(exc), match.start()) from None
+            raise GrammarError(str(exc), m.start()) from None
         if inverted:
             piece = piece.inverse()
         letters.extend(piece.letters)

@@ -189,20 +189,23 @@ def torus_pairings(
     for g in elements:
         if not g.acts_trivially():
             raise ValueError("chain support acts nontrivially on homology")
+    return _partition_sums(theta.n, len(elements), _nonzero_traces(theta, elements), rows)
+
+
+def _nonzero_traces(
+    theta: MagnusExpansion, elements: Sequence[BraidWord]
+) -> list[tuple[int, ExteriorElement]]:
+    """The nonzero B(U) of the elements, as (mask of U, B(U))."""
     traces = nested_traces([tau1(theta, g) for g in elements])
-    blocks = [(mask, value) for mask, value in traces.items() if not value.is_zero()]
-    return _partition_sums(theta.n, len(elements), blocks, rows)
+    return [(mask, value) for mask, value in traces.items() if not value.is_zero()]
 
 
 @cache
 def _block_traces(part: int, depth: int) -> tuple[list[tuple[int, ExteriorElement]], ...]:
     """The nonzero B(U), as (mask of U, B(U)), at rank part + 1 for each catalog tuple."""
     theta = MagnusExpansion.standard(part + 1, 2)
-    return tuple(
-        [(mask, v) for mask, v in nested_traces([tau1(theta, g) for _, g in combo]).items()
-         if not v.is_zero()]
-        for combo in _commuting_tuples(part, depth)
-    )
+    return tuple(_nonzero_traces(theta, [g for _, g in combo])
+                 for combo in _commuting_tuples(part, depth))
 
 
 # exact rank

@@ -17,12 +17,12 @@ two-sided inverse.
 Letters multiply on the right, so the running state never grows beyond the
 dimension of the truncated algebra, which grows as n^cap.  Each step visits
 only the pairs of terms that fit under the cap.  One budget bounds that work,
-counted in index letters: before each product, the pairs it will visit times
-their index length are counted from the two factors' degree counts, and past
-TERM_BUDGET a TermBudgetError stops it.  A value is checked product by
-product, a series inverse, which sums its powers in place, over all its
-products.  A product builds no more letters than it visits, so the budget
-bounds memory as well as time, whatever the cap.
+counted in index letters: before each product, tensors._visits counts the
+pairs it will visit times their index length, from the degree-sorted layout
+the product itself walks, and past TERM_BUDGET a TermBudgetError stops it.
+A value is checked product by product, a series inverse, which sums its
+powers in place, over all its products.  A product builds no more letters
+than it visits, so the budget bounds memory as well as time, whatever the cap.
 
 Coefficients follow the tensor layer: the standard expansion has integer
 values, so every word value (and everything derived from it downstream) has
@@ -31,13 +31,10 @@ int coefficients; a custom tail with denominators brings in Fractions.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import Counter
 from functools import cached_property
-from itertools import accumulate
 from typing import Sequence
 
-from .tensors import HomTensor, TruncatedTensor
+from .tensors import HomTensor, TruncatedTensor, _visits
 from .words import FreeWord
 
 TERM_BUDGET = 10**6  # index letters visited by one product of a value, or by a series inverse
@@ -45,20 +42,6 @@ TERM_BUDGET = 10**6  # index letters visited by one product of a value, or by a 
 
 class TermBudgetError(ValueError):
     """A value's product or a series inverse would visit over TERM_BUDGET index letters."""
-
-
-def _visits(a: TruncatedTensor, b: TruncatedTensor) -> int:
-    """The index letters a * b visits: the length of each pair of terms under the cap."""
-    degrees = sorted(Counter(map(len, b.terms)).items())
-    tops = [j for j, _ in degrees]
-    # b's terms of degree <= tops[k - 1]: pairs[k] of them, holding letters[k] letters
-    pairs = [0, *accumulate(cb for _, cb in degrees)]
-    letters = [0, *accumulate(j * cb for j, cb in degrees)]
-    total = 0
-    for i, ca in Counter(map(len, a.terms)).items():
-        k = bisect_right(tops, a.cap - i)
-        total += ca * (i * pairs[k] + letters[k])
-    return total
 
 
 def series_inverse(v: TruncatedTensor) -> TruncatedTensor:

@@ -16,7 +16,9 @@ differ only in their grade field and in which index tuples they accept:
 
 The checks, the linear arithmetic and the JSON term list live once, in the
 shared core.  Multiplication concatenates indices and never forms a term
-whose degree would exceed the cap.
+whose degree would exceed the cap: beside each term of the left factor it
+walks a prefix of the right factor's terms sorted by degree, and _visits
+counts a product's visits from the same layout.
 
 Coefficients are exact rationals: an int when integral and a Fraction
 otherwise.  The public constructors accept any numbers.Rational, store an
@@ -48,10 +50,11 @@ of a wedge, an action, a projection or a sort, is an inversion parity.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
 from numbers import Rational
-from typing import Any, ClassVar, Iterable, Mapping, Sequence, TypeVar
+from typing import Any, Callable, ClassVar, Iterable, Mapping, Sequence, TypeVar
 
 from ._value import FrozenValue
 
@@ -229,21 +232,14 @@ class TruncatedTensor(_Sparse):
 
     def __mul__(self, other: TruncatedTensor) -> TruncatedTensor:
         self._require_like(other)
-        cap = self.cap
-        # fits[k]: the terms of other of degree <= k, so pairs above the cap are never
-        # visited; built up to other's top degree and read clamped to it, not to the cap
-        top = max(map(len, other.terms), default=0)
-        by_degree: list[list[tuple[Index, Scalar]]] = [[] for _ in range(top + 1)]
-        for item in other.terms.items():
-            by_degree[len(item[0])].append(item)
-        fits = list(accumulate(by_degree))
+        items, fit = _fitting(other)
         out: dict[Index, Scalar] = {}
         get = out.get
         for i1, c1 in self.terms.items():
-            for i2, c2 in fits[min(cap - len(i1), top)]:
+            for i2, c2 in islice(items, fit(len(i1))):
                 idx = i1 + i2
                 out[idx] = get(idx, 0) + c1 * c2
-        return TruncatedTensor._trusted(self.n, cap, out)
+        return TruncatedTensor._trusted(self.n, self.cap, out)
 
     def act(self, perm: tuple[int, ...]) -> TruncatedTensor:
         """Relabel every index i as perm[i-1]."""
@@ -261,6 +257,26 @@ class TruncatedTensor(_Sparse):
             mono = "1" if not idx else "*".join(f"X{i}" for i in idx)
             parts.append(f"({c})*{mono}")
         return " + ".join(parts)
+
+
+def _fitting(t: TruncatedTensor) -> tuple[list[tuple[Index, Scalar]], Callable[[int], int]]:
+    """t's terms sorted by degree, and for an index of length i the count of
+    them that fit beside it under the cap: a prefix, so pairs above the cap are
+    never visited."""
+    items = sorted(t.terms.items(), key=lambda kv: len(kv[0]))
+    degrees = [len(idx) for idx, _ in items]
+    return items, lambda i: bisect_right(degrees, t.cap - i)
+
+
+def _visits(a: TruncatedTensor, b: TruncatedTensor) -> int:
+    """The index letters a * b visits: the length of each pair of terms under the cap."""
+    items, fit = _fitting(b)
+    letters = [0, *accumulate(len(idx) for idx, _ in items)]  # in b's first k terms
+    total = 0
+    for i in map(len, a.terms):
+        k = fit(i)
+        total += i * k + letters[k]
+    return total
 
 
 class HomTensor(_Sparse):

@@ -19,7 +19,7 @@ The text grammar for words is whitespace-separated tokens ``x<k>`` and
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._value import FrozenValue
 
@@ -129,10 +129,6 @@ class EndoMap(FrozenValue):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "images", images)
 
-    @classmethod
-    def identity(cls, n: int) -> EndoMap:
-        return cls(n, tuple(FreeWord.generator(n, i) for i in range(1, n + 1)))
-
     def __call__(self, w: FreeWord) -> FreeWord:
         images = self.images
         return FreeWord._trusted(self.n, _reduced(
@@ -155,17 +151,23 @@ AutPair = EndoMap
 _WORD_TOKEN = re.compile(r"x([1-9][0-9]*)(\^-1)?\Z")
 
 
+def _scan(text: str, token: re.Pattern[str], kind: str) -> Iterator[re.Match[str]]:
+    """Match each whitespace-separated token of text in turn, positions counted
+    in text; the first that does not match is a GrammarError."""
+    for match in re.finditer(r"\S+", text):
+        m = token.match(text, match.start(), match.end())
+        if m is None:
+            raise GrammarError(f"bad {kind} token {match.group(0)!r}", match.start())
+        yield m
+
+
 def parse_word(text: str, n: int) -> FreeWord:
     """Parse the word grammar: whitespace-separated ``x<k>`` / ``x<k>^-1`` tokens."""
     letters: list[int] = []
-    for match in re.finditer(r"\S+", text):
-        token = match.group(0)
-        m = _WORD_TOKEN.match(token)
-        if m is None:
-            raise GrammarError(f"bad word token {token!r}", match.start())
+    for m in _scan(text, _WORD_TOKEN, "word"):
         k = int(m.group(1))
         if k > n:
-            raise GrammarError(f"generator x{k} out of range for rank {n}", match.start())
+            raise GrammarError(f"generator x{k} out of range for rank {n}", m.start())
         letters.append(-k if m.group(2) else k)
     return FreeWord.reduce(n, letters)
 

@@ -25,6 +25,7 @@ from braidcert.braids import (
 )
 from braidcert.cochains import BlockEmbedding
 from braidcert.words import EndoMap, FreeWord, GrammarError
+from test_words import identity_map
 
 
 def random_braid(rng: random.Random, n: int, max_len: int) -> BraidWord:
@@ -333,7 +334,7 @@ def oracle_letter_action(n: int, letter: int) -> EndoMap:
 
 def oracle_artin_action(beta: BraidWord) -> EndoMap:
     """The action of beta as the composite of its whole letter maps, in function order."""
-    result = EndoMap.identity(beta.n)
+    result = identity_map(beta.n)
     for letter in beta.letters:
         result = result.compose(oracle_letter_action(beta.n, letter))
     return result
@@ -343,7 +344,7 @@ def test_letter_maps_compose_with_inverse_letter_maps_to_the_identity():
     for n in range(2, 9):
         for i in range(1, n):
             f, g = oracle_letter_action(n, i), oracle_letter_action(n, -i)
-            assert f.compose(g) == g.compose(f) == EndoMap.identity(n)
+            assert f.compose(g) == g.compose(f) == identity_map(n)
             assert artin_action(BraidWord(n, (i,))) == f
             assert artin_action(BraidWord(n, (-i,))) == g
 
@@ -360,7 +361,7 @@ def test_action_matches_composing_whole_letter_maps():
 
 def assert_mutually_inverse(beta: BraidWord) -> None:
     f, g = artin_action(beta), artin_action(beta.inverse())
-    assert f.compose(g) == g.compose(f) == EndoMap.identity(beta.n)
+    assert f.compose(g) == g.compose(f) == identity_map(beta.n)
 
 
 def test_composed_pairs_stay_mutually_inverse():

@@ -51,6 +51,7 @@ from braidcert.tensors import (
 )
 from braidcert.words import EndoMap, FreeWord
 from restriction_oracle import cup, hbar_partition_cochain, unit_cochain
+from test_words import identity_map
 
 F = Fraction
 
@@ -799,7 +800,7 @@ def test_element_equality_matches_the_eager_automorphism_path():
         if equal:
             assert hash(a) == hash(b)
         outcomes.add((equal, a.n == b.n))
-        identity = EndoMap.identity(a.n)
+        identity = identity_map(a.n)
         assert a.inverse().aut.compose(artin_action(a)) == identity
         assert artin_action(a).compose(a.inverse().aut) == identity
         if a.n == b.n:
@@ -830,7 +831,7 @@ def test_is_identity_matches_the_identity_automorphism():
         n = rng.randint(2, 7)
         w = random_braid_element(rng, n, 6)
         g = rng.choice([w, respelled(rng, w * w.inverse()), respelled(rng, BraidWord.identity(n))])
-        expected = g.aut == EndoMap.identity(n)
+        expected = g.aut == identity_map(n)
         assert g.is_identity == expected
         seen.add(expected)
     assert seen == {True, False}

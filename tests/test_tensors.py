@@ -8,6 +8,7 @@ no code with the sparse implementation under test.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -144,6 +145,20 @@ def test_product_concatenates_and_truncates():
         TruncatedTensor.one(2, 1) + TruncatedTensor.basis(2, 1, 2)
     )
     assert q == TruncatedTensor(2, 1, {(): 1, (1,): 1, (2,): 1})
+
+
+def test_product_memory_does_not_grow_with_the_degree_span():
+    # the series of x1^-1 at degree 1413 spans 1,414 degrees: a product walks a
+    # prefix of its degree-sorted terms, and keeps no list per degree
+    series = TruncatedTensor(1, 1413, {(1,) * k: (-1) ** k for k in range(1414)})
+    tracemalloc.start()
+    try:
+        product = TruncatedTensor.one(1, 1413) * series
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert product == series and len(product.terms) == 1414
+    assert peak < 1_000_000
 
 
 def test_contract_keeps_terms_led_by_column_index():

@@ -31,6 +31,7 @@ from braidcert import (
     TruncatedTensor,
 )
 from braidcert.suites import SuiteRow
+from test_words import identity_map
 
 
 def _zero():
@@ -55,7 +56,7 @@ def _certificate(**changes) -> Certificate:
 # (value, an equal value built apart, an unequal value of the same type)
 FROZEN = {
     "FreeWord": (FreeWord(3, (1, -2)), FreeWord(3, [1, -2]), FreeWord(4, (1, -2))),
-    "EndoMap": (EndoMap.identity(2), EndoMap(2, [FreeWord(2, (1,)), FreeWord(2, (2,))]),
+    "EndoMap": (identity_map(2), EndoMap(2, [FreeWord(2, (1,)), FreeWord(2, (2,))]),
                 EndoMap(2, (FreeWord(2, (2,)), FreeWord(2, (1,))))),
     "BraidWord": (BraidWord(3, (1, -2)), BraidWord(3, [1, -2]), BraidWord(3, (1, 2))),
     "BlockEmbedding": (BlockEmbedding(1, 2, 4), BlockEmbedding(1, 2, 4), BlockEmbedding(0, 2, 4)),

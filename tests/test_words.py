@@ -30,6 +30,11 @@ def random_endo(rng: random.Random, n: int, max_len: int = 4) -> EndoMap:
     return EndoMap(n, tuple(random_word(rng, n, max_len) for _ in range(n)))
 
 
+def identity_map(n: int) -> EndoMap:
+    """The identity endomorphism of F_n: each generator is its own image."""
+    return EndoMap(n, tuple(FreeWord.generator(n, i) for i in range(1, n + 1)))
+
+
 # frozen examples
 
 

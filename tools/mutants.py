@@ -215,12 +215,19 @@ MUTANTS = [
         ("tests/test_cli.py::test_xi_stops_at_the_image_budget_with_exit_2",),
     ),
     Mutant(
-        "the product reads its fitting terms at an unclamped index",
+        "the product pairs every term with all the terms that fit beside the unit",
         "src/braidcert/tensors.py",
-        "fits[min(cap - len(i1), top)]",
-        "fits[cap - len(i1)]",
-        ("tests/test_tensors.py::test_product_concatenates_and_truncates",
-         "tests/test_cli.py::test_expand_memory_does_not_grow_with_the_degree"),
+        "fit(len(i1))",
+        "fit(0)",
+        ("tests/test_tensors.py::test_product_concatenates_and_truncates",),
+    ),
+    Mutant(
+        "the degree-sorted layout drops the pairs that reach the cap exactly",
+        "src/braidcert/tensors.py",
+        "bisect_right(degrees, t.cap - i)",
+        "bisect_right(degrees, t.cap - i - 1)",
+        ("tests/test_magnus.py::test_product_visits_are_the_index_letters_of_the_pairs_under_the_cap",
+         "tests/test_tensors.py::test_product_concatenates_and_truncates"),
     ),
 ]
 
